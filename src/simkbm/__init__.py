@@ -6,7 +6,7 @@ fast the kinetic moments and trait profiles approach the macroscopic model
 as the reproduction rate grows.
 """
 
-from .grids import TorusGrid, TraitGrid, make_torus_grid, make_trait_grid
+from .grids import TorusGrid, TraitGrid
 from .measures import (
     GridMeasure,
     MomentSummary,
@@ -47,8 +47,6 @@ from .config import ConfigError, RunConfig, parse_config
 __all__ = [
     "TorusGrid",
     "TraitGrid",
-    "make_torus_grid",
-    "make_trait_grid",
     "GridMeasure",
     "MomentSummary",
     "gaussian_on_grid",

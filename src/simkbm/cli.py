@@ -43,7 +43,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", default=None, help="output directory (overrides the config)")
         p.add_argument("--text", action="store_true", help="write snapshots as CSV, not binary")
         p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
+        if name == "gamma-sweep":
+            p.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
     return parser
 
 
@@ -116,7 +117,7 @@ def _cmd_simulate_sim(config: RunConfig) -> int:
     snap_dir = ensure_dir(os.path.join(out, "snapshots"))
     doc = config.to_dict()
     state0 = init_state(config)
-    traj = run_sim(state0, config.sim_params(), config.environment(), config.t_end)
+    traj = run_sim(state0, config.sim_params(), config.env, config.t_end)
     for idx, state in enumerate(traj.snapshots):
         meta = {
             "space": {"points": state.space.points_per_dim, "period": state.space.period},
@@ -164,7 +165,7 @@ def _cmd_simulate_kbm(config: RunConfig) -> int:
     n0 = config.n0_values(x)
     state0 = MacroState(0.0, n0, n0 * config.z0_values(x), space)
     traj = run_kbm(
-        state0, config.environment(), config.A, config.dt, config.t_end, config.snapshot_dt
+        state0, config.env, config.A, config.dt, config.t_end, config.snapshot_dt
     )
     for idx, state in enumerate(traj.states):
         meta = {
@@ -212,21 +213,14 @@ def _write_compare(out_dir, config, result) -> None:
 
 
 def _cmd_compare(config: RunConfig) -> int:
-    if config.gamma is None:
-        raise ConfigError("compare needs physical.gamma (a single value)")
-    out = ensure_dir(config.out_dir)
     result = run_compare(config)
-    _write_compare(out, config, result)
+    _write_compare(ensure_dir(config.out_dir), config, result)
     return 0
 
 
 def _cmd_gamma_sweep(config: RunConfig, jobs: int) -> int:
-    if "planted_theta" not in config.hooks() and (
-        config.gamma_list is None or len(config.gamma_list) < 3
-    ):
-        raise ConfigError("gamma-sweep needs physical.gamma_list with >= 3 values")
-    out = ensure_dir(config.out_dir)
     report, results = run_gamma_sweep(config, jobs=jobs)
+    out = ensure_dir(config.out_dir)
     for gamma, result in sorted(results.items()):
         sub = ensure_dir(os.path.join(out, f"gamma_{gamma:g}"))
         _write_compare(sub, config, result)

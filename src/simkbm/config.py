@@ -15,7 +15,7 @@ import numpy as np
 
 from .environment import ENV_KINDS, Environment
 from .grids import TorusGrid, TraitGrid
-from .sim_solver import SimParams, max_stable_dt
+from .sim_solver import INIT_MARGIN_SIGMAS, SimParams, max_stable_dt
 
 TRAIT_MARGIN_SIGMAS = 8.0
 DIAGNOSTIC_NAMES = ("gauss_dev", "v_max", "mass_leak", "holder")
@@ -170,7 +170,6 @@ class RunConfig:
     n0: SpatialProfile
     z0: SpatialProfile
     v0: float
-    dim: int
     space_points: int
     period: float
     trait_bounds: tuple
@@ -185,13 +184,10 @@ class RunConfig:
     test_hooks: tuple = ()
 
     def space_grid(self) -> TorusGrid:
-        return TorusGrid(self.dim, self.space_points, self.period)
+        return TorusGrid(self.space_points, self.period)
 
     def trait_grid(self) -> TraitGrid:
         return TraitGrid(self.trait_bounds[0], self.trait_bounds[1], self.trait_points)
-
-    def environment(self) -> Environment:
-        return self.env
 
     def n0_values(self, x):
         return self.n0.evaluate(x, self.period)
@@ -199,13 +195,10 @@ class RunConfig:
     def z0_values(self, x):
         return self.z0.evaluate(x, self.period)
 
-    def v0_value(self) -> float:
-        return self.v0
-
     def sim_params(self, gamma: float | None = None) -> SimParams:
         g = self.gamma if gamma is None else gamma
         if g is None:
-            raise ConfigError("this run needs a single gamma")
+            raise ConfigError("this run needs physical.gamma (a single value)")
         return SimParams(A=self.A, gamma=g, dt=self.dt, snapshot_dt=self.snapshot_dt)
 
     def hooks(self) -> dict:
@@ -228,7 +221,7 @@ class RunConfig:
         doc = {
             "physical": physical,
             "numerical": {
-                "dim": self.dim,
+                "dim": 1,
                 "space_points": self.space_points,
                 "period": self.period,
                 "trait_bounds": list(self.trait_bounds),
@@ -315,8 +308,7 @@ def parse_config(source) -> RunConfig:
         },
         "numerical",
     )
-    dim = _get_int(num, "dim", "numerical", default=1)
-    if dim != 1:
+    if _get_int(num, "dim", "numerical", default=1) != 1:
         raise ConfigError("numerical.dim must be 1 (the integrators are one-dimensional)")
     space_points = _get_int(num, "space_points", "numerical", default=64, minimum=4)
     period = _get_number(num, "period", "numerical", default=1.0, positive=True)
@@ -344,6 +336,7 @@ def parse_config(source) -> RunConfig:
         v0 = A
     else:
         v0 = _get_number(init, "V0", "physical.initial", positive=True)
+    z_lo, z_hi = z0.bounds()
 
     # Trait truncation: cover the optimal-trait envelope and the initial means
     # with 8 standard deviations of headroom; Gaussian tails beyond that are
@@ -351,7 +344,6 @@ def parse_config(source) -> RunConfig:
     bounds = num.get("trait_bounds", "auto")
     if bounds == "auto":
         env_lo, env_hi = env.value_range(t_end)
-        z_lo, z_hi = z0.bounds()
         width = TRAIT_MARGIN_SIGMAS * math.sqrt(max(A, v0))
         bounds = (min(env_lo, z_lo) - width, max(env_hi, z_hi) + width)
     else:
@@ -364,6 +356,11 @@ def parse_config(source) -> RunConfig:
         bounds = (float(bounds[0]), float(bounds[1]))
         if not bounds[0] < bounds[1]:
             raise ConfigError("numerical.trait_bounds must be increasing")
+        if min(z_lo - bounds[0], bounds[1] - z_hi) < INIT_MARGIN_SIGMAS * math.sqrt(v0):
+            raise ConfigError(
+                f"numerical.trait_bounds must leave {INIT_MARGIN_SIGMAS:g} standard deviations "
+                "(sqrt(V0)) between the initial mean trait Z0 and either bound"
+            )
 
     trait = TraitGrid(bounds[0], bounds[1], trait_points)
     _, n0_hi = n0.bounds()
@@ -383,13 +380,22 @@ def parse_config(source) -> RunConfig:
         if not _near_multiple(t_end, dt):
             raise ConfigError("numerical.t_end must be an integer multiple of dt")
 
+    # The cadence, in steps, must divide the step count (sim_solver.plan_steps).
+    n_steps = round(t_end / dt)
     snapshot_dt = num.get("snapshot_dt", "auto")
     if snapshot_dt == "auto":
-        snapshot_dt = dt * max(1, round(t_end / (100.0 * dt)))
+        # About 100 snapshots: the largest divisor of the step count up to t_end / (100 dt).
+        every = max(1, round(t_end / (100.0 * dt)))
+        while n_steps % every:
+            every -= 1
+        snapshot_dt = dt * every
     else:
         snapshot_dt = _get_number(num, "snapshot_dt", "numerical", positive=True)
         if not _near_multiple(snapshot_dt, dt):
             raise ConfigError("numerical.snapshot_dt must be an integer multiple of dt")
+        every = round(snapshot_dt / dt)
+        if every > n_steps or n_steps % every:
+            raise ConfigError("numerical.snapshot_dt must divide t_end")
 
     out = doc.get("output", {})
     if not isinstance(out, dict):
@@ -433,7 +439,6 @@ def parse_config(source) -> RunConfig:
         n0=n0,
         z0=z0,
         v0=v0,
-        dim=dim,
         space_points=space_points,
         period=period,
         trait_bounds=bounds,

@@ -61,13 +61,6 @@ class Environment:
             hi += max(0.0, self.rate * t_end)
         return lo, hi
 
-    def value_bound(self, t_end: float) -> float:
-        lo, hi = self.value_range(t_end)
-        return max(abs(lo), abs(hi))
-
-    def time_slope_bound(self) -> float:
-        return abs(self.rate) if self._has_drift() else 0.0
-
     def space_slope_bound(self) -> float:
         if self._has_wave():
             return abs(self.amplitude) * 2.0 * np.pi * self.wavenumber / self.period

@@ -23,7 +23,7 @@ from .diagnostics import (
     SweepReport,
 )
 from .kbm_solver import MacroState, run_kbm
-from .sim_solver import init_state, run_sim
+from .sim_solver import init_state, plan_steps, run_sim
 
 SWEEP_FAMILIES = ("gauss_dev_sup", "macro_err_N", "macro_err_Z", "resid_N", "resid_Z")
 
@@ -43,8 +43,6 @@ class CompareResult:
     t_burn: float
     sups: dict
     holder: dict
-    sim_trajectory: object = None
-    kbm_trajectory: object = None
 
     def series_columns(self):
         return (
@@ -58,19 +56,22 @@ def _windowed_sup(times, series, t_start):
     return float(np.max(series[mask])) if mask.any() else float(np.max(series))
 
 
-def run_compare(config: RunConfig, gamma: float | None = None, keep_states: bool = False) -> CompareResult:
+def run_compare(config: RunConfig, gamma: float | None = None) -> CompareResult:
     """Run the kinetic and macroscopic models from matched initial data.
 
     The population size and mean-trait profiles are shared; the kinetic run
     additionally starts from Gaussian columns of variance V0.  Errors are
     sampled at the common snapshot cadence.
     """
-    if gamma is None:
-        if config.gamma is None:
-            raise ConfigError("compare needs a single gamma")
-        gamma = config.gamma
+    n_steps, every = plan_steps(0.0, config.t_end, config.dt, config.snapshot_dt)
+    if n_steps // every + 1 < 3:
+        raise ConfigError(
+            "compare needs at least 3 snapshots for the residuals: "
+            "numerical.snapshot_dt must be at most t_end / 2"
+        )
     params = config.sim_params(gamma)
-    env = config.environment()
+    gamma = params.gamma
+    env = config.env
     space = config.space_grid()
     x = space.centers
 
@@ -142,44 +143,47 @@ def run_compare(config: RunConfig, gamma: float | None = None, keep_states: bool
         t_burn=t_burn,
         sups=sups,
         holder=holder,
-        sim_trajectory=sim if keep_states else None,
-        kbm_trajectory=kbm if keep_states else None,
     )
 
 
 def _compare_worker(args):
     config_doc, gamma = args
-    result = run_compare(parse_config(config_doc), gamma=gamma)
-    # Strip numpy state down to what the aggregator and the writers need.
-    return gamma, result
+    return gamma, run_compare(parse_config(config_doc), gamma=gamma)
 
 
 def run_gamma_sweep(config: RunConfig, jobs: int = 1):
-    """Per-gamma compare runs aggregated into a SweepReport with power-law fits."""
+    """Per-gamma compare runs aggregated into a SweepReport with power-law fits.
+
+    With the planted_theta test hook, the errors are the synthetic
+    c * gamma^-theta for every family and no run is made; this exercises
+    aggregation and fitting alone.
+    """
     hooks = config.hooks()
-    if "planted_theta" in hooks:
-        return _planted_sweep(config, hooks), {}
     if config.gamma_list is None or len(config.gamma_list) < 3:
         raise ConfigError("gamma-sweep needs physical.gamma_list with >= 3 values")
+    if "planted_theta" not in hooks and "gauss_dev" not in config.diagnostics:
+        raise ConfigError("gamma-sweep fits gauss_dev_sup: output.diagnostics needs gauss_dev")
     gammas = list(config.gamma_list)
-
     results = {}
-    if jobs > 1:
-        doc = config.to_dict()
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            for gamma, result in pool.map(_compare_worker, [(doc, g) for g in gammas]):
-                results[gamma] = result
+    if "planted_theta" in hooks:
+        planted = [hooks["planted_c"] * g ** (-hooks["planted_theta"]) for g in gammas]
+        errors = {family: list(planted) for family in SWEEP_FAMILIES}
     else:
-        for g in gammas:
-            results[g] = run_compare(config, gamma=g)
-
-    errors = {
-        "gauss_dev_sup": [results[g].sups["gauss_dev"] for g in gammas],
-        "macro_err_N": [results[g].sups["err_N"] for g in gammas],
-        "macro_err_Z": [results[g].sups["err_Z"] for g in gammas],
-        "resid_N": [results[g].sups["resid_N"] for g in gammas],
-        "resid_Z": [results[g].sups["resid_Z"] for g in gammas],
-    }
+        if jobs > 1:
+            doc = config.to_dict()
+            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+                for gamma, result in pool.map(_compare_worker, [(doc, g) for g in gammas]):
+                    results[gamma] = result
+        else:
+            for g in gammas:
+                results[g] = run_compare(config, gamma=g)
+        errors = {
+            "gauss_dev_sup": [results[g].sups["gauss_dev"] for g in gammas],
+            "macro_err_N": [results[g].sups["err_N"] for g in gammas],
+            "macro_err_Z": [results[g].sups["err_Z"] for g in gammas],
+            "resid_N": [results[g].sups["resid_N"] for g in gammas],
+            "resid_Z": [results[g].sups["resid_Z"] for g in gammas],
+        }
     theta, c_hat, r2 = {}, {}, {}
     for family, vals in errors.items():
         fit = fit_power_law(gammas, vals)
@@ -188,21 +192,3 @@ def run_gamma_sweep(config: RunConfig, jobs: int = 1):
         r2[family] = fit.r2
     report = SweepReport(gammas=gammas, errors=errors, theta_hat=theta, c_hat=c_hat, r2=r2)
     return report, results
-
-
-def _planted_sweep(config: RunConfig, hooks) -> SweepReport:
-    """Synthetic-error mode: exercises aggregation and fitting without runs."""
-    if config.gamma_list is None or len(config.gamma_list) < 3:
-        raise ConfigError("gamma-sweep needs physical.gamma_list with >= 3 values")
-    gammas = list(config.gamma_list)
-    theta0 = hooks["planted_theta"]
-    c0 = hooks.get("planted_c", 1.0)
-    planted = [c0 * g ** (-theta0) for g in gammas]
-    errors = {family: list(planted) for family in SWEEP_FAMILIES}
-    theta, c_hat, r2 = {}, {}, {}
-    for family, vals in errors.items():
-        fit = fit_power_law(gammas, vals)
-        theta[family] = fit.theta_hat
-        c_hat[family] = fit.c_hat
-        r2[family] = fit.r2
-    return SweepReport(gammas=gammas, errors=errors, theta_hat=theta, c_hat=c_hat, r2=r2)

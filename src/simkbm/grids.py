@@ -9,19 +9,16 @@ import numpy as np
 
 @dataclasses.dataclass(frozen=True)
 class TorusGrid:
-    """Cell-centered uniform grid on the periodic box [0, period)^dim.
+    """Cell-centered uniform grid on the periodic interval [0, period).
 
-    The same 1-D layout is used along every axis; cell centers sit at
-    (i + 1/2) * spacing, so all centers lie strictly inside [0, period).
+    Cell centers sit at (i + 1/2) * spacing, so all centers lie strictly
+    inside [0, period).
     """
 
-    dim: int
     points_per_dim: int
     period: float = 1.0
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         if self.points_per_dim < 4:
             raise ValueError(
                 f"too few points per dimension: {self.points_per_dim} (need >= 4)"
@@ -35,19 +32,10 @@ class TorusGrid:
 
     @property
     def centers(self) -> np.ndarray:
-        """1-D cell centers (shared by both axes when dim == 2)."""
         return self.spacing * (np.arange(self.points_per_dim) + 0.5)
 
-    @property
-    def n_cells(self) -> int:
-        return self.points_per_dim**self.dim
-
-    def wrap_index(self, i):
-        """Periodic index arithmetic: i + points_per_dim wraps back to i."""
-        return np.asarray(i) % self.points_per_dim
-
     def distance(self, a, b):
-        """Shortest periodic distance per coordinate, always <= period / 2."""
+        """Shortest periodic distance, always <= period / 2."""
         d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
         d = d % self.period
         return np.minimum(d, self.period - d)
@@ -97,11 +85,3 @@ class TraitGrid:
                 f"expected {self.points} samples on this grid, got shape {values.shape}"
             )
         return float(self.spacing * values.sum())
-
-
-def make_torus_grid(dim: int, points_per_dim: int, period: float = 1.0) -> TorusGrid:
-    return TorusGrid(dim, points_per_dim, float(period))
-
-
-def make_trait_grid(y_min: float, y_max: float, points: int) -> TraitGrid:
-    return TraitGrid(float(y_min), float(y_max), points)

@@ -16,7 +16,7 @@ from scipy.integrate import solve_ivp
 from .diffusion import PeriodicHeatCN
 from .environment import Environment
 from .grids import TorusGrid
-from .sim_solver import N_FLOOR, SimulationError
+from .sim_solver import N_FLOOR, SimulationError, plan_steps
 
 
 @dataclasses.dataclass
@@ -63,33 +63,15 @@ def _check_floor(N, t, n_floor):
         )
 
 
-_HEAT_CACHE: dict = {}
-
-
-def _heat_for(space: TorusGrid, dt: float) -> PeriodicHeatCN:
-    if space.dim != 1:
-        raise NotImplementedError("the macroscopic integrator is implemented for dim = 1")
-    key = (space, dt)
-    heat = _HEAT_CACHE.get(key)
-    if heat is None:
-        heat = PeriodicHeatCN(space.points_per_dim, space.spacing, dt)
-        if len(_HEAT_CACHE) > 32:
-            _HEAT_CACHE.clear()
-        _HEAT_CACHE[key] = heat
-    return heat
-
-
 def kbm_step(
     state: MacroState,
     env: Environment,
     A: float,
     dt: float,
-    heat: PeriodicHeatCN | None = None,
+    heat: PeriodicHeatCN,
     n_floor: float = N_FLOOR,
 ) -> MacroState:
     """One Lie-split step: Crank-Nicolson diffusion, then a Heun reaction stage."""
-    if heat is None:
-        heat = _heat_for(state.space, dt)
     t = state.t
     x = state.space.centers
 
@@ -125,25 +107,15 @@ def run_kbm(
     t_end: float,
     snapshot_dt: float | None = None,
 ) -> MacroTrajectory:
-    """Repeated kbm_step with snapshots at the configured cadence."""
-    if t_end < state0.t - 1e-12:
-        raise ValueError("t_end lies before the initial time")
-    n_steps = int(round((t_end - state0.t) / dt))
-    if abs(state0.t + n_steps * dt - t_end) > 1e-9 * max(1.0, dt):
-        raise ValueError("t_end - t0 must be an integer multiple of dt")
-    if snapshot_dt is None:
-        snapshot_dt = dt
-    every = max(1, round(snapshot_dt / dt))
-    if n_steps > 0:
-        every = min(every, n_steps)
-
-    heat = _heat_for(state0.space, dt)
+    """Repeated kbm_step with snapshots at the configured cadence (default: every step)."""
+    n_steps, every = plan_steps(state0.t, t_end, dt, dt if snapshot_dt is None else snapshot_dt)
+    heat = PeriodicHeatCN(state0.space.points_per_dim, state0.space.spacing, dt)
     state = state0.copy()
     states = [state.copy()]
     for k in range(1, n_steps + 1):
-        state = kbm_step(state, env, A, dt, heat=heat)
+        state = kbm_step(state, env, A, dt, heat)
         state.t = state0.t + k * dt
-        if k % every == 0 or k == n_steps:
+        if k % every == 0:
             states.append(state.copy())
 
     return MacroTrajectory(

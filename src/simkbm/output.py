@@ -26,11 +26,6 @@ def write_json(path, obj):
         fh.write("\n")
 
 
-def read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def write_csv(path, header, columns):
     """Fixed column order, '.' decimal separator, '\\n' terminators."""
     columns = [np.asarray(c) for c in columns]

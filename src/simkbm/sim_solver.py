@@ -22,6 +22,7 @@ from .grids import TorusGrid, TraitGrid
 from .infinitesimal import ReproductionKernel
 
 N_FLOOR = 1e-12
+INIT_MARGIN_SIGMAS = 4.0
 _NEGATIVITY_REL_TOL = 1e-13
 
 
@@ -119,10 +120,10 @@ def gaussian_initial_state(
         )
     sigma = math.sqrt(V0)
     margin = min(Z0.min() - trait.y_min, trait.y_max - Z0.max())
-    if margin < 4.0 * sigma:
+    if margin < INIT_MARGIN_SIGMAS * sigma:
         raise ValueError(
             "initial mean trait too close to the trait boundary "
-            f"(margin {margin:.3f} < 4 standard deviations)"
+            f"(margin {margin:.3f} < {INIT_MARGIN_SIGMAS:g} standard deviations)"
         )
     if margin < 6.0 * sigma:
         warnings.warn(
@@ -144,7 +145,7 @@ def init_state(config) -> KineticState:
     trait = config.trait_grid()
     x = space.centers
     return gaussian_initial_state(
-        space, trait, config.n0_values(x), config.z0_values(x), config.v0_value()
+        space, trait, config.n0_values(x), config.z0_values(x), config.v0
     )
 
 
@@ -167,25 +168,9 @@ class _Operators:
     """Per-run precomputation: diffusion solver, kernel, relaxation weight."""
 
     def __init__(self, space: TorusGrid, trait: TraitGrid, params: SimParams):
-        if space.dim != 1:
-            raise NotImplementedError("the kinetic integrator is implemented for dim = 1")
         self.heat = PeriodicHeatCN(space.points_per_dim, space.spacing, params.dt)
         self.kernel = ReproductionKernel(params.A, trait)
         self.decay = math.exp(-params.gamma * params.dt)
-
-
-_OPS_CACHE: dict = {}
-
-
-def _operators_for(state: KineticState, params: SimParams) -> _Operators:
-    key = (state.space, state.trait, params.A, params.gamma, params.dt)
-    ops = _OPS_CACHE.get(key)
-    if ops is None:
-        ops = _Operators(state.space, state.trait, params)
-        if len(_OPS_CACHE) > 32:
-            _OPS_CACHE.clear()
-        _OPS_CACHE[key] = ops
-    return ops
 
 
 def _guard_density(n: np.ndarray, stage: str, t: float, diag: RunDiagnostics | None):
@@ -266,12 +251,10 @@ def sim_step(
     state: KineticState,
     params: SimParams,
     env: Environment,
-    ops: _Operators | None = None,
+    ops: _Operators,
     diag: RunDiagnostics | None = None,
 ) -> KineticState:
     """One Lie-split step D -> R -> B of length params.dt."""
-    if ops is None:
-        ops = _operators_for(state, params)
     n = _diffusion_substep(state.n, ops, state.t, diag)
     n = _reaction_substep(n, state, params, env, diag)
     n = _reproduction_substep(n, state, params, ops, diag)
@@ -295,9 +278,24 @@ class KineticTrajectory:
     diagnostics: RunDiagnostics
 
 
-def _cadence_steps(dt: float, snapshot_dt: float, n_steps: int) -> int:
-    every = max(1, round(snapshot_dt / dt))
-    return min(every, n_steps) if n_steps > 0 else 1
+def plan_steps(t0: float, t_end: float, dt: float, snapshot_dt: float) -> tuple:
+    """Step count and snapshot cadence (in steps) of a run from t0 to t_end.
+
+    The horizon must be a whole number of steps and the cadence, capped at
+    the horizon, a whole number of steps dividing it, so snapshots are
+    uniformly spaced from t0 through t_end.
+    """
+    if t_end < t0 - 1e-12:
+        raise ValueError("t_end lies before the initial time")
+    n_steps = int(round((t_end - t0) / dt))
+    if abs(t0 + n_steps * dt - t_end) > 1e-9 * max(1.0, dt):
+        raise ValueError("t_end - t0 must be an integer multiple of dt")
+    every = min(max(1, round(snapshot_dt / dt)), max(1, n_steps))
+    if n_steps % every:
+        raise ValueError(
+            f"the snapshot cadence ({every} steps) must divide the horizon ({n_steps} steps)"
+        )
+    return n_steps, every
 
 
 def run_sim(
@@ -308,15 +306,9 @@ def run_sim(
     observers=(),
 ) -> KineticTrajectory:
     """Repeated sim_step with snapshot collection; aborts on invariant violation."""
-    if t_end < state0.t - 1e-12:
-        raise ValueError("t_end lies before the initial time")
-    n_steps = int(round((t_end - state0.t) / params.dt))
-    if abs(state0.t + n_steps * params.dt - t_end) > 1e-9 * max(1.0, params.dt):
-        raise ValueError("t_end - t0 must be an integer multiple of dt")
-
+    n_steps, every = plan_steps(state0.t, t_end, params.dt, params.snapshot_dt)
     diag = RunDiagnostics()
-    ops = _operators_for(state0, params)
-    every = _cadence_steps(params.dt, params.snapshot_dt, n_steps)
+    ops = _Operators(state0.space, state0.trait, params)
 
     state = state0.copy()
     snapshots = [state.copy()]
@@ -326,7 +318,7 @@ def run_sim(
     for k in range(1, n_steps + 1):
         state = sim_step(state, params, env, ops=ops, diag=diag)
         state.t = state0.t + k * params.dt
-        if k % every == 0 or k == n_steps:
+        if k % every == 0:
             snapshots.append(state.copy())
             leak_marks.append(diag.max_boundary_leak_rate)
             for obs in observers:

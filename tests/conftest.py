@@ -1,22 +1,22 @@
 import numpy as np
 import pytest
 
-from simkbm import make_trait_grid, make_torus_grid
+from simkbm import TorusGrid, TraitGrid
 
 
 @pytest.fixture
 def trait512():
-    return make_trait_grid(-8.0, 8.0, 512)
+    return TraitGrid(-8.0, 8.0, 512)
 
 
 @pytest.fixture
 def trait256():
-    return make_trait_grid(-8.0, 8.0, 256)
+    return TraitGrid(-8.0, 8.0, 256)
 
 
 @pytest.fixture
 def space64():
-    return make_torus_grid(1, 64, 1.0)
+    return TorusGrid(64, 1.0)
 
 
 @pytest.fixture

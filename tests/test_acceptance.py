@@ -17,14 +17,14 @@ from simkbm import (
     MacroState,
     ReproductionKernel,
     SimParams,
+    TorusGrid,
+    TraitGrid,
     apply_T_fast,
     apply_T_oracle,
     fit_power_law,
     gaussian_initial_state,
     gaussian_on_grid,
     homogeneous_reference,
-    make_torus_grid,
-    make_trait_grid,
     moments,
     parse_config,
     run_kbm,
@@ -79,7 +79,7 @@ def test_criterion_1_gaussian_fixed_point():
     worst = 0.0
     for A in (0.5, 1.0, 2.0):
         width = 1.0 + 8.0 * np.sqrt(A)
-        grid = make_trait_grid(-width, width, 512)
+        grid = TraitGrid(-width, width, 512)
         kernel = ReproductionKernel(A, grid)
         for z in (-1.0, 0.0, 1.0):
             g = gaussian_on_grid(z, A, grid)
@@ -90,7 +90,7 @@ def test_criterion_1_gaussian_fixed_point():
 
 
 def test_criterion_2_tanaka_contraction():
-    grid = make_trait_grid(-8.0, 8.0, 512)
+    grid = TraitGrid(-8.0, 8.0, 512)
     kernel = ReproductionKernel(1.0, grid)
     rng = np.random.default_rng(24601)
     worst = {2: 0.0, 4: 0.0}
@@ -100,7 +100,7 @@ def test_criterion_2_tanaka_contraction():
         nu = random_mixture(rng, grid, target_mean=mean)
         for p in (2, 4):
             worst[p] = max(worst[p], contraction_ratio(mu, nu, kernel, p))
-    fine = make_trait_grid(-16.0, 16.0, 2048)
+    fine = TraitGrid(-16.0, 16.0, 2048)
     ratio = contraction_ratio(
         gaussian_on_grid(0.0, 1.0, fine),
         gaussian_on_grid(0.0, 4.0, fine),
@@ -122,7 +122,7 @@ def test_criterion_2_tanaka_contraction():
 
 
 def test_criterion_3_conservation_and_variance_map():
-    grid = make_trait_grid(-8.0, 8.0, 512)
+    grid = TraitGrid(-8.0, 8.0, 512)
     kernel = ReproductionKernel(1.0, grid)
     rng = np.random.default_rng(31415)
     worst_mass = worst_mean = worst_var = 0.0
@@ -143,7 +143,7 @@ def test_criterion_3_conservation_and_variance_map():
 
 
 def test_criterion_4_oracle_equivalence():
-    grid = make_trait_grid(-8.0, 8.0, 512)
+    grid = TraitGrid(-8.0, 8.0, 512)
     kernel = ReproductionKernel(1.0, grid)
     rng = np.random.default_rng(27182)
     worst_t = 0.0
@@ -171,8 +171,8 @@ def test_criterion_4_oracle_equivalence():
 def test_criterion_5_homogeneous_dynamics_oracles():
     # (a) kinetic population size follows the logistic law when the profile
     # starts at its Gaussian equilibrium and y_opt = Z0.
-    space = make_torus_grid(1, 16, 1.0)
-    trait = make_trait_grid(-6.0, 6.0, 256)
+    space = TorusGrid(16, 1.0)
+    trait = TraitGrid(-6.0, 6.0, 256)
     env = Environment(kind="constant", offset=0.0)
     A = 0.5
     state = gaussian_initial_state(space, trait, np.full(16, 0.3), np.zeros(16), A)
@@ -182,7 +182,7 @@ def test_criterion_5_homogeneous_dynamics_oracles():
     err_logistic = float(np.abs(traj.N.mean(axis=1) - n_ref).max())
 
     # (b) macroscopic solver against the adaptive-ODE reference.
-    space64 = make_torus_grid(1, 64, 1.0)
+    space64 = TorusGrid(64, 1.0)
     env_b = Environment(kind="constant", offset=0.2)
     m0 = MacroState(0.0, np.full(64, 0.7), np.full(64, 0.7 * 0.8), space64)
     ktraj = run_kbm(m0, env_b, 1.0, 1e-3, 5.0, 0.25)
@@ -261,8 +261,8 @@ def test_criterion_9_scheme_health(standard_sweep):
     leak = max(results[g].sups["mass_leak_rate"] for g in GAMMAS)
 
     # dt self-convergence of both solvers on the heterogeneous problem.
-    space = make_torus_grid(1, 64, 1.0)
-    trait = make_trait_grid(-8.5, 8.5, 256)
+    space = TorusGrid(64, 1.0)
+    trait = TraitGrid(-8.5, 8.5, 256)
     env = Environment(kind="sinusoidal_in_x", amplitude=0.5, wavenumber=1)
     sim_finals, kbm_finals = [], []
     for dt in (4e-3, 2e-3, 1e-3):

@@ -150,6 +150,46 @@ class TestExitCodes:
         assert "floor" in capsys.readouterr().err
 
 
+class TestConfigToRunContract:
+    def test_auto_cadence_on_a_ragged_horizon(self, tmp_path, monkeypatch):
+        # 350 steps: the rounded pick t_end / (100 dt) = 3 does not divide them.
+        monkeypatch.chdir(tmp_path)
+        doc = json.loads(json.dumps(SMALL_COMPARE))
+        doc["numerical"].update({"dt": 0.002, "t_end": 0.7})
+        del doc["numerical"]["snapshot_dt"]
+        doc["output"]["diagnostics"] = ["v_max", "mass_leak"]
+        cfg = write_config(tmp_path, doc)
+        assert run_cli("compare", "--config", cfg, "--out", "out") == 0
+        _, cols = read_csv("out/compare_series.csv")
+        assert len(cols["t"]) == 176
+        assert cols["t"][-1] == pytest.approx(0.7)
+        assert np.abs(np.diff(cols["t"]) - 0.004).max() <= 1e-12
+
+    def test_tight_trait_bounds_exit_one(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(SMALL_COMPARE))
+        doc["numerical"]["trait_bounds"] = [-3.0, 3.0]
+        cfg = write_config(tmp_path, doc)
+        assert run_cli("simulate-sim", "--config", cfg, "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "trait_bounds" in err
+
+    def test_compare_needs_three_snapshots(self, tmp_path, monkeypatch, capsys):
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("compare stepped before checking its snapshot count")
+
+        monkeypatch.setattr("simkbm.experiments.run_sim", no_stepping)
+        doc = json.loads(json.dumps(SMALL_COMPARE))
+        doc["numerical"]["snapshot_dt"] = doc["numerical"]["t_end"]
+        cfg = write_config(tmp_path, doc)
+        assert run_cli("compare", "--config", cfg, "--out", str(tmp_path / "o")) == 1
+        assert "3 snapshots" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_jobs_is_a_gamma_sweep_option(self, tmp_path):
+        cfg = write_config(tmp_path, SMALL_COMPARE)
+        assert run_cli("compare", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", "2") == 1
+
+
 class TestSimulateCommands:
     def test_snapshot_round_trip_binary_and_text(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -193,6 +233,21 @@ class TestGammaSweep:
         doc["physical"]["gamma_list"] = [4.0]
         cfg = write_config(tmp_path, doc)
         assert run_cli("gamma-sweep", "--config", cfg, "--out", str(tmp_path / "o")) == 1
+        doc["test_hooks"] = {"planted_theta": 0.5}
+        cfg = write_config(tmp_path, doc)
+        assert run_cli("gamma-sweep", "--config", cfg, "--out", str(tmp_path / "o")) == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_sweep_without_gauss_dev_rejected(self, tmp_path, capsys):
+        # All-zero gauss_dev errors cannot be fitted by a power law.
+        doc = json.loads(json.dumps(SMALL_COMPARE))
+        del doc["physical"]["gamma"]
+        doc["physical"]["gamma_list"] = [4.0, 8.0, 16.0]
+        doc["output"]["diagnostics"] = ["v_max"]
+        cfg = write_config(tmp_path, doc)
+        assert run_cli("gamma-sweep", "--config", cfg, "--out", str(tmp_path / "o")) == 1
+        assert "gauss_dev" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_parallel_sweep_is_byte_identical(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -25,7 +25,7 @@ class TestParsing:
         cfg = parse_config(json.dumps(MINIMAL))
         assert cfg.A == 1.0 and cfg.gamma == 8.0
         assert cfg.space_points == 64 and cfg.trait_points == 512
-        assert cfg.dim == 1 and cfg.period == 1.0
+        assert cfg.to_dict()["numerical"]["dim"] == 1 and cfg.period == 1.0
         # auto truncation: 8 sqrt(A) beyond the constant environment at 0
         assert cfg.trait_bounds == (-8.0, 8.0)
         assert cfg.v0 == cfg.A
@@ -82,6 +82,28 @@ class TestParsing:
         with pytest.raises(ConfigError, match="multiple of dt"):
             parse_config(doc(**{"numerical.dt": 0.003, "numerical.t_end": 0.01}))
 
+    def test_snapshot_dt_must_divide_t_end(self):
+        for snapshot_dt in (0.3, 1.4):
+            with pytest.raises(ConfigError, match="snapshot_dt must divide t_end"):
+                parse_config(
+                    doc(**{"numerical.dt": 0.002, "numerical.t_end": 0.7,
+                           "numerical.snapshot_dt": snapshot_dt})
+                )
+
+    def test_auto_cadence_divides_the_step_count(self):
+        # 350 steps: t_end / (100 dt) rounds to 3, which does not divide 350.
+        cfg = parse_config(doc(**{"numerical.dt": 0.002, "numerical.t_end": 0.7}))
+        assert cfg.snapshot_dt == 0.002 * 2
+        # Where the rounded pick divides the step count, it is kept as is.
+        cfg = parse_config(doc(**{"numerical.dt": 0.002, "numerical.t_end": 1.0}))
+        assert cfg.snapshot_dt == 0.002 * 5
+
+    def test_trait_bounds_need_initial_headroom(self):
+        with pytest.raises(ConfigError, match="trait_bounds"):
+            parse_config(doc(**{"numerical.trait_bounds": [-3.0, 3.0]}))
+        cfg = parse_config(doc(**{"numerical.trait_bounds": [-4.0, 4.0]}))
+        assert cfg.trait_bounds == (-4.0, 4.0)
+
     def test_rejects_dim_two_for_runs(self):
         with pytest.raises(ConfigError, match="dim"):
             parse_config(doc(**{"numerical.dim": 2}))
@@ -102,7 +124,7 @@ class TestParsing:
         cfg = parse_config(
             doc(**{"physical.env": {"kind": "affine_in_t", "value": 0.1, "rate": 0.2}})
         )
-        env = cfg.environment()
+        env = cfg.env
         assert isinstance(env, Environment)
         assert env.evaluate(2.0, np.zeros(1))[0] == pytest.approx(0.5)
 

@@ -1,0 +1,146 @@
+"""The config-to-run contract over small generated documents.
+
+A document that parse_config rejects makes every command exit 1 with a
+one-line message.  A document it accepts makes every command finish with
+exit 0 (3 for a failing operator suite) or stop with exit 2 and a one-line
+reason; a command exits 1 only when the document lacks what that command
+needs (a single gamma, three or more gammas and the gauss_dev diagnostic
+for a sweep, three or more snapshots).  No command raises.
+"""
+
+import contextlib
+import io
+import json
+import os
+import warnings
+
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from simkbm.cli import main
+from simkbm.config import DIAGNOSTIC_NAMES, ConfigError, parse_config
+
+COMMANDS = ("simulate-sim", "simulate-kbm", "compare", "gamma-sweep", "check-operator")
+
+
+def _num(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _profile(value, amplitude):
+    constant = st.builds(lambda v: {"kind": "constant", "value": v}, value)
+    sinusoidal = st.builds(
+        lambda o, a, k: {"kind": "sinusoidal", "offset": o, "amplitude": a, "wavenumber": k},
+        value,
+        amplitude,
+        st.integers(1, 3),
+    )
+    return st.one_of(constant, sinusoidal)
+
+
+_ENVIRONMENTS = st.one_of(
+    st.builds(lambda v: {"kind": "constant", "value": v}, _num(-1, 1)),
+    st.builds(lambda v, r: {"kind": "affine_in_t", "value": v, "rate": r}, _num(-1, 1), _num(-2, 2)),
+    st.builds(
+        lambda o, a, k: {"kind": "sinusoidal_in_x", "offset": o, "amplitude": a, "wavenumber": k},
+        _num(-1, 1),
+        _num(-1, 1),
+        st.integers(1, 3),
+    ),
+    st.builds(
+        lambda o, a, k, r: {
+            "kind": "sinusoidal_plus_drift",
+            "offset": o,
+            "amplitude": a,
+            "wavenumber": k,
+            "rate": r,
+        },
+        _num(-1, 1),
+        _num(-1, 1),
+        st.integers(1, 3),
+        _num(-2, 2),
+    ),
+)
+
+
+@st.composite
+def documents(draw):
+    physical = {
+        "A": draw(_num(0.1, 3.0)),
+        "env": draw(_ENVIRONMENTS),
+        "initial": {
+            "N0": draw(_profile(_num(0.05, 2.0), _num(-0.5, 0.5))),
+            "Z0": draw(_profile(_num(-1.0, 1.0), _num(-1.0, 1.0))),
+            "V0": draw(st.one_of(st.just("auto"), _num(0.05, 3.0))),
+        },
+    }
+    if draw(st.booleans()):
+        physical["gamma"] = draw(_num(0.5, 500.0))
+    else:
+        gammas = draw(st.lists(_num(0.5, 500.0), min_size=2, max_size=3, unique=True))
+        physical["gamma_list"] = sorted(gammas)
+    t_end = draw(st.sampled_from([0.02, 0.05, 0.1, 0.2]))
+    numerical = {
+        "space_points": 16,
+        "trait_points": 64,
+        "t_end": t_end,
+        "seed": draw(st.integers(0, 2**16)),
+        "trait_bounds": draw(
+            st.one_of(st.just("auto"), st.tuples(_num(-12, -1), _num(1, 12)).map(list))
+        ),
+    }
+    if draw(st.booleans()):
+        dt = draw(st.sampled_from([0.0005, 0.001, 0.002, 0.004]))
+        numerical["dt"] = dt
+        if draw(st.booleans()):
+            numerical["snapshot_dt"] = dt * draw(st.integers(1, 60))
+    output = {
+        "text": draw(st.booleans()),
+        "diagnostics": draw(st.lists(st.sampled_from(DIAGNOSTIC_NAMES), unique=True)),
+    }
+    return {"physical": physical, "numerical": numerical, "output": output}
+
+
+def _allowed_exits(config, command):
+    too_few_snapshots = round(config.t_end / config.snapshot_dt) + 1 < 3
+    if command == "check-operator":
+        return {0, 3}
+    if command in ("simulate-sim", "compare") and config.gamma is None:
+        return {1}
+    if command == "gamma-sweep" and (
+        config.gamma_list is None
+        or len(config.gamma_list) < 3
+        or "gauss_dev" not in config.diagnostics
+    ):
+        return {1}
+    if command in ("compare", "gamma-sweep") and too_few_snapshots:
+        return {1}
+    return {0, 2}
+
+
+def _run(workdir, command, config_path):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True):
+            rc = main([command, "--config", config_path, "--out", os.path.join(workdir, command)])
+    return rc, err.getvalue()
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(documents())
+def test_every_command_honours_the_exit_contract(tmp_path_factory, doc):
+    try:
+        config = parse_config(doc)
+    except ConfigError:
+        config = None
+    workdir = str(tmp_path_factory.mktemp("contract"))
+    path = os.path.join(workdir, "config.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    for command in COMMANDS:
+        rc, err = _run(workdir, command, path)
+        event(f"{command} exit {rc}")
+        allowed = {1} if config is None else _allowed_exits(config, command)
+        assert rc in allowed, (command, rc, err)
+        if rc in (1, 2):
+            assert err.count("\n") == 1, (command, err)

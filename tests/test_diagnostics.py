@@ -5,13 +5,13 @@ from simkbm import (
     Environment,
     MacroState,
     SimParams,
+    TorusGrid,
+    TraitGrid,
     fit_power_law,
     gaussian_deviation,
     gaussian_initial_state,
     holder_quotient,
     kbm_residuals,
-    make_torus_grid,
-    make_trait_grid,
     run_kbm,
     run_sim,
 )
@@ -33,20 +33,20 @@ class TestRecords:
 
 class TestGaussianDeviation:
     def test_exact_gaussian_columns_sit_at_the_floor(self, space64):
-        trait = make_trait_grid(-8.5, 8.5, 512)
+        trait = TraitGrid(-8.5, 8.5, 512)
         state = gaussian_initial_state(space64, trait, np.ones(64), np.zeros(64), 1.0)
         assert gaussian_deviation(state, 1.0) <= 2 * trait.spacing
 
     def test_wrong_variance_detected(self, space64):
         # Same-mean Gaussians: W2 distance is the gap of standard deviations.
-        trait = make_trait_grid(-8.5, 8.5, 512)
+        trait = TraitGrid(-8.5, 8.5, 512)
         state = gaussian_initial_state(space64, trait, np.ones(64), np.zeros(64), 2.0)
         dev = gaussian_deviation(state, 1.0)
         assert dev == pytest.approx(np.sqrt(2.0) - 1.0, abs=1e-3)
 
     def test_deviation_shrinks_with_faster_mixing(self):
-        space = make_torus_grid(1, 32, 1.0)
-        trait = make_trait_grid(-8.5, 8.5, 256)
+        space = TorusGrid(32, 1.0)
+        trait = TraitGrid(-8.5, 8.5, 256)
         devs = []
         for gamma in (4.0, 8.0, 16.0):
             state = gaussian_initial_state(space, trait, np.ones(32), np.zeros(32), 1.0)
@@ -70,7 +70,7 @@ class TestKbmResiduals:
     def test_manufactured_forcing_recovered(self):
         # Prescribe smooth fields, compute their residual analytically, and
         # check the finite-difference recovery to differencing accuracy.
-        space = make_torus_grid(1, 256, 1.0)
+        space = TorusGrid(256, 1.0)
         x = space.centers
         times = np.arange(0, 1.0 + 1e-12, 0.01)
         a, b, w, A = 0.3, 0.5, 2 * np.pi, 1.0

@@ -1,46 +1,30 @@
 import numpy as np
 import pytest
 
-from simkbm import gaussian_on_grid, make_torus_grid, make_trait_grid
+from simkbm import TorusGrid, TraitGrid, gaussian_on_grid
 
 
 class TestTorusGrid:
     def test_spacing(self):
-        g = make_torus_grid(1, 64, 1.0)
+        g = TorusGrid(64, 1.0)
         assert g.spacing == pytest.approx(1.0 / 64)
-        assert g.n_cells == 64
 
     def test_too_few_points(self):
         with pytest.raises(ValueError, match="too few points"):
-            make_torus_grid(1, 3, 1.0)
-
-    def test_two_dimensional_cell_count(self):
-        g = make_torus_grid(2, 32, 1.0)
-        assert g.n_cells == 1024
-
-    @pytest.mark.parametrize("dim", [0, 3, -1])
-    def test_rejects_bad_dim(self, dim):
-        with pytest.raises(ValueError, match="dim"):
-            make_torus_grid(dim, 16, 1.0)
+            TorusGrid(3, 1.0)
 
     @pytest.mark.parametrize("period", [0.0, -2.0])
     def test_rejects_nonpositive_period(self, period):
         with pytest.raises(ValueError, match="period"):
-            make_torus_grid(1, 16, period)
+            TorusGrid(16, period)
 
     def test_centers_inside_period(self):
-        g = make_torus_grid(1, 16, 2.0)
+        g = TorusGrid(16, 2.0)
         assert g.centers.min() > 0.0
         assert g.centers.max() < 2.0
 
-    def test_periodic_index_wrap(self):
-        g = make_torus_grid(1, 16, 1.0)
-        idx = np.arange(16)
-        assert np.array_equal(g.wrap_index(idx + 16), idx)
-        assert g.wrap_index(-1) == 15
-
     def test_periodic_distance_bounded(self, rng):
-        g = make_torus_grid(1, 16, 1.0)
+        g = TorusGrid(16, 1.0)
         a = rng.uniform(0, 1, size=50)
         b = rng.uniform(0, 1, size=50)
         d = g.distance(a, b)
@@ -51,28 +35,28 @@ class TestTorusGrid:
 
 class TestTraitGrid:
     def test_spacing_and_centers(self):
-        g = make_trait_grid(-8.0, 8.0, 256)
+        g = TraitGrid(-8.0, 8.0, 256)
         assert g.spacing == pytest.approx(1.0 / 16)
         assert g.centers[0] == pytest.approx(-8.0 + g.spacing / 2)
         assert np.all(np.diff(g.centers) > 0)
 
     def test_doubling_points_halves_spacing(self):
-        assert make_trait_grid(-8, 8, 512).spacing == pytest.approx(
-            make_trait_grid(-8, 8, 256).spacing / 2
+        assert TraitGrid(-8.0, 8.0, 512).spacing == pytest.approx(
+            TraitGrid(-8.0, 8.0, 256).spacing / 2
         )
 
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError, match="y_min < y_max"):
-            make_trait_grid(2.0, 2.0, 100)
+            TraitGrid(2.0, 2.0, 100)
 
     def test_rejects_too_few_points(self):
         with pytest.raises(ValueError, match="too few trait points"):
-            make_trait_grid(-8, 8, 8)
+            TraitGrid(-8.0, 8.0, 8)
 
 
 class TestIntegrate:
     def test_constant_is_exact(self):
-        g = make_trait_grid(-8.0, 8.0, 300)
+        g = TraitGrid(-8.0, 8.0, 300)
         assert g.integrate(np.ones(300)) == pytest.approx(16.0, abs=1e-12)
 
     def test_gaussian_mass(self, trait512):

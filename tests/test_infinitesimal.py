@@ -4,11 +4,11 @@ import pytest
 from simkbm import (
     GridMeasure,
     ReproductionKernel,
+    TraitGrid,
     apply_T_fast,
     apply_T_oracle,
     contraction_ratio,
     gaussian_on_grid,
-    make_trait_grid,
     moments,
     wasserstein,
 )
@@ -31,7 +31,7 @@ class TestKernel:
             ReproductionKernel(0.0, trait256)
 
     def test_warns_when_grid_too_narrow(self):
-        narrow = make_trait_grid(-1.0, 1.0, 64)
+        narrow = TraitGrid(-1.0, 1.0, 64)
         with pytest.warns(RuntimeWarning, match="mass defect"):
             ReproductionKernel(4.0, narrow)
 
@@ -58,7 +58,7 @@ class TestOracle:
         assert trait256.integrate(np.abs(out.density - g.density)) <= 1e-6
 
     def test_grid_mismatch_rejected(self, kernel256):
-        other = make_trait_grid(-8.0, 8.0, 128)
+        other = TraitGrid(-8.0, 8.0, 128)
         mu = gaussian_on_grid(0.0, 1.0, other)
         with pytest.raises(ValueError, match="grid"):
             apply_T_oracle(mu, kernel256)
@@ -104,7 +104,7 @@ class TestContraction:
     def test_gaussian_spot_check(self):
         # Same-mean Gaussians of variance 1 and 4: W2 = |2 - 1| = 1 and after
         # mixing |sqrt(2.5) - 1|, so the ratio is sqrt(2.5) - 1 ~ 0.5811.
-        grid = make_trait_grid(-16.0, 16.0, 2048)
+        grid = TraitGrid(-16.0, 16.0, 2048)
         kernel = ReproductionKernel(1.0, grid)
         mu = gaussian_on_grid(0.0, 1.0, grid)
         nu = gaussian_on_grid(0.0, 4.0, grid)

@@ -7,7 +7,6 @@ from simkbm import (
     SimulationError,
     homogeneous_reference,
     kbm_step,
-    make_torus_grid,
     run_kbm,
 )
 from simkbm.diffusion import PeriodicHeatCN
@@ -29,7 +28,7 @@ class TestKbmStep:
     def test_constant_state_is_fixed_point(self, space64):
         env = Environment(kind="constant", offset=0.7)
         m = MacroState(0.0, np.ones(64), np.full(64, 0.7), space64)
-        out = kbm_step(m, env, A=1.0, dt=1e-3)
+        out = kbm_step(m, env, A=1.0, dt=1e-3, heat=PeriodicHeatCN(64, space64.spacing, 1e-3))
         assert np.abs(out.N - 1.0).max() <= 1e-12
         assert np.abs(out.Z - 0.7).max() <= 1e-12
 
@@ -55,7 +54,7 @@ class TestKbmStep:
         m = MacroState(0.0, np.full(64, 2e-12), np.full(64, 2e-12 * 5.0), space64)
         with pytest.raises(SimulationError, match="floor"):
             # strong maladaptation drives N below the floor within the step
-            kbm_step(m, env, A=0.01, dt=1e-1)
+            kbm_step(m, env, A=0.01, dt=1e-1, heat=PeriodicHeatCN(64, space64.spacing, 1e-1))
 
 
 class TestRunKbm:

@@ -3,8 +3,8 @@ import pytest
 
 from simkbm import (
     GridMeasure,
+    TraitGrid,
     gaussian_on_grid,
-    make_trait_grid,
     moments,
     quantile,
     wasserstein,
@@ -23,7 +23,7 @@ def atom_measure(grid, index):
 
 def integer_grid():
     # Centers at the integers -8 .. 7, so atoms can sit exactly on 0 and 1.
-    return make_trait_grid(-8.5, 7.5, 16)
+    return TraitGrid(-8.5, 7.5, 16)
 
 
 class TestGridMeasure:
@@ -153,8 +153,8 @@ class TestWasserstein:
             wasserstein(mu, nu, 2)
 
     def test_different_grids(self):
-        g1 = make_trait_grid(-8.0, 8.0, 512)
-        g2 = make_trait_grid(-7.0, 9.0, 384)
+        g1 = TraitGrid(-8.0, 8.0, 512)
+        g2 = TraitGrid(-7.0, 9.0, 384)
         mu = gaussian_on_grid(0.0, 1.0, g1)
         nu = gaussian_on_grid(2.0, 1.0, g2)
         assert wasserstein(mu, nu, 2) == pytest.approx(2.0, abs=1e-4)
@@ -192,7 +192,7 @@ class TestMetricProperties:
         mu = random_mixture(rng, trait256)
         nu = random_mixture(rng, trait256)
         a = 3.0  # shift both grids: densities unchanged, supports translated
-        shifted = make_trait_grid(trait256.y_min + a, trait256.y_max + a, trait256.points)
+        shifted = TraitGrid(trait256.y_min + a, trait256.y_max + a, trait256.points)
         mu_s = GridMeasure(shifted, mu.density)
         nu_s = GridMeasure(shifted, nu.density)
         assert wasserstein(mu_s, nu_s, p) == pytest.approx(
@@ -202,7 +202,7 @@ class TestMetricProperties:
     def test_monotone_coupling_is_optimal(self, rng):
         # Any feasible transport plan on the atomized supports costs at least
         # the oracle value (which realizes the monotone coupling).
-        grid = make_trait_grid(-8.0, 8.0, 64)
+        grid = TraitGrid(-8.0, 8.0, 64)
         for _ in range(20):
             mu = random_mixture(rng, grid)
             nu = random_mixture(rng, grid)

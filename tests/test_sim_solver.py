@@ -1,22 +1,24 @@
 import numpy as np
 import pytest
 
+import simkbm.sim_solver
 from simkbm import (
     Environment,
+    ReproductionKernel,
     SimParams,
     SimulationError,
+    TorusGrid,
+    TraitGrid,
     gaussian_initial_state,
     homogeneous_reference,
     kinetic_moments,
-    make_torus_grid,
-    make_trait_grid,
     run_sim,
     sim_step,
 )
 from simkbm.sim_solver import (
     RunDiagnostics,
     _diffusion_substep,
-    _operators_for,
+    _Operators,
     _reproduction_substep,
     max_stable_dt,
 )
@@ -27,7 +29,7 @@ SIN_ENV = Environment(kind="sinusoidal_in_x", amplitude=0.5, wavenumber=1)
 
 @pytest.fixture
 def small_grids():
-    return make_torus_grid(1, 16, 1.0), make_trait_grid(-8.0, 8.0, 128)
+    return TorusGrid(16, 1.0), TraitGrid(-8.0, 8.0, 128)
 
 
 class TestSimParams:
@@ -43,7 +45,7 @@ class TestSimParams:
             SimParams(A=1.0, gamma=8.0, dt=1e-2, snapshot_dt=1e-3)
 
     def test_dt_cap_independent_of_gamma(self):
-        trait = make_trait_grid(-8.5, 8.5, 128)
+        trait = TraitGrid(-8.5, 8.5, 128)
         cap = max_stable_dt(1.0, trait, SIN_ENV, 1.0, 5.0)
         assert 0 < cap <= 0.1
         # sup |r| ~ 1 + A/2 + (8.5 + 0.5)^2 / 2 + N bound
@@ -76,7 +78,7 @@ class TestInitialState:
             gaussian_initial_state(space, trait, np.ones(16), np.full(16, 3.0), 1.0)
 
     def test_sinusoidal_mean_recovered(self, space64):
-        trait = make_trait_grid(-8.5, 8.5, 512)
+        trait = TraitGrid(-8.5, 8.5, 512)
         z0 = 0.5 * np.sin(2 * np.pi * space64.centers)
         state = gaussian_initial_state(space64, trait, np.ones(64), z0, 1.0)
         assert np.abs(kinetic_moments(state).Z - z0).max() <= 1e-8
@@ -84,7 +86,7 @@ class TestInitialState:
 
 class TestKineticMoments:
     def test_gaussian_columns_fourth_moment(self, space64):
-        trait = make_trait_grid(-8.5, 8.5, 512)
+        trait = TraitGrid(-8.5, 8.5, 512)
         z0 = 0.5 * np.sin(2 * np.pi * space64.centers)
         state = gaussian_initial_state(space64, trait, np.ones(64), z0, 1.0)
         expected = 3.0 + 6.0 * z0**2 + z0**4  # raw fourth moment of N(Z0, A=1)
@@ -101,8 +103,8 @@ class TestKineticMoments:
         assert np.abs(m1.V - m0.V).max() <= 1e-10
 
     def test_single_column_atom(self):
-        space = make_torus_grid(1, 4, 1.0)
-        trait = make_trait_grid(-8.5, 7.5, 16)  # centers on the integers
+        space = TorusGrid(4, 1.0)
+        trait = TraitGrid(-8.5, 7.5, 16)  # centers on the integers
         n = np.zeros((4, 16))
         n[:, 10] = 1.0 / trait.spacing  # atom at y = 2
         state = __import__("simkbm").KineticState(0.0, n, space, trait)
@@ -118,7 +120,7 @@ class TestSubsteps:
             space, trait, 1.0 + 0.5 * rng.uniform(size=16), np.zeros(16), 1.0
         )
         params = SimParams(A=1.0, gamma=4.0, dt=2e-3, snapshot_dt=0.1)
-        ops = _operators_for(state, params)
+        ops = _Operators(space, trait, params)
         diag = RunDiagnostics()
         n = state.n
         for _ in range(25):
@@ -131,7 +133,7 @@ class TestSubsteps:
             space, trait, 1.0 + 0.5 * rng.uniform(size=16), np.zeros(16), 0.7
         )
         params = SimParams(A=1.0, gamma=50.0, dt=2e-3, snapshot_dt=0.1)
-        ops = _operators_for(state, params)
+        ops = _Operators(space, trait, params)
         before = state.n.sum(axis=1) * trait.spacing
         out = _reproduction_substep(state.n, state, params, ops, None)
         after = out.sum(axis=1) * trait.spacing
@@ -141,8 +143,9 @@ class TestSubsteps:
         space, trait = small_grids
         state = gaussian_initial_state(space, trait, np.ones(16), np.zeros(16), 1.0)
         params = SimParams(A=1.0, gamma=8.0, dt=2e-3, snapshot_dt=0.1)
+        ops = _Operators(space, trait, params)
         for _ in range(10):
-            state = sim_step(state, params, CONST_ENV)
+            state = sim_step(state, params, CONST_ENV, ops)
             assert state.n.min() >= 0.0
 
     def test_negative_density_detected(self, small_grids):
@@ -151,7 +154,7 @@ class TestSubsteps:
         state.n[:, 60] = -1e-3  # a full trait slice: x-diffusion cannot heal it
         params = SimParams(A=1.0, gamma=8.0, dt=2e-3, snapshot_dt=0.1)
         with pytest.raises(SimulationError, match="negative density"):
-            sim_step(state, params, CONST_ENV)
+            sim_step(state, params, CONST_ENV, _Operators(space, trait, params))
 
     def test_population_floor_detected(self, small_grids):
         space, trait = small_grids
@@ -159,7 +162,7 @@ class TestSubsteps:
         state.n *= 1e-3  # push N below the 1e-12 floor
         params = SimParams(A=1.0, gamma=8.0, dt=2e-3, snapshot_dt=0.1)
         with pytest.raises(SimulationError, match="floor"):
-            sim_step(state, params, CONST_ENV)
+            sim_step(state, params, CONST_ENV, _Operators(space, trait, params))
 
 
 class TestRunSim:
@@ -187,6 +190,31 @@ class TestRunSim:
         with pytest.raises(ValueError, match="multiple of dt"):
             run_sim(state, params, CONST_ENV, 0.01)
 
+    def test_rejects_cadence_not_dividing_horizon(self, small_grids):
+        space, trait = small_grids
+        state = gaussian_initial_state(space, trait, np.ones(16), np.zeros(16), 1.0)
+        params = SimParams(A=1.0, gamma=8.0, dt=2e-3, snapshot_dt=6e-3)
+        with pytest.raises(ValueError, match="divide"):
+            run_sim(state, params, CONST_ENV, 0.02)
+
+    def test_each_run_builds_its_own_operators(self, small_grids, monkeypatch):
+        # No operator state may carry over from one run to the next.
+        built = []
+
+        class CountingKernel(ReproductionKernel):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(simkbm.sim_solver, "ReproductionKernel", CountingKernel)
+        space, trait = small_grids
+        state = gaussian_initial_state(space, trait, np.ones(16), np.zeros(16), 1.0)
+        params = SimParams(A=1.0, gamma=8.0, dt=2e-3, snapshot_dt=0.01)
+        first = run_sim(state, params, CONST_ENV, 0.02)
+        second = run_sim(state, params, CONST_ENV, 0.02)
+        assert len(built) == 2
+        assert np.array_equal(first.N, second.N)
+
     def test_observers_called_on_snapshots(self, small_grids):
         space, trait = small_grids
         state = gaussian_initial_state(space, trait, np.ones(16), np.zeros(16), 1.0)
@@ -197,7 +225,7 @@ class TestRunSim:
 
     def test_splitting_self_convergence_first_order(self, space64):
         # Halving dt should roughly halve the final-field change.
-        trait = make_trait_grid(-8.5, 8.5, 256)
+        trait = TraitGrid(-8.5, 8.5, 256)
         finals = []
         for dt in (4e-3, 2e-3, 1e-3):
             state = gaussian_initial_state(space64, trait, np.ones(64), np.zeros(64), 1.0)
@@ -215,8 +243,8 @@ class TestHomogeneousOracle:
         # population size reduces to dN/dt = (1 - N) N; the kinetic run must
         # track an adaptive-ODE solve of it.  Short-horizon variant of the
         # acceptance experiment.
-        space = make_torus_grid(1, 8, 1.0)
-        trait = make_trait_grid(-6.0, 6.0, 256)
+        space = TorusGrid(8, 1.0)
+        trait = TraitGrid(-6.0, 6.0, 256)
         A, gamma = 0.5, 1024.0
         state = gaussian_initial_state(space, trait, np.full(8, 0.3), np.zeros(8), A)
         params = SimParams(A=A, gamma=gamma, dt=1e-3, snapshot_dt=0.1)
