@@ -35,7 +35,6 @@ from .sim_solver import (
 )
 from .kbm_solver import MacroState, homogeneous_reference, kbm_step, run_kbm
 from .diagnostics import (
-    DeviationRecord,
     SweepReport,
     fit_power_law,
     gaussian_deviation,
@@ -71,7 +70,6 @@ __all__ = [
     "homogeneous_reference",
     "kbm_step",
     "run_kbm",
-    "DeviationRecord",
     "SweepReport",
     "fit_power_law",
     "gaussian_deviation",

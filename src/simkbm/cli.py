@@ -167,16 +167,17 @@ def _cmd_simulate_kbm(config: RunConfig) -> int:
     traj = run_kbm(
         state0, config.env, config.A, config.dt, config.t_end, config.snapshot_dt
     )
-    for idx, state in enumerate(traj.states):
-        meta = {
-            "space": {"points": space.points_per_dim, "period": space.period},
-            "fields": ["N", "Y", "Z"],
-        }
+    meta = {
+        "space": {"points": space.points_per_dim, "period": space.period},
+        "fields": ["N", "Y", "Z"],
+    }
+    Z = traj.Z
+    for idx, t in enumerate(traj.times):
         write_snapshot(
             os.path.join(snap_dir, f"kbm_{idx:06d}.snap"),
             "kbm",
-            state.t,
-            np.stack((state.N, state.Y, state.Z)),
+            t,
+            np.stack((traj.N[idx], traj.Y[idx], Z[idx])),
             meta,
             doc,
             text=config.text,
@@ -189,7 +190,7 @@ def _cmd_simulate_kbm(config: RunConfig) -> int:
             "command": "simulate-kbm",
             "format_version": FORMAT_VERSION,
             "config": doc,
-            "snapshots": len(traj.states),
+            "snapshots": len(traj.times),
         },
     )
     return 0

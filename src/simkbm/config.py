@@ -15,6 +15,7 @@ import numpy as np
 
 from .environment import ENV_KINDS, Environment
 from .grids import TorusGrid, TraitGrid
+from .infinitesimal import KERNEL_MASS_DEFECT_TOL, segregation_kernel
 from .sim_solver import INIT_MARGIN_SIGMAS, SimParams, max_stable_dt
 
 TRAIT_MARGIN_SIGMAS = 8.0
@@ -363,6 +364,14 @@ def parse_config(source) -> RunConfig:
             )
 
     trait = TraitGrid(bounds[0], bounds[1], trait_points)
+    _, defect = segregation_kernel(A, trait)
+    if defect > KERNEL_MASS_DEFECT_TOL:
+        raise ConfigError(
+            f"the segregation kernel (variance A/2) loses mass {defect:.3e} on this trait grid: "
+            f"the spacing {trait.spacing:.4g} must be below about 0.9*sqrt(A/2) = "
+            f"{0.9 * math.sqrt(0.5 * A):.4g} and the grid at least about 7*sqrt(A/2) wide; "
+            "raise numerical.trait_points"
+        )
     _, n0_hi = n0.bounds()
     dt_cap = max_stable_dt(A, trait, env, n0_hi, t_end)
 

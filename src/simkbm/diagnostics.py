@@ -19,24 +19,6 @@ from .sim_solver import KineticState, SimulationError, kinetic_moments
 HOLDER_PAIR_CAP = 1_000_000
 
 
-@dataclasses.dataclass(frozen=True)
-class DeviationRecord:
-    """Per-snapshot health row: profile deviation, fourth-moment peak, mass leak."""
-
-    t: float
-    gauss_dev: float
-    v_max: float
-    mass_leak: float
-
-    def __post_init__(self):
-        for name in ("t", "gauss_dev", "v_max", "mass_leak"):
-            v = getattr(self, name)
-            if not np.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
-        if min(self.gauss_dev, self.v_max, self.mass_leak) < 0:
-            raise ValueError("deviation fields must be nonnegative")
-
-
 @dataclasses.dataclass
 class SweepReport:
     """Aggregated gamma-sweep errors with fitted decay exponents per family."""
@@ -80,7 +62,6 @@ class ResidualFields:
     times: np.ndarray
     phi_N: np.ndarray
     phi_Z: np.ndarray
-    cadence: float
 
 
 def kbm_residuals(
@@ -95,9 +76,8 @@ def kbm_residuals(
 
     Rearranges the system: phi_N = (dN/dt - lap N)/N - 1 + (Z - y_opt)^2/2 + N
     and phi_Z = dZ/dt - lap Z - 2 grad N . grad Z / N + A (Z - y_opt), with
-    centered differences in time (snapshot cadence) and space.  The report
-    carries the cadence so consumers can attribute the O(cadence^2 + h^2)
-    differencing error.
+    centered differences in time (snapshot cadence) and space, so the
+    residuals include an O(cadence^2 + h^2) differencing error.
     """
     times = np.asarray(times, dtype=float)
     N = np.asarray(N, dtype=float)
@@ -128,7 +108,7 @@ def kbm_residuals(
 
     phi_N = (dNdt - lap(Nm)) / Nm - 1.0 + 0.5 * (Zm - y_opt) ** 2 + Nm
     phi_Z = dZdt - lap(Zm) - 2.0 * grad(Nm) * grad(Zm) / Nm + A * (Zm - y_opt)
-    return ResidualFields(times=times[mid], phi_N=phi_N, phi_Z=phi_Z, cadence=cadence)
+    return ResidualFields(times=times[mid], phi_N=phi_N, phi_Z=phi_Z)
 
 
 def holder_quotient(

@@ -15,7 +15,6 @@ import numpy as np
 from .config import ConfigError, RunConfig, parse_config
 from .diagnostics import (
     burn_in_time,
-    DeviationRecord,
     fit_power_law,
     gaussian_deviation,
     holder_quotient,
@@ -39,7 +38,6 @@ class CompareResult:
     gauss_dev: np.ndarray
     v_max: np.ndarray
     mass_leak: np.ndarray
-    records: list
     t_burn: float
     sups: dict
     holder: dict
@@ -95,10 +93,6 @@ def run_compare(config: RunConfig, gamma: float | None = None) -> CompareResult:
         gauss = np.zeros_like(sim.times)
     v_max = sim.V.max(axis=1)
     leak = sim.leak_rate
-    records = [
-        DeviationRecord(t=float(t), gauss_dev=float(g), v_max=float(v), mass_leak=float(l))
-        for t, g, v, l in zip(sim.times, gauss, v_max, leak)
-    ]
 
     t_burn = burn_in_time(gamma, config.dt)
     resid = kbm_residuals(sim.times, sim.N, sim.Z, space, env, config.A)
@@ -139,7 +133,6 @@ def run_compare(config: RunConfig, gamma: float | None = None) -> CompareResult:
         gauss_dev=gauss,
         v_max=v_max,
         mass_leak=leak,
-        records=records,
         t_burn=t_burn,
         sups=sups,
         holder=holder,

@@ -20,6 +20,26 @@ from .measures import GridMeasure, moments, wasserstein
 W2_CONTRACTION = 2.0 ** (-0.5)
 W4_CONTRACTION = 2.0 ** (-0.25)
 MEAN_MATCH_TOL = 1e-9
+KERNEL_MASS_DEFECT_TOL = 1e-10
+
+
+def segregation_kernel(A: float, grid: TraitGrid) -> tuple:
+    """Gamma_{A/2} tabulated at the half-spacing offsets of a trait grid, and its mass defect.
+
+    The table holds samples of the normalized Gaussian of variance A/2 at
+    integer multiples of spacing/2.  The defect is the worst quadrature-mass
+    error at grid spacing over the two parity classes of that lattice; it
+    bounds the mass leak of every T output.  It stays below
+    KERNEL_MASS_DEFECT_TOL only when the spacing is below about 0.9 sqrt(A/2)
+    and the grid is at least about 7 sqrt(A/2) wide.
+    """
+    m = grid.points
+    offsets = np.arange(-(2 * m - 2), 2 * m - 1) * (0.5 * grid.spacing)
+    var = 0.5 * A
+    table = np.exp(-(offsets**2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
+    even = grid.spacing * table[::2].sum()
+    odd = grid.spacing * table[1::2].sum()
+    return table, float(max(abs(1.0 - even), abs(1.0 - odd)))
 
 
 class ReproductionKernel:
@@ -38,20 +58,12 @@ class ReproductionKernel:
         self.A = float(A)
         self.grid = grid
         m = grid.points
-        half = 0.5 * grid.spacing
-        offsets = np.arange(-(2 * m - 2), 2 * m - 1) * half
-        var = 0.5 * self.A
-        self.table = np.exp(-(offsets**2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
-
-        # Quadrature mass of the kernel at grid spacing, per parity class of the
-        # half-lattice; a defect here bounds the mass leak of every T output.
-        even = grid.spacing * self.table[::2].sum()
-        odd = grid.spacing * self.table[1::2].sum()
-        self.mass_defect = float(max(abs(1.0 - even), abs(1.0 - odd)))
-        if self.mass_defect > 1e-10:
+        self.table, self.mass_defect = segregation_kernel(self.A, grid)
+        if self.mass_defect > KERNEL_MASS_DEFECT_TOL:
             warnings.warn(
                 f"segregation kernel mass defect {self.mass_defect:.3e} on this grid; "
-                "widen the trait interval (needs ~8*sqrt(A/2) of headroom)",
+                "the trait spacing must be below about 0.9*sqrt(A/2) and the interval "
+                "at least about 7*sqrt(A/2) wide",
                 RuntimeWarning,
                 stacklevel=2,
             )

@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .diffusion import PeriodicHeatCN
 from .environment import Environment
@@ -53,13 +52,13 @@ def _reaction(N, Y, y_opt, A):
     return growth * N, growth * Y - A * (Y - y_opt * N)
 
 
-def _check_floor(N, t, n_floor):
+def _check_floor(N, t):
     if not np.all(np.isfinite(N)):
         raise SimulationError("non-finite macroscopic fields", {"t": t})
-    if N.min() < n_floor:
+    if N.min() < N_FLOOR:
         raise SimulationError(
             "population size fell below the floor",
-            {"t": t, "min_N": float(N.min()), "floor": n_floor},
+            {"t": t, "min_N": float(N.min()), "floor": N_FLOOR},
         )
 
 
@@ -69,7 +68,6 @@ def kbm_step(
     A: float,
     dt: float,
     heat: PeriodicHeatCN,
-    n_floor: float = N_FLOOR,
 ) -> MacroState:
     """One Lie-split step: Crank-Nicolson diffusion, then a Heun reaction stage."""
     t = state.t
@@ -77,26 +75,31 @@ def kbm_step(
 
     fields = heat.step(np.stack((state.N, state.Y), axis=1))
     N, Y = fields[:, 0], fields[:, 1]
-    _check_floor(N, t, n_floor)
+    _check_floor(N, t)
 
     dN1, dY1 = _reaction(N, Y, env.evaluate(t, x), A)
     N1 = N + dt * dN1
     Y1 = Y + dt * dY1
-    _check_floor(N1, t, n_floor)
+    _check_floor(N1, t)
     dN2, dY2 = _reaction(N1, Y1, env.evaluate(t + dt, x), A)
     N2 = N + 0.5 * dt * (dN1 + dN2)
     Y2 = Y + 0.5 * dt * (dY1 + dY2)
-    _check_floor(N2, t, n_floor)
+    _check_floor(N2, t)
 
     return MacroState(t + dt, N2, Y2, state.space)
 
 
 @dataclasses.dataclass
 class MacroTrajectory:
+    """Snapshot times and the stacked N and Y fields, one row per snapshot."""
+
     times: np.ndarray
-    states: list
     N: np.ndarray
-    Z: np.ndarray
+    Y: np.ndarray
+
+    @property
+    def Z(self) -> np.ndarray:
+        return self.Y / self.N
 
 
 def run_kbm(
@@ -105,25 +108,22 @@ def run_kbm(
     A: float,
     dt: float,
     t_end: float,
-    snapshot_dt: float | None = None,
+    snapshot_dt: float,
 ) -> MacroTrajectory:
-    """Repeated kbm_step with snapshots at the configured cadence (default: every step)."""
-    n_steps, every = plan_steps(state0.t, t_end, dt, dt if snapshot_dt is None else snapshot_dt)
+    """Repeated kbm_step with snapshots at the configured cadence."""
+    n_steps, every = plan_steps(state0.t, t_end, dt, snapshot_dt)
     heat = PeriodicHeatCN(state0.space.points_per_dim, state0.space.spacing, dt)
     state = state0.copy()
-    states = [state.copy()]
+    times, N, Y = [state.t], [state.N], [state.Y]
     for k in range(1, n_steps + 1):
         state = kbm_step(state, env, A, dt, heat)
         state.t = state0.t + k * dt
         if k % every == 0:
-            states.append(state.copy())
+            times.append(state.t)
+            N.append(state.N)
+            Y.append(state.Y)
 
-    return MacroTrajectory(
-        times=np.array([s.t for s in states]),
-        states=states,
-        N=np.stack([s.N for s in states]),
-        Z=np.stack([s.Z for s in states]),
-    )
+    return MacroTrajectory(times=np.array(times), N=np.stack(N), Y=np.stack(Y))
 
 
 class HomogeneousReference:
@@ -155,6 +155,7 @@ def homogeneous_reference(
         raise ValueError("homogeneous reference needs an x-independent environment")
     if not (N0 > 0 and A > 0 and t_end > 0):
         raise ValueError("N0, A and t_end must be positive")
+    from scipy.integrate import solve_ivp
 
     def rhs(t, u):
         n, z = u

@@ -40,7 +40,6 @@ class SimParams:
     gamma: float
     dt: float
     snapshot_dt: float
-    n_floor: float = N_FLOOR
 
     def __post_init__(self):
         for name in ("A", "gamma", "dt", "snapshot_dt"):
@@ -173,12 +172,11 @@ class _Operators:
         self.decay = math.exp(-params.gamma * params.dt)
 
 
-def _guard_density(n: np.ndarray, stage: str, t: float, diag: RunDiagnostics | None):
+def _guard_density(n: np.ndarray, stage: str, t: float, diag: RunDiagnostics):
     if not np.all(np.isfinite(n)):
         raise SimulationError(f"non-finite density after {stage} substep", {"t": t})
     nmin = float(n.min())
-    if diag is not None:
-        diag.min_density_seen = min(diag.min_density_seen, nmin)
+    diag.min_density_seen = min(diag.min_density_seen, nmin)
     if nmin < 0.0:
         scale = float(np.abs(n).max())
         if nmin < -_NEGATIVITY_REL_TOL * scale:
@@ -188,17 +186,16 @@ def _guard_density(n: np.ndarray, stage: str, t: float, diag: RunDiagnostics | N
             )
         # Solver roundoff at the level of machine noise: clamp, keep count.
         np.clip(n, 0.0, None, out=n)
-        if diag is not None:
-            diag.positivity_clips += 1
+        diag.positivity_clips += 1
     return n
 
 
-def _column_sizes(n: np.ndarray, h_y: float, floor: float, t: float) -> np.ndarray:
+def _column_sizes(n: np.ndarray, h_y: float, t: float) -> np.ndarray:
     N = n.sum(axis=1) * h_y
-    if N.min() < floor:
+    if N.min() < N_FLOOR:
         raise SimulationError(
             "population size fell below the floor",
-            {"t": t, "min_N": float(N.min()), "floor": floor},
+            {"t": t, "min_N": float(N.min()), "floor": N_FLOOR},
         )
     return N
 
@@ -207,7 +204,7 @@ def _diffusion_substep(n, ops, t, diag):
     """(D) heat flow of every trait slice along x; conserves total mass."""
     mass_before = n.sum()
     out = ops.heat.step(n)
-    if diag is not None and mass_before > 0:
+    if mass_before > 0:
         err = abs(out.sum() - mass_before) / mass_before
         diag.max_diffusion_mass_error = max(diag.max_diffusion_mass_error, err)
     return _guard_density(out, "diffusion", t, diag)
@@ -220,7 +217,7 @@ def _reaction_substep(n, state, params, env, diag):
     pressure N is frozen at the substep start.
     """
     t = state.t
-    N = _column_sizes(n, state.trait.spacing, params.n_floor, t)
+    N = _column_sizes(n, state.trait.spacing, t)
     y_opt = env.evaluate(t + 0.5 * params.dt, state.space.centers)
     r = (1.0 + 0.5 * params.A - N)[:, None] - 0.5 * (
         state.trait.centers[None, :] - y_opt[:, None]
@@ -237,12 +234,11 @@ def _reproduction_substep(n, state, params, ops, diag):
     """
     t = state.t
     h_y = state.trait.spacing
-    N = _column_sizes(n, h_y, params.n_floor, t)
+    N = _column_sizes(n, h_y, t)
     mixed = ops.kernel.apply_to_profiles(n / N[:, None])
-    if diag is not None:
-        leak = np.abs(1.0 - mixed.sum(axis=1) * h_y).max()
-        rate = (1.0 - ops.decay) * leak / params.dt
-        diag.max_boundary_leak_rate = max(diag.max_boundary_leak_rate, float(rate))
+    leak = np.abs(1.0 - mixed.sum(axis=1) * h_y).max()
+    rate = (1.0 - ops.decay) * leak / params.dt
+    diag.max_boundary_leak_rate = max(diag.max_boundary_leak_rate, float(rate))
     out = ops.decay * n + (1.0 - ops.decay) * (N[:, None] * mixed)
     return _guard_density(out, "reproduction", t, diag)
 
@@ -252,7 +248,7 @@ def sim_step(
     params: SimParams,
     env: Environment,
     ops: _Operators,
-    diag: RunDiagnostics | None = None,
+    diag: RunDiagnostics,
 ) -> KineticState:
     """One Lie-split step D -> R -> B of length params.dt."""
     n = _diffusion_substep(state.n, ops, state.t, diag)
@@ -303,7 +299,6 @@ def run_sim(
     params: SimParams,
     env: Environment,
     t_end: float,
-    observers=(),
 ) -> KineticTrajectory:
     """Repeated sim_step with snapshot collection; aborts on invariant violation."""
     n_steps, every = plan_steps(state0.t, t_end, params.dt, params.snapshot_dt)
@@ -313,16 +308,12 @@ def run_sim(
     state = state0.copy()
     snapshots = [state.copy()]
     leak_marks = [0.0]
-    for obs in observers:
-        obs(snapshots[-1])
     for k in range(1, n_steps + 1):
         state = sim_step(state, params, env, ops=ops, diag=diag)
         state.t = state0.t + k * params.dt
         if k % every == 0:
             snapshots.append(state.copy())
             leak_marks.append(diag.max_boundary_leak_rate)
-            for obs in observers:
-                obs(snapshots[-1])
 
     times = np.array([s.t for s in snapshots])
     moms = [kinetic_moments(s) for s in snapshots]

@@ -173,6 +173,20 @@ class TestConfigToRunContract:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "trait_bounds" in err
 
+    def test_coarse_trait_grid_for_the_kernel_exits_one(self, tmp_path, capsys):
+        # Spacing 0.375 against sqrt(A/2) = 0.22: the kernel of variance A/2
+        # loses 1.8e-3 of its mass, so no command may run on this grid.
+        doc = json.loads(json.dumps(SMALL_COMPARE))
+        doc["physical"]["A"] = 0.1
+        doc["numerical"].update({"trait_bounds": [-12.0, 12.0], "trait_points": 64})
+        del doc["numerical"]["dt"]
+        cfg = write_config(tmp_path, doc)
+        for command in ("check-operator", "simulate-sim", "compare"):
+            assert run_cli(command, "--config", cfg, "--out", str(tmp_path / command)) == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "segregation kernel" in err, (command, err)
+            assert not (tmp_path / command).exists()
+
     def test_compare_needs_three_snapshots(self, tmp_path, monkeypatch, capsys):
         def no_stepping(*args, **kwargs):
             raise AssertionError("compare stepped before checking its snapshot count")

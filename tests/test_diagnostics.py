@@ -15,17 +15,13 @@ from simkbm import (
     run_kbm,
     run_sim,
 )
-from simkbm.diagnostics import DeviationRecord, SweepReport, burn_in_time
+from simkbm.diagnostics import SweepReport, burn_in_time
 
 SIN_ENV = Environment(kind="sinusoidal_in_x", amplitude=0.5, wavenumber=1)
 ZERO_ENV = Environment(kind="constant", offset=0.0)
 
 
 class TestRecords:
-    def test_deviation_record_rejects_negative(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            DeviationRecord(t=1.0, gauss_dev=-0.1, v_max=1.0, mass_leak=0.0)
-
     def test_sweep_report_requires_increasing_gammas(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             SweepReport([4.0, 2.0], {"e": [1.0, 2.0]}, {}, {}, {})

@@ -1,23 +1,40 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from simkbm.diffusion import CyclicTridiagonalSolver, PeriodicHeatCN
+import simkbm
+from simkbm.diffusion import PeriodicHeatCN
 
 
 @pytest.mark.parametrize("n", [4, 7, 64])
-def test_cyclic_solve_matches_dense(n, rng):
-    diag, off = 1.9, -0.4
-    dense = (
-        np.diag(np.full(n, diag))
-        + np.diag(np.full(n - 1, off), 1)
-        + np.diag(np.full(n - 1, off), -1)
+def test_cn_step_matches_dense(n, rng):
+    # (I - mu L) u_new = (I + mu L) u with L the periodic three-point stencil.
+    h, dt = 1.0 / n, 3e-3
+    mu = dt / (2.0 * h * h)
+    lap = -2.0 * np.eye(n) + np.roll(np.eye(n), 1, axis=1) + np.roll(np.eye(n), -1, axis=1)
+    eye = np.eye(n)
+    heat = PeriodicHeatCN(n, h, dt)
+    block = rng.normal(size=(n, 5))
+    dense = np.linalg.solve(eye - mu * lap, (eye + mu * lap) @ block)
+    assert np.abs(heat.step(block) - dense).max() <= 1e-12 * np.abs(block).max()
+    assert np.abs(heat.step(block[:, 2]) - dense[:, 2]).max() <= 1e-12 * np.abs(block).max()
+
+
+def test_no_command_imports_scipy():
+    # A fresh interpreter: this one has already imported scipy through other tests.
+    code = (
+        "import sys, simkbm.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    dense[0, -1] = dense[-1, 0] = off
-    solver = CyclicTridiagonalSolver(n, diag, off)
-    rhs = rng.normal(size=(n, 5))
-    assert np.abs(solver.solve(rhs) - np.linalg.solve(dense, rhs)).max() <= 1e-12
-    one = rng.normal(size=n)
-    assert np.abs(solver.solve(one) - np.linalg.solve(dense, one)).max() <= 1e-12
+    src = os.path.dirname(os.path.dirname(simkbm.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "[]"
 
 
 class TestPeriodicHeat:

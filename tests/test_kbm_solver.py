@@ -60,8 +60,8 @@ class TestKbmStep:
 class TestRunKbm:
     def test_zero_horizon(self, space64):
         m0 = MacroState(0.0, np.ones(64), np.zeros(64), space64)
-        traj = run_kbm(m0, SIN_ENV, 1.0, 1e-3, 0.0)
-        assert len(traj.states) == 1
+        traj = run_kbm(m0, SIN_ENV, 1.0, 1e-3, 0.0, 1e-3)
+        assert len(traj.times) == 1
 
     def test_self_convergence_at_least_first_order(self, space64):
         finals = []

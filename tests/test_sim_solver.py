@@ -135,7 +135,7 @@ class TestSubsteps:
         params = SimParams(A=1.0, gamma=50.0, dt=2e-3, snapshot_dt=0.1)
         ops = _Operators(space, trait, params)
         before = state.n.sum(axis=1) * trait.spacing
-        out = _reproduction_substep(state.n, state, params, ops, None)
+        out = _reproduction_substep(state.n, state, params, ops, RunDiagnostics())
         after = out.sum(axis=1) * trait.spacing
         assert np.abs(after - before).max() <= 1e-12
 
@@ -145,7 +145,7 @@ class TestSubsteps:
         params = SimParams(A=1.0, gamma=8.0, dt=2e-3, snapshot_dt=0.1)
         ops = _Operators(space, trait, params)
         for _ in range(10):
-            state = sim_step(state, params, CONST_ENV, ops)
+            state = sim_step(state, params, CONST_ENV, ops, RunDiagnostics())
             assert state.n.min() >= 0.0
 
     def test_negative_density_detected(self, small_grids):
@@ -153,16 +153,18 @@ class TestSubsteps:
         state = gaussian_initial_state(space, trait, np.ones(16), np.zeros(16), 1.0)
         state.n[:, 60] = -1e-3  # a full trait slice: x-diffusion cannot heal it
         params = SimParams(A=1.0, gamma=8.0, dt=2e-3, snapshot_dt=0.1)
+        ops = _Operators(space, trait, params)
         with pytest.raises(SimulationError, match="negative density"):
-            sim_step(state, params, CONST_ENV, _Operators(space, trait, params))
+            sim_step(state, params, CONST_ENV, ops, RunDiagnostics())
 
     def test_population_floor_detected(self, small_grids):
         space, trait = small_grids
         state = gaussian_initial_state(space, trait, np.full(16, 1e-11), np.zeros(16), 1.0)
         state.n *= 1e-3  # push N below the 1e-12 floor
         params = SimParams(A=1.0, gamma=8.0, dt=2e-3, snapshot_dt=0.1)
+        ops = _Operators(space, trait, params)
         with pytest.raises(SimulationError, match="floor"):
-            sim_step(state, params, CONST_ENV, _Operators(space, trait, params))
+            sim_step(state, params, CONST_ENV, ops, RunDiagnostics())
 
 
 class TestRunSim:
@@ -214,14 +216,6 @@ class TestRunSim:
         second = run_sim(state, params, CONST_ENV, 0.02)
         assert len(built) == 2
         assert np.array_equal(first.N, second.N)
-
-    def test_observers_called_on_snapshots(self, small_grids):
-        space, trait = small_grids
-        state = gaussian_initial_state(space, trait, np.ones(16), np.zeros(16), 1.0)
-        params = SimParams(A=1.0, gamma=8.0, dt=2e-3, snapshot_dt=0.01)
-        seen = []
-        run_sim(state, params, CONST_ENV, 0.05, observers=[lambda s: seen.append(s.t)])
-        assert seen == pytest.approx([0.0, 0.01, 0.02, 0.03, 0.04, 0.05])
 
     def test_splitting_self_convergence_first_order(self, space64):
         # Halving dt should roughly halve the final-field change.
