@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 configuration error, 2 runtime invariant violation,
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -54,8 +55,6 @@ def _load_config(args) -> RunConfig:
             doc = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    import json
-
     try:
         parsed = json.loads(doc)
     except json.JSONDecodeError as exc:
@@ -77,7 +76,6 @@ def _load_config(args) -> RunConfig:
 
 
 def _series_from_trajectory(config, traj, kind):
-    doc = config.to_dict()
     want = set(config.diagnostics)
     if kind == "sim":
         header = ["t", "mass", "N_min", "N_max", "Z_min", "Z_max"]
@@ -109,7 +107,7 @@ def _series_from_trajectory(config, traj, kind):
             traj.Z.min(axis=1),
             traj.Z.max(axis=1),
         ]
-    return header, cols, doc
+    return header, cols
 
 
 def _cmd_simulate_sim(config: RunConfig) -> int:
@@ -136,7 +134,7 @@ def _cmd_simulate_sim(config: RunConfig) -> int:
             doc,
             text=config.text,
         )
-    header, cols, doc = _series_from_trajectory(config, traj, "sim")
+    header, cols = _series_from_trajectory(config, traj, "sim")
     write_csv(os.path.join(out, "sim_series.csv"), header, cols)
     write_json(
         os.path.join(out, "sim_summary.json"),
@@ -182,7 +180,7 @@ def _cmd_simulate_kbm(config: RunConfig) -> int:
             doc,
             text=config.text,
         )
-    header, cols, doc = _series_from_trajectory(config, traj, "kbm")
+    header, cols = _series_from_trajectory(config, traj, "kbm")
     write_csv(os.path.join(out, "kbm_series.csv"), header, cols)
     write_json(
         os.path.join(out, "kbm_summary.json"),
@@ -255,7 +253,7 @@ def _cmd_check_operator(config: RunConfig) -> int:
     )
     report = {
         "command": "check-operator",
-            "format_version": FORMAT_VERSION,
+        "format_version": FORMAT_VERSION,
         "config": config.to_dict(),
         "checks": [c.to_dict() for c in checks],
         "all_passed": all(c.passed for c in checks),

@@ -16,8 +16,6 @@ from .grids import TorusGrid
 from .measures import GridMeasure, gaussian_on_grid, wasserstein
 from .sim_solver import KineticState, SimulationError, kinetic_moments
 
-HOLDER_PAIR_CAP = 1_000_000
-
 
 @dataclasses.dataclass
 class SweepReport:
@@ -55,6 +53,19 @@ def gaussian_deviation(state: KineticState, A: float) -> float:
     return worst
 
 
+def _uniform_cadence(times: np.ndarray) -> float:
+    """The common spacing of increasing snapshot times (0 for a single snapshot)."""
+    steps = np.diff(times)
+    if len(steps) == 0:
+        return 0.0
+    cadence = float(steps[0])
+    if np.any(np.abs(steps - cadence) > 1e-9 * max(1.0, cadence)):
+        raise ValueError("snapshot times must be uniformly spaced")
+    if not cadence > 0:
+        raise ValueError("snapshot times must increase")
+    return cadence
+
+
 @dataclasses.dataclass
 class ResidualFields:
     """phi_N, phi_Z sampled at the interior snapshot times of a trajectory."""
@@ -84,10 +95,7 @@ def kbm_residuals(
     Z = np.asarray(Z, dtype=float)
     if len(times) < 3:
         raise ValueError("need at least 3 snapshots for centered time differences")
-    steps = np.diff(times)
-    cadence = steps[0]
-    if np.any(np.abs(steps - cadence) > 1e-9 * max(1.0, cadence)):
-        raise ValueError("snapshot times must be uniformly spaced")
+    cadence = _uniform_cadence(times)
     if N.min() <= 0:
         raise SimulationError("population size must stay positive", {"min_N": float(N.min())})
 
@@ -116,14 +124,15 @@ def holder_quotient(
     space: TorusGrid,
     field: np.ndarray,
     theta: float,
-    n_pairs: int = HOLDER_PAIR_CAP,
-    seed: int = 0,
 ) -> float:
-    """max over sampled point pairs of |f(t,x) - f(s,y)| / (|t-s| + d(x,y))^theta.
+    """max over all pairs of lattice points of |f(t,x) - f(s,y)| / (|t-s| + d(x,y))^theta.
 
-    Exhaustive pairing is quadratic in the lattice size, so a seeded uniform
-    sample of pairs makes the statistic cheap and reproducible; enlarging the
-    sample can only increase the value.
+    Snapshots are uniformly spaced, so pairs are taken lag by lag: for time
+    lag a the numerator is maximized over the start time first, and each
+    (a, x, y) is divided once by (a*cadence + d(x,y))^theta.  Lags are visited
+    in increasing order until osc(f) / (a*cadence)^theta cannot beat the
+    running max; later lags are farther apart, so the value is exact.  Extra
+    memory is one (snapshots, points, points) array.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
@@ -132,18 +141,26 @@ def holder_quotient(
     nt, nx = field.shape
     if times.shape != (nt,):
         raise ValueError("times length does not match the field")
+    cadence = _uniform_cadence(times)
     x = space.centers
-    rng = np.random.default_rng(seed)
-    draws = rng.integers(0, [nt, nx, nt, nx], size=(n_pairs, 4))
-    it1, ix1, it2, ix2 = draws.T
-    dt = np.abs(times[it1] - times[it2])
-    dx = space.distance(x[ix1], x[ix2])
-    denom = (dt + dx) ** theta
-    diff = np.abs(field[it1, ix1] - field[it2, ix2])
-    valid = denom > 0
-    if not valid.any():
-        return 0.0
-    return float((diff[valid] / denom[valid]).max())
+    dx = space.distance(x[:, None], x[None, :])
+    osc = float(field.max() - field.min())
+    best = 0.0
+    for a in range(nt):
+        lag = a * cadence
+        if a and osc / lag**theta <= best:
+            break
+        denom = (lag + dx) ** theta
+        valid = denom > 0
+        if valid.any():
+            best = max(best, float((_max_gap(field, a)[valid] / denom[valid]).max()))
+    return best
+
+
+def _max_gap(field: np.ndarray, lag: int) -> np.ndarray:
+    """max over t of |f(t + lag, y) - f(t, x)|, indexed [x, y]."""
+    gap = field[lag:, None, :] - field[: len(field) - lag, :, None]
+    return np.abs(gap, out=gap).max(axis=0)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -121,8 +121,8 @@ def run_compare(config: RunConfig, gamma: float | None = None) -> CompareResult:
     holder = {}
     if "holder" in want:
         holder = {
-            "N_theta_0.5": holder_quotient(sim.times, space, sim.N, 0.5, seed=config.seed),
-            "Z_theta_0.5": holder_quotient(sim.times, space, sim.Z, 0.5, seed=config.seed),
+            "N_theta_0.5": holder_quotient(sim.times, space, sim.N, 0.5),
+            "Z_theta_0.5": holder_quotient(sim.times, space, sim.Z, 0.5),
         }
 
     return CompareResult(

@@ -19,23 +19,26 @@ from simkbm import (
     SimParams,
     TorusGrid,
     TraitGrid,
-    apply_T_fast,
-    apply_T_oracle,
     fit_power_law,
     gaussian_initial_state,
     gaussian_on_grid,
     homogeneous_reference,
-    moments,
     parse_config,
     run_kbm,
     run_sim,
-    wasserstein,
-    wasserstein_oracle,
 )
 from simkbm.cli import main as cli_main
 from simkbm.experiments import run_gamma_sweep
 from simkbm.infinitesimal import W2_CONTRACTION, W4_CONTRACTION, contraction_ratio
-from simkbm.property_checks import random_mixture
+from simkbm.property_checks import (
+    check_gaussian_fixed_point,
+    check_mass_conservation,
+    check_mean_conservation,
+    check_oracle_agreement,
+    check_tanaka,
+    check_variance_map,
+    check_wasserstein_oracle_agreement,
+)
 
 GAMMAS = [2.0, 4.0, 8.0, 16.0, 32.0]
 
@@ -76,30 +79,21 @@ def standard_sweep():
 
 
 def test_criterion_1_gaussian_fixed_point():
-    worst = 0.0
+    checks = []
     for A in (0.5, 1.0, 2.0):
         width = 1.0 + 8.0 * np.sqrt(A)
-        grid = TraitGrid(-width, width, 512)
-        kernel = ReproductionKernel(A, grid)
-        for z in (-1.0, 0.0, 1.0):
-            g = gaussian_on_grid(z, A, grid)
-            out = apply_T_fast(g, kernel)
-            worst = max(worst, grid.integrate(np.abs(out.density - g.density)))
-    ok = worst <= 1e-6
+        kernel = ReproductionKernel(A, TraitGrid(-width, width, 512))
+        checks.append(check_gaussian_fixed_point(kernel))
+    worst = max(c.worst for c in checks)
+    ok = all(c.passed for c in checks)
     assert report(1, ok, f"fixed-point L1 defect {worst:.2e} <= 1e-6 over A in (0.5,1,2), Z in (-1,0,1)")
 
 
 def test_criterion_2_tanaka_contraction():
-    grid = TraitGrid(-8.0, 8.0, 512)
-    kernel = ReproductionKernel(1.0, grid)
-    rng = np.random.default_rng(24601)
-    worst = {2: 0.0, 4: 0.0}
-    for _ in range(100):
-        mean = float(rng.uniform(-0.5, 0.5))
-        mu = random_mixture(rng, grid, target_mean=mean)
-        nu = random_mixture(rng, grid, target_mean=mean)
-        for p in (2, 4):
-            worst[p] = max(worst[p], contraction_ratio(mu, nu, kernel, p))
+    kernel = ReproductionKernel(1.0, TraitGrid(-8.0, 8.0, 512))
+    # One generator per exponent, so both see the same 100 pairs.
+    w2 = check_tanaka(kernel, np.random.default_rng(24601), p=2)
+    w4 = check_tanaka(kernel, np.random.default_rng(24601), p=4)
     fine = TraitGrid(-16.0, 16.0, 2048)
     ratio = contraction_ratio(
         gaussian_on_grid(0.0, 1.0, fine),
@@ -108,63 +102,44 @@ def test_criterion_2_tanaka_contraction():
         2,
     )
     spot = abs(ratio - (np.sqrt(2.5) - 1.0))
-    ok = (
-        worst[2] <= W2_CONTRACTION + 1e-4
-        and worst[4] <= W4_CONTRACTION + 1e-4
-        and spot <= 1e-3
-    )
+    ok = w2.passed and w4.passed and spot <= 1e-3
     assert report(
         2,
         ok,
-        f"W2 ratio {worst[2]:.4f} <= {W2_CONTRACTION:.4f}, W4 ratio {worst[4]:.4f} <= "
+        f"W2 ratio {w2.worst:.4f} <= {W2_CONTRACTION:.4f}, W4 ratio {w4.worst:.4f} <= "
         f"{W4_CONTRACTION:.4f} (100 pairs); Gaussian spot-check off by {spot:.1e} <= 1e-3",
     )
 
 
 def test_criterion_3_conservation_and_variance_map():
-    grid = TraitGrid(-8.0, 8.0, 512)
-    kernel = ReproductionKernel(1.0, grid)
-    rng = np.random.default_rng(31415)
-    worst_mass = worst_mean = worst_var = 0.0
-    for _ in range(50):
-        mu = random_mixture(rng, grid)
-        out = apply_T_fast(mu, kernel)
-        mi, mo = moments(mu), moments(out)
-        worst_mass = max(worst_mass, abs(out.mass - mu.mass))
-        worst_mean = max(worst_mean, abs(mo.mean - mi.mean))
-        worst_var = max(worst_var, abs(mo.variance - (0.5 * mi.variance + 0.5)))
-    ok = worst_mass <= 1e-8 and worst_mean <= 1e-8 and worst_var <= 1e-6
+    kernel = ReproductionKernel(1.0, TraitGrid(-8.0, 8.0, 512))
+    # One generator per check, so all three see the same 50 measures.
+    mass, mean, var = (
+        check(kernel, np.random.default_rng(31415))
+        for check in (check_mass_conservation, check_mean_conservation, check_variance_map)
+    )
+    ok = mass.passed and mean.passed and var.passed
     assert report(
         3,
         ok,
-        f"mass defect {worst_mass:.1e} <= 1e-8, mean drift {worst_mean:.1e} <= 1e-8, "
-        f"variance-map error {worst_var:.1e} <= 1e-6 (50 measures)",
+        f"mass defect {mass.worst:.1e} <= 1e-8, mean drift {mean.worst:.1e} <= 1e-8, "
+        f"variance-map error {var.worst:.1e} <= 1e-6 (50 measures)",
     )
 
 
 def test_criterion_4_oracle_equivalence():
     grid = TraitGrid(-8.0, 8.0, 512)
-    kernel = ReproductionKernel(1.0, grid)
     rng = np.random.default_rng(27182)
-    worst_t = 0.0
-    for _ in range(50):
-        mu = random_mixture(rng, grid)
-        fast = apply_T_fast(mu, kernel)
-        slow = apply_T_oracle(mu, kernel)
-        worst_t = max(worst_t, grid.integrate(np.abs(fast.density - slow.density)))
-    tol_w = max(1e-6, 2.0 * grid.spacing)
-    worst_w = 0.0
-    for _ in range(100):
-        mu = random_mixture(rng, grid)
-        nu = random_mixture(rng, grid)
-        for p in (1, 2, 4):
-            worst_w = max(worst_w, abs(wasserstein(mu, nu, p) - wasserstein_oracle(mu, nu, p)))
-    ok = worst_t <= 1e-6 and worst_w <= tol_w
+    reproduction = check_oracle_agreement(ReproductionKernel(1.0, grid), rng, n_measures=50)
+    transport = check_wasserstein_oracle_agreement(grid, rng, n_pairs=100)
+    ok = reproduction.passed and transport.passed
     assert report(
         4,
         ok,
-        f"reproduction fast-vs-oracle L1 {worst_t:.1e} <= 1e-6 (50 measures, 512 cells); "
-        f"transport quantile-vs-oracle {worst_w:.2e} <= {tol_w:.2e} (100 pairs)",
+        f"reproduction fast-vs-oracle L1 {reproduction.worst:.1e} <= 1e-6 "
+        "(50 measures, 512 cells); "
+        f"transport quantile-vs-oracle {transport.worst:.2e} <= {transport.tolerance:.2e} "
+        "(100 pairs)",
     )
 
 
