@@ -173,12 +173,14 @@ class _Operators:
 
 
 def _guard_density(n: np.ndarray, stage: str, t: float, diag: RunDiagnostics):
-    if not np.all(np.isfinite(n)):
-        raise SimulationError(f"non-finite density after {stage} substep", {"t": t})
+    # NaN propagates through min and max, and an infinity is one of them.
     nmin = float(n.min())
+    nmax = float(n.max())
+    if not (math.isfinite(nmin) and math.isfinite(nmax)):
+        raise SimulationError(f"non-finite density after {stage} substep", {"t": t})
     diag.min_density_seen = min(diag.min_density_seen, nmin)
     if nmin < 0.0:
-        scale = float(np.abs(n).max())
+        scale = max(-nmin, nmax)
         if nmin < -_NEGATIVITY_REL_TOL * scale:
             raise SimulationError(
                 f"negative density after {stage} substep",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from simkbm import (
     moments,
     wasserstein,
 )
-from simkbm.infinitesimal import W2_CONTRACTION, W4_CONTRACTION
+from simkbm.infinitesimal import FFT_BLOCK_SAMPLES, W2_CONTRACTION, W4_CONTRACTION
 from simkbm.property_checks import random_mixture
 
 
@@ -98,6 +100,45 @@ class TestFastPath:
         for _ in range(20):
             out = apply_T_fast(random_mixture(rng, trait256), kernel256)
             assert out.density.min() >= 0.0
+
+
+class TestRowBlocks:
+    @staticmethod
+    def _kernel_and_block(m):
+        kernel = ReproductionKernel(1.0, TraitGrid(-4.0, 4.0, m))
+        return kernel, max(1, FFT_BLOCK_SAMPLES // kernel._nfft)
+
+    @pytest.mark.parametrize("m", [17, 512])
+    def test_rows_match_single_row_calls_bit_for_bit(self, m, rng):
+        kernel, block = self._kernel_and_block(m)
+        for rows in sorted({1, block - 1, block, block + 1, 64}):
+            profiles = rng.random((rows, m))
+            batched = kernel.apply_to_profiles(profiles)
+            assert batched.shape == (rows, m) and batched.flags.c_contiguous
+            for i in range(rows):
+                assert np.array_equal(batched[i], kernel.apply_to_profiles(profiles[i])[0])
+
+    @pytest.mark.parametrize("m", [17, 512])
+    def test_row_strided_input(self, m, rng):
+        kernel, block = self._kernel_and_block(m)
+        base = rng.random((2 * block + 6, m))
+        view = base[::2]
+        assert not view.flags.c_contiguous
+        assert np.array_equal(
+            kernel.apply_to_profiles(view), kernel.apply_to_profiles(view.copy())
+        )
+
+    def test_transient_memory_stays_block_sized(self, trait512, rng):
+        # The whole 64-row batch at nfft 4096 would hold about 6 MiB of spectra.
+        kernel = ReproductionKernel(1.0, trait512)
+        profiles = rng.random((64, 512))
+        tracemalloc.start()
+        try:
+            kernel.apply_to_profiles(profiles)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
 
 
 class TestContraction:

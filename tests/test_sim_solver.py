@@ -18,6 +18,7 @@ from simkbm import (
 from simkbm.sim_solver import (
     RunDiagnostics,
     _diffusion_substep,
+    _guard_density,
     _Operators,
     _reproduction_substep,
     max_stable_dt,
@@ -156,6 +157,25 @@ class TestSubsteps:
         ops = _Operators(space, trait, params)
         with pytest.raises(SimulationError, match="negative density"):
             sim_step(state, params, CONST_ENV, ops, RunDiagnostics())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_density_detected(self, bad):
+        n = np.ones((4, 8))
+        n[2, 5] = bad
+        with pytest.raises(SimulationError, match="non-finite density after reaction"):
+            _guard_density(n, "reaction", 0.5, RunDiagnostics())
+
+    def test_roundoff_negatives_clamped_and_counted(self):
+        n = np.ones((4, 8))
+        n[1, 3] = -1e-15
+        diag = RunDiagnostics()
+        out = _guard_density(n, "diffusion", 0.0, diag)
+        assert out is n and n.min() == 0.0
+        assert diag.positivity_clips == 1 and diag.min_density_seen == -1e-15
+        n[1, 3] = -1e-3
+        with pytest.raises(SimulationError, match="negative density") as err:
+            _guard_density(n, "diffusion", 0.0, diag)
+        assert err.value.report == {"t": 0.0, "min": -1e-3, "scale": 1.0}
 
     def test_population_floor_detected(self, small_grids):
         space, trait = small_grids
