@@ -33,7 +33,7 @@ from .sim_solver import (
     run_sim,
     sim_step,
 )
-from .kbm_solver import MacroState, homogeneous_reference, kbm_step, run_kbm
+from .kbm_solver import MacroState, kbm_step, run_kbm
 from .diagnostics import (
     SweepReport,
     fit_power_law,
@@ -67,7 +67,6 @@ __all__ = [
     "run_sim",
     "sim_step",
     "MacroState",
-    "homogeneous_reference",
     "kbm_step",
     "run_kbm",
     "SweepReport",

@@ -4,6 +4,11 @@ Writing the mean-trait equation through Y = N Z moves the awkward
 2 grad N . grad Z / N coupling into zeroth-order reaction terms, so one
 Crank-Nicolson diffusion substep plus an explicit two-stage (Heun) reaction
 substep advances the system; Z is recovered as Y / N afterwards.
+
+The stepper carries the state as one (2, points) array U = (N, Y) from the
+validated initial MacroState to the last step.  The optimal trait is read
+once per time level t0 + k dt: the Heun stage-2 field of step k is the
+stage-1 field of step k + 1.
 """
 
 from __future__ import annotations
@@ -42,51 +47,51 @@ class MacroState:
     def Z(self) -> np.ndarray:
         return self.Y / self.N
 
-    def copy(self) -> "MacroState":
-        return MacroState(self.t, self.N.copy(), self.Y.copy(), self.space)
 
-
-def _reaction(N, Y, y_opt, A):
+def _reaction(U, y_opt, A):
+    N, Y = U
     mismatch = Y / N - y_opt
     growth = 1.0 - 0.5 * mismatch**2 - N
-    return growth * N, growth * Y - A * (Y - y_opt * N)
+    dU = growth * U
+    dU[1] -= A * (Y - y_opt * N)
+    return dU
 
 
-def _check_floor(N, t):
-    if not np.all(np.isfinite(N)):
-        raise SimulationError("non-finite macroscopic fields", {"t": t})
-    if N.min() < N_FLOOR:
+def _check(U, stage, t):
+    if not np.isfinite(U).all():
         raise SimulationError(
-            "population size fell below the floor",
-            {"t": t, "min_N": float(N.min()), "floor": N_FLOOR},
+            f"non-finite macroscopic fields after {stage}", {"t": t, "stage": stage}
+        )
+    min_N = U[0].min()
+    if min_N < N_FLOOR:
+        raise SimulationError(
+            f"population size fell below the floor after {stage}",
+            {"t": t, "stage": stage, "min_N": float(min_N), "floor": N_FLOOR},
         )
 
 
 def kbm_step(
-    state: MacroState,
-    env: Environment,
+    U: np.ndarray,
+    t: float,
+    y_now: np.ndarray,
+    y_next: np.ndarray,
     A: float,
     dt: float,
     heat: PeriodicHeatCN,
-) -> MacroState:
-    """One Lie-split step: Crank-Nicolson diffusion, then a Heun reaction stage."""
-    t = state.t
-    x = state.space.centers
+) -> np.ndarray:
+    """One Lie-split step of U = (N, Y) from t: Crank-Nicolson diffusion, then Heun.
 
-    fields = heat.step(np.stack((state.N, state.Y), axis=1))
-    N, Y = fields[:, 0], fields[:, 1]
-    _check_floor(N, t)
-
-    dN1, dY1 = _reaction(N, Y, env.evaluate(t, x), A)
-    N1 = N + dt * dN1
-    Y1 = Y + dt * dY1
-    _check_floor(N1, t)
-    dN2, dY2 = _reaction(N1, Y1, env.evaluate(t + dt, x), A)
-    N2 = N + 0.5 * dt * (dN1 + dN2)
-    Y2 = Y + 0.5 * dt * (dY1 + dY2)
-    _check_floor(N2, t)
-
-    return MacroState(t + dt, N2, Y2, state.space)
+    y_now and y_next are the optimal-trait fields at t and t + dt.
+    """
+    U = heat.step(U.T).T
+    _check(U, "diffusion", t)
+    dU1 = _reaction(U, y_now, A)
+    U1 = U + dt * dU1
+    _check(U1, "heun stage 1", t)
+    dU2 = _reaction(U1, y_next, A)
+    U2 = U + 0.5 * dt * (dU1 + dU2)
+    _check(U2, "heun stage 2", t)
+    return U2
 
 
 @dataclasses.dataclass
@@ -113,64 +118,20 @@ def run_kbm(
     """Repeated kbm_step with snapshots at the configured cadence."""
     n_steps, every = plan_steps(state0.t, t_end, dt, snapshot_dt)
     heat = PeriodicHeatCN(state0.space.points_per_dim, state0.space.spacing, dt)
-    state = state0.copy()
-    times, N, Y = [state.t], [state.N], [state.Y]
+    x = state0.space.centers
+    U = np.stack((state0.N, state0.Y))
+    times = state0.t + np.arange(0, n_steps + 1, every) * dt
+    N = np.empty((len(times), len(x)))
+    Y = np.empty_like(N)
+    N[0], Y[0] = U
+    t = state0.t
+    y_now = env.evaluate(t, x)
     for k in range(1, n_steps + 1):
-        state = kbm_step(state, env, A, dt, heat)
-        state.t = state0.t + k * dt
+        t_next = state0.t + k * dt
+        y_next = env.evaluate(t_next, x)
+        U = kbm_step(U, t, y_now, y_next, A, dt, heat)
+        t, y_now = t_next, y_next
         if k % every == 0:
-            times.append(state.t)
-            N.append(state.N)
-            Y.append(state.Y)
+            N[k // every], Y[k // every] = U
 
-    return MacroTrajectory(times=np.array(times), N=np.stack(N), Y=np.stack(Y))
-
-
-class HomogeneousReference:
-    """Dense adaptive-ODE solution of the spatially homogeneous reduction.
-
-    With no spatial structure the system collapses to
-      dN/dt = (1 - (Z - y_opt)^2 / 2 - N) N,   dZ/dt = -A (Z - y_opt),
-    which serves as an oracle for both time steppers.
-    """
-
-    def __init__(self, sol):
-        self._sol = sol
-
-    def evaluate(self, t):
-        u = self._sol.sol(np.asarray(t, dtype=float))
-        return u[0], u[1]
-
-
-def homogeneous_reference(
-    N0: float,
-    Z0: float,
-    env: Environment,
-    A: float,
-    t_end: float,
-    rtol: float = 1e-11,
-    atol: float = 1e-12,
-) -> HomogeneousReference:
-    if env.space_slope_bound() != 0.0:
-        raise ValueError("homogeneous reference needs an x-independent environment")
-    if not (N0 > 0 and A > 0 and t_end > 0):
-        raise ValueError("N0, A and t_end must be positive")
-    from scipy.integrate import solve_ivp
-
-    def rhs(t, u):
-        n, z = u
-        m = z - float(env.evaluate(t, np.zeros(1))[0])
-        return [(1.0 - 0.5 * m * m - n) * n, -A * m]
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_end),
-        [float(N0), float(Z0)],
-        method="DOP853",
-        dense_output=True,
-        rtol=rtol,
-        atol=atol,
-    )
-    if not sol.success:
-        raise RuntimeError(f"reference ODE solve failed: {sol.message}")
-    return HomogeneousReference(sol)
+    return MacroTrajectory(times=times, N=N, Y=Y)

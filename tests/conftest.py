@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -22,3 +24,21 @@ def space64():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(owner, name) wraps owner.name for the test; returns the shared counts."""
+    counts = collections.Counter()
+
+    def install(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return counts
+
+    return install

@@ -11,6 +11,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from reference_ode import homogeneous_reference
 
 from simkbm import (
     Environment,
@@ -22,7 +23,6 @@ from simkbm import (
     fit_power_law,
     gaussian_initial_state,
     gaussian_on_grid,
-    homogeneous_reference,
     parse_config,
     run_kbm,
     run_sim,

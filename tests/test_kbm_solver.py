@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from reference_ode import homogeneous_reference
 
+import simkbm.kbm_solver
 from simkbm import (
     Environment,
     MacroState,
     SimulationError,
-    homogeneous_reference,
     kbm_step,
     run_kbm,
 )
@@ -27,10 +28,11 @@ class TestMacroState:
 class TestKbmStep:
     def test_constant_state_is_fixed_point(self, space64):
         env = Environment(kind="constant", offset=0.7)
-        m = MacroState(0.0, np.ones(64), np.full(64, 0.7), space64)
-        out = kbm_step(m, env, A=1.0, dt=1e-3, heat=PeriodicHeatCN(64, space64.spacing, 1e-3))
-        assert np.abs(out.N - 1.0).max() <= 1e-12
-        assert np.abs(out.Z - 0.7).max() <= 1e-12
+        U = np.stack((np.ones(64), np.full(64, 0.7)))
+        y = env.evaluate(0.0, space64.centers)
+        out = kbm_step(U, 0.0, y, y, A=1.0, dt=1e-3, heat=PeriodicHeatCN(64, space64.spacing, 1e-3))
+        assert np.abs(out[0] - 1.0).max() <= 1e-12
+        assert np.abs(out[1] / out[0] - 0.7).max() <= 1e-12
 
     def test_mean_trait_relaxes_exponentially(self, space64):
         # Homogeneous fields, y_opt = 0: dZ/dt = -A Z exactly.
@@ -51,10 +53,11 @@ class TestKbmStep:
 
     def test_population_floor_detected(self, space64):
         env = Environment(kind="constant", offset=0.0)
-        m = MacroState(0.0, np.full(64, 2e-12), np.full(64, 2e-12 * 5.0), space64)
+        U = np.stack((np.full(64, 2e-12), np.full(64, 2e-12 * 5.0)))
+        y = env.evaluate(0.0, space64.centers)
         with pytest.raises(SimulationError, match="floor"):
             # strong maladaptation drives N below the floor within the step
-            kbm_step(m, env, A=0.01, dt=1e-1, heat=PeriodicHeatCN(64, space64.spacing, 1e-1))
+            kbm_step(U, 0.0, y, y, A=0.01, dt=1e-1, heat=PeriodicHeatCN(64, space64.spacing, 1e-1))
 
 
 class TestRunKbm:
@@ -110,6 +113,113 @@ class TestRunKbm:
         traj = run_kbm(m0, SIN_ENV, A, dt, t_end, 0.5)
         assert np.abs(traj.N[-1] - N).max() <= 1e-4
         assert np.abs(traj.Z[-1] - Z).max() <= 1e-4
+
+
+def _reference_run(N, Y, env, A, dt, n_steps, every, space):
+    """Reference stepper on separate N and Y arrays.
+
+    It stacks them only for the diffusion step, evaluates y_opt at both ends
+    of every step, and reads the step's end as t + dt.
+    """
+    heat = PeriodicHeatCN(space.points_per_dim, space.spacing, dt)
+    x = space.centers
+
+    def reaction(N, Y, y_opt):
+        mismatch = Y / N - y_opt
+        growth = 1.0 - 0.5 * mismatch**2 - N
+        return growth * N, growth * Y - A * (Y - y_opt * N)
+
+    t = 0.0
+    times, Ns, Ys = [t], [N], [Y]
+    for k in range(1, n_steps + 1):
+        fields = heat.step(np.stack((N, Y), axis=1))
+        N, Y = fields[:, 0], fields[:, 1]
+        dN1, dY1 = reaction(N, Y, env.evaluate(t, x))
+        N1 = N + dt * dN1
+        Y1 = Y + dt * dY1
+        dN2, dY2 = reaction(N1, Y1, env.evaluate(t + dt, x))
+        N = N + 0.5 * dt * (dN1 + dN2)
+        Y = Y + 0.5 * dt * (dY1 + dY2)
+        t = k * dt
+        if k % every == 0:
+            times.append(t)
+            Ns.append(N)
+            Ys.append(Y)
+    return np.array(times), np.stack(Ns), np.stack(Ys)
+
+
+class TestStackedStepper:
+    def _pair(self, env, space):
+        x = space.centers
+        N0 = 1.0 + 0.3 * np.cos(2 * np.pi * x)
+        Y0 = N0 * 0.2 * np.sin(4 * np.pi * x)
+        traj = run_kbm(MacroState(0.0, N0, Y0, space), env, 1.0, 1e-3, 2.0, 0.25)
+        ref = _reference_run(N0, Y0, env, 1.0, 1e-3, 2000, 250, space)
+        return traj, ref
+
+    def test_bit_identical_in_a_static_environment(self, space64):
+        traj, (times, N, Y) = self._pair(SIN_ENV, space64)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.N, N)
+        assert np.array_equal(traj.Y, Y)
+
+    def test_drifting_environment_moves_by_roundoff(self, space64):
+        # run_kbm reads the stage-2 field at t0 + k dt, the reference at its running t + dt.
+        env = Environment(kind="affine_in_t", offset=0.1, rate=0.8)
+        traj, (times, N, Y) = self._pair(env, space64)
+        assert np.array_equal(traj.times, times)
+        assert np.abs(traj.N - N).max() <= 1e-13 * np.abs(N).max()
+        assert np.abs(traj.Y - Y).max() <= 1e-13 * np.abs(Y).max()
+
+    def test_one_step_and_one_y_opt_per_time_level(self, space64, count_calls):
+        # The trace harness counts spans of the module-global kbm_step, so
+        # run_kbm must call it by that name, once per step.
+        count_calls(simkbm.kbm_solver, "kbm_step")
+        counts = count_calls(Environment, "evaluate")
+        run_kbm(MacroState(0.0, np.ones(64), np.zeros(64), space64), SIN_ENV, 1.0, 1e-3, 0.05, 0.01)
+        assert counts == {"kbm_step": 50, "evaluate": 51}
+
+
+# (N0, Z0, environment, A, dt) making each stage the first to see the failure.
+_NON_FINITE_Y = {
+    # Y overflows the diffusion transform: NaN in Y, N untouched.
+    "diffusion": (1.0, 1e307, Environment(kind="constant"), 1.0, 1e-3),
+    # A (Y - y_opt N) overflows at the stage-1 field: Y1 = -inf.
+    "heun stage 1": (1.0, 2.0, Environment(kind="constant"), 1e308, 1e-3),
+    # The same term overflows at the stage-2 field only: Y2 = +inf, N2 near 1.
+    "heun stage 2": (1.0, 0.0, Environment(kind="affine_in_t", rate=2000.0), 1e308, 1e-3),
+}
+
+_FLOOR_BREACH = {
+    "diffusion": (1e-13, 0.0, Environment(kind="constant"), 1.0, 1e-1),
+    "heun stage 1": (2e-12, 5.0, Environment(kind="constant"), 0.01, 1e-1),
+    # y_opt jumps to 5 by the stage-2 time: the Heun average dips below the floor.
+    "heun stage 2": (2e-12, 0.0, Environment(kind="affine_in_t", rate=50.0), 1.0, 1e-1),
+}
+
+
+class TestStageChecks:
+    def _run_one_step(self, case, space):
+        n0, z0, env, A, dt = case
+        m0 = MacroState(0.0, np.full(64, n0), np.full(64, n0 * z0), space)
+        with np.errstate(all="ignore"):
+            return run_kbm(m0, env, A, dt, dt, dt)
+
+    @pytest.mark.parametrize("stage", list(_NON_FINITE_Y))
+    def test_non_finite_y_aborts(self, space64, stage):
+        with pytest.raises(SimulationError, match="non-finite") as info:
+            self._run_one_step(_NON_FINITE_Y[stage], space64)
+        assert info.value.report == {"t": 0.0, "stage": stage}
+        assert stage in str(info.value)
+
+    @pytest.mark.parametrize("stage", list(_FLOOR_BREACH))
+    def test_floor_breach_names_stage(self, space64, stage):
+        with pytest.raises(SimulationError, match="floor") as info:
+            self._run_one_step(_FLOOR_BREACH[stage], space64)
+        report = info.value.report
+        assert (report["stage"], report["t"]) == (stage, 0.0)
+        assert report["min_N"] < report["floor"]
+        assert stage in str(info.value)
 
 
 class TestHomogeneousReference:

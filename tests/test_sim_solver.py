@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from reference_ode import homogeneous_reference
 
 import simkbm.sim_solver
 from simkbm import (
@@ -10,7 +11,6 @@ from simkbm import (
     TorusGrid,
     TraitGrid,
     gaussian_initial_state,
-    homogeneous_reference,
     kinetic_moments,
     run_sim,
     sim_step,
@@ -236,6 +236,16 @@ class TestRunSim:
         second = run_sim(state, params, CONST_ENV, 0.02)
         assert len(built) == 2
         assert np.array_equal(first.N, second.N)
+
+    def test_one_step_and_one_kernel_call_per_step(self, small_grids, count_calls):
+        # The trace harness counts spans of the module-global sim_step and of
+        # ReproductionKernel.apply_to_profiles, so each must run once per step.
+        space, trait = small_grids
+        count_calls(simkbm.sim_solver, "sim_step")
+        counts = count_calls(ReproductionKernel, "apply_to_profiles")
+        state = gaussian_initial_state(space, trait, np.ones(16), np.zeros(16), 1.0)
+        run_sim(state, SimParams(A=1.0, gamma=8.0, dt=2e-3, snapshot_dt=0.01), CONST_ENV, 0.02)
+        assert counts == {"sim_step": 10, "apply_to_profiles": 10}
 
     def test_splitting_self_convergence_first_order(self, space64):
         # Halving dt should roughly halve the final-field change.
