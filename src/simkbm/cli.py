@@ -61,17 +61,15 @@ def _load_config(args) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(parsed, dict):
         raise ConfigError("config must be a JSON object")
-    if args.out is not None or args.text or args.seed is not None:
-        out = dict(parsed.get("output", {}))
-        num = dict(parsed.get("numerical", {}))
-        if args.out is not None:
-            out["directory"] = args.out
-        if args.text:
-            out["text"] = True
-        if args.seed is not None:
-            num["seed"] = args.seed
-        parsed["output"] = out
-        parsed["numerical"] = num
+    overrides = {
+        "output": {"directory": args.out, "text": True if args.text else None},
+        "numerical": {"seed": args.seed},
+    }
+    for name, values in overrides.items():
+        section = parsed.get(name, {})
+        # A section that is not an object is left for parse_config to reject.
+        if isinstance(section, dict):
+            parsed[name] = {**section, **{k: v for k, v in values.items() if v is not None}}
     return parse_config(parsed)
 
 
@@ -244,13 +242,7 @@ def _cmd_gamma_sweep(config: RunConfig, jobs: int) -> int:
 
 def _cmd_check_operator(config: RunConfig) -> int:
     out = ensure_dir(config.out_dir)
-    hooks = config.hooks()
-    checks = run_all(
-        config.A,
-        config.trait_grid(),
-        config.seed,
-        break_kernel_normalization=hooks.get("break_kernel_normalization", False),
-    )
+    checks = run_all(config.A, config.trait_grid(), config.seed)
     report = {
         "command": "check-operator",
         "format_version": FORMAT_VERSION,

@@ -70,18 +70,26 @@ def _require_keys(doc: dict, allowed: set, path: str):
         raise ConfigError(f"unknown key {unknown[0]!r} in {path}")
 
 
+def _as_number(v, name: str, positive=False) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {v!r}")
+    try:
+        v = float(v)
+    except OverflowError:  # JSON integers have no size limit
+        v = math.inf
+    if not math.isfinite(v):  # JSON also admits NaN and Infinity
+        raise ConfigError(f"{name} must be finite, got {v:g}")
+    if positive and not v > 0:
+        raise ConfigError(f"{name} must be positive, got {v:g}")
+    return v
+
+
 def _get_number(doc: dict, key: str, path: str, default=None, positive=False):
     if key not in doc:
         if default is None:
             raise ConfigError(f"missing required key {path}.{key}")
         return default
-    v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key} must be a number, got {v!r}")
-    v = float(v)
-    if positive and not v > 0:
-        raise ConfigError(f"{path}.{key} must be positive, got {v:g}")
-    return v
+    return _as_number(doc[key], f"{path}.{key}", positive)
 
 
 def _get_int(doc: dict, key: str, path: str, default=None, minimum=None):
@@ -182,7 +190,6 @@ class RunConfig:
     out_dir: str
     text: bool
     diagnostics: tuple
-    test_hooks: tuple = ()
 
     def space_grid(self) -> TorusGrid:
         return TorusGrid(self.space_points, self.period)
@@ -202,9 +209,6 @@ class RunConfig:
             raise ConfigError("this run needs physical.gamma (a single value)")
         return SimParams(A=self.A, gamma=g, dt=self.dt, snapshot_dt=self.snapshot_dt)
 
-    def hooks(self) -> dict:
-        return dict(self.test_hooks)
-
     def to_dict(self) -> dict:
         physical = {
             "A": self.A,
@@ -219,7 +223,7 @@ class RunConfig:
             physical["gamma"] = self.gamma
         if self.gamma_list is not None:
             physical["gamma_list"] = list(self.gamma_list)
-        doc = {
+        return {
             "physical": physical,
             "numerical": {
                 "dim": 1,
@@ -238,9 +242,6 @@ class RunConfig:
                 "diagnostics": list(self.diagnostics),
             },
         }
-        if self.test_hooks:
-            doc["test_hooks"] = dict(self.test_hooks)
-        return doc
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -262,7 +263,7 @@ def parse_config(source) -> RunConfig:
         doc = source
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    _require_keys(doc, {"physical", "numerical", "output", "test_hooks"}, "config")
+    _require_keys(doc, {"physical", "numerical", "output"}, "config")
 
     phys = doc.get("physical")
     if not isinstance(phys, dict):
@@ -280,11 +281,7 @@ def parse_config(source) -> RunConfig:
         raw = phys["gamma_list"]
         if not isinstance(raw, list) or not raw:
             raise ConfigError("physical.gamma_list must be a non-empty list")
-        vals = []
-        for v in raw:
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not v > 0:
-                raise ConfigError(f"physical.gamma_list entries must be positive numbers, got {v!r}")
-            vals.append(float(v))
+        vals = [_as_number(v, "physical.gamma_list entries", positive=True) for v in raw]
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ConfigError("physical.gamma_list must be strictly increasing")
         gamma_list = tuple(vals)
@@ -348,13 +345,9 @@ def parse_config(source) -> RunConfig:
         width = TRAIT_MARGIN_SIGMAS * math.sqrt(max(A, v0))
         bounds = (min(env_lo, z_lo) - width, max(env_hi, z_hi) + width)
     else:
-        if (
-            not isinstance(bounds, list)
-            or len(bounds) != 2
-            or any(isinstance(b, bool) or not isinstance(b, (int, float)) for b in bounds)
-        ):
+        if not isinstance(bounds, list) or len(bounds) != 2:
             raise ConfigError("numerical.trait_bounds must be 'auto' or a [low, high] pair")
-        bounds = (float(bounds[0]), float(bounds[1]))
+        bounds = tuple(_as_number(b, "numerical.trait_bounds") for b in bounds)
         if not bounds[0] < bounds[1]:
             raise ConfigError("numerical.trait_bounds must be increasing")
         if min(z_lo - bounds[0], bounds[1] - z_hi) < INIT_MARGIN_SIGMAS * math.sqrt(v0):
@@ -364,8 +357,10 @@ def parse_config(source) -> RunConfig:
             )
 
     trait = TraitGrid(bounds[0], bounds[1], trait_points)
-    _, defect = segregation_kernel(A, trait)
-    if defect > KERNEL_MASS_DEFECT_TOL:
+    # A width beyond the float range makes the defect NaN, which fails too.
+    with np.errstate(invalid="ignore"):
+        _, defect = segregation_kernel(A, trait)
+    if not defect <= KERNEL_MASS_DEFECT_TOL:
         raise ConfigError(
             f"the segregation kernel (variance A/2) loses mass {defect:.3e} on this trait grid: "
             f"the spacing {trait.spacing:.4g} must be below about 0.9*sqrt(A/2) = "
@@ -373,7 +368,15 @@ def parse_config(source) -> RunConfig:
             "raise numerical.trait_points"
         )
     _, n0_hi = n0.bounds()
-    dt_cap = max_stable_dt(A, trait, env, n0_hi, t_end)
+    try:
+        dt_cap = max_stable_dt(A, trait, env, n0_hi, t_end)
+    except OverflowError:
+        dt_cap = 0.0
+    if not dt_cap > 0:
+        raise ConfigError(
+            "the reaction bound sup|r| overflows for this trait grid and environment: "
+            "narrow numerical.trait_bounds or the optimal-trait range"
+        )
 
     dt = num.get("dt", "auto")
     if dt == "auto":
@@ -388,6 +391,17 @@ def parse_config(source) -> RunConfig:
             )
         if not _near_multiple(t_end, dt):
             raise ConfigError("numerical.t_end must be an integer multiple of dt")
+
+    h = period / space_points
+    try:
+        mu = dt / (2.0 * h**2)
+    except (OverflowError, ZeroDivisionError):
+        mu = 0.0
+    if not 0.0 < mu < math.inf:
+        raise ConfigError(
+            "the diffusion ratio dt/(2 h^2) with h = period / space_points is zero or "
+            "not finite: numerical.period is out of range"
+        )
 
     # The cadence, in steps, must divide the step count (sim_solver.plan_steps).
     n_steps = round(t_end / dt)
@@ -420,26 +434,6 @@ def parse_config(source) -> RunConfig:
     if not isinstance(diagnostics, list) or any(d not in DIAGNOSTIC_NAMES for d in diagnostics):
         raise ConfigError(f"output.diagnostics entries must be among {DIAGNOSTIC_NAMES}")
 
-    hooks_doc = doc.get("test_hooks", {})
-    if not isinstance(hooks_doc, dict):
-        raise ConfigError("'test_hooks' must be an object")
-    _require_keys(
-        hooks_doc, {"planted_theta", "planted_c", "break_kernel_normalization"}, "test_hooks"
-    )
-    hooks = {}
-    if "planted_c" in hooks_doc and "planted_theta" not in hooks_doc:
-        raise ConfigError("test_hooks.planted_c needs test_hooks.planted_theta")
-    if "planted_theta" in hooks_doc:
-        hooks["planted_theta"] = _get_number(hooks_doc, "planted_theta", "test_hooks")
-        hooks["planted_c"] = _get_number(
-            hooks_doc, "planted_c", "test_hooks", default=1.0, positive=True
-        )
-    if "break_kernel_normalization" in hooks_doc:
-        flag = hooks_doc["break_kernel_normalization"]
-        if not isinstance(flag, bool):
-            raise ConfigError("test_hooks.break_kernel_normalization must be a boolean")
-        hooks["break_kernel_normalization"] = flag
-
     return RunConfig(
         A=A,
         gamma=gamma,
@@ -459,5 +453,4 @@ def parse_config(source) -> RunConfig:
         out_dir=out_dir,
         text=text,
         diagnostics=tuple(diagnostics),
-        test_hooks=tuple(sorted(hooks.items())),
     )

@@ -24,8 +24,6 @@ from .diagnostics import (
 from .kbm_solver import MacroState, run_kbm
 from .sim_solver import init_state, plan_steps, run_sim
 
-SWEEP_FAMILIES = ("gauss_dev_sup", "macro_err_N", "macro_err_Z", "resid_N", "resid_Z")
-
 
 @dataclasses.dataclass
 class CompareResult:
@@ -145,38 +143,29 @@ def _compare_worker(args):
 
 
 def run_gamma_sweep(config: RunConfig, jobs: int = 1):
-    """Per-gamma compare runs aggregated into a SweepReport with power-law fits.
-
-    With the planted_theta test hook, the errors are the synthetic
-    c * gamma^-theta for every family and no run is made; this exercises
-    aggregation and fitting alone.
-    """
-    hooks = config.hooks()
+    """Per-gamma compare runs aggregated into a SweepReport with power-law fits."""
     if config.gamma_list is None or len(config.gamma_list) < 3:
         raise ConfigError("gamma-sweep needs physical.gamma_list with >= 3 values")
-    if "planted_theta" not in hooks and "gauss_dev" not in config.diagnostics:
+    if "gauss_dev" not in config.diagnostics:
         raise ConfigError("gamma-sweep fits gauss_dev_sup: output.diagnostics needs gauss_dev")
     gammas = list(config.gamma_list)
     results = {}
-    if "planted_theta" in hooks:
-        planted = [hooks["planted_c"] * g ** (-hooks["planted_theta"]) for g in gammas]
-        errors = {family: list(planted) for family in SWEEP_FAMILIES}
+    if jobs > 1:
+        doc = config.to_dict()
+        workers = min(jobs, len(gammas))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            for gamma, result in pool.map(_compare_worker, [(doc, g) for g in gammas]):
+                results[gamma] = result
     else:
-        if jobs > 1:
-            doc = config.to_dict()
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                for gamma, result in pool.map(_compare_worker, [(doc, g) for g in gammas]):
-                    results[gamma] = result
-        else:
-            for g in gammas:
-                results[g] = run_compare(config, gamma=g)
-        errors = {
-            "gauss_dev_sup": [results[g].sups["gauss_dev"] for g in gammas],
-            "macro_err_N": [results[g].sups["err_N"] for g in gammas],
-            "macro_err_Z": [results[g].sups["err_Z"] for g in gammas],
-            "resid_N": [results[g].sups["resid_N"] for g in gammas],
-            "resid_Z": [results[g].sups["resid_Z"] for g in gammas],
-        }
+        for g in gammas:
+            results[g] = run_compare(config, gamma=g)
+    errors = {
+        "gauss_dev_sup": [results[g].sups["gauss_dev"] for g in gammas],
+        "macro_err_N": [results[g].sups["err_N"] for g in gammas],
+        "macro_err_Z": [results[g].sups["err_Z"] for g in gammas],
+        "resid_N": [results[g].sups["resid_N"] for g in gammas],
+        "resid_Z": [results[g].sups["resid_Z"] for g in gammas],
+    }
     theta, c_hat, r2 = {}, {}, {}
     for family, vals in errors.items():
         fit = fit_power_law(gammas, vals)

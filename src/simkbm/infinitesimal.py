@@ -63,7 +63,7 @@ class ReproductionKernel:
         self.grid = grid
         m = grid.points
         self.table, self.mass_defect = segregation_kernel(self.A, grid)
-        if self.mass_defect > KERNEL_MASS_DEFECT_TOL:
+        if not self.mass_defect <= KERNEL_MASS_DEFECT_TOL:
             warnings.warn(
                 f"segregation kernel mass defect {self.mass_defect:.3e} on this grid; "
                 "the trait spacing must be below about 0.9*sqrt(A/2) and the interval "
@@ -108,17 +108,6 @@ class ReproductionKernel:
             res[rows] = np.fft.irfft(w_hat, nfft, axis=1)[:, 2 * m - 2 : 4 * m - 3 : 2]
         np.clip(res, 0.0, None, out=res)
         return res
-
-    def with_scaled_table(self, factor: float) -> "ReproductionKernel":
-        """Fault-injection hook: a copy whose kernel no longer integrates to 1."""
-        broken = ReproductionKernel.__new__(ReproductionKernel)
-        broken.A = self.A
-        broken.grid = self.grid
-        broken.table = self.table * factor
-        broken.mass_defect = float(abs(1.0 - factor * (1.0 - self.mass_defect)))
-        broken._nfft = self._nfft
-        broken._table_hat = self._table_hat * factor
-        return broken
 
 
 def _check_inputs(mu: GridMeasure, kernel: ReproductionKernel):

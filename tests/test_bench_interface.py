@@ -1,0 +1,77 @@
+"""The benchmark's interface to the program, kept working by tier-1.
+
+perfbench/ runs each workload's CLI command under perfbench/traced.py, which
+wraps functions and methods by name and reads attributes such as
+KineticTrajectory.snapshots and TorusGrid.points_per_dim.  A refactor that
+drops one of those names fails here rather than at the benchmark gate.
+Every workload runs once, in a subprocess, at the harness self-test's tiny
+sizes; nothing under perfbench/ is written.
+"""
+
+import dataclasses
+import importlib.util
+import json
+import math
+import os
+import pathlib
+import subprocess
+import sys
+import time
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TINY = {"space_points": 16, "trait_points": 64, "t_end": 0.2}
+
+
+def _load_harness():
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+HARNESS = _load_harness()
+
+
+def _env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    env.update({var: "1" for var in HARNESS.THREAD_VARS})
+    return env
+
+
+def _tiny(name, tmp_path):
+    wl = dataclasses.replace(HARNESS.WORKLOADS[name], **TINY)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(wl.config()))
+    return wl, str(config)
+
+
+@pytest.mark.parametrize("name", sorted(HARNESS.WORKLOADS))
+def test_workload_runs_under_the_tracer(tmp_path, name):
+    wl, config = _tiny(name, tmp_path)
+    spans, out = tmp_path / "spans", tmp_path / "out"
+    spans.mkdir()
+    cmd = [sys.executable, HARNESS.TRACED, str(spans)] + wl.cli_args(config, str(out), 3)
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, env=_env(), capture_output=True, text=True, timeout=120)
+    end = time.perf_counter()
+    assert proc.returncode == 0, proc.stderr
+    names = [m["name"] for m in json.loads(pathlib.Path(HARNESS.BENCHMARK_JSON).read_text())["per_layer"]]
+    layers = HARNESS.layer_metrics(names, str(spans), start, end, wl.jobs)
+    counts = {span: layers["_counts"].get(span, 0) for span in wl.expected_counts()}
+    assert counts == wl.expected_counts()
+    assert all(math.isfinite(layers[n]) for n in names if n != "trace.overhead")
+    assert HARNESS.observe(wl, str(out))
+
+
+def test_setup_probe_runs(tmp_path):
+    _, config = _tiny("compare", tmp_path)
+    proc = subprocess.run(
+        [sys.executable, HARNESS.SETUP_PROBE, config],
+        env=_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["setup_s"] > 0

@@ -1,10 +1,15 @@
 import json
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
 
+from simkbm import experiments, infinitesimal
 from simkbm.cli import main
+from simkbm.config import parse_config
+from simkbm.experiments import CompareResult
+from simkbm.infinitesimal import segregation_kernel
 from simkbm.output import read_csv, read_snapshot
 
 SMALL_COMPARE = {
@@ -38,6 +43,28 @@ def write_config(tmp_path, doc, name="config.json"):
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def planted_compare(config, gamma):
+    """Stand-in for experiments.run_compare: every supremum is 3 * gamma^-1/2."""
+    err = 3.0 * gamma**-0.5
+    t = np.array([0.0, config.t_end])
+    sups = {k: err for k in ("gauss_dev", "err_N", "err_Z", "resid_N", "resid_Z")}
+    return CompareResult(gamma, t, t, t, t, t, t, 0.0, sups, {})
+
+
+def assert_one_line_rejection(tmp_path, capsys, doc, *flags, commands=("compare",)):
+    """Every command exits 1 at parse time with one stderr line; a warning is an error."""
+    cfg = write_config(tmp_path, doc)
+    for command in commands:
+        out = tmp_path / f"out-{command}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run_cli(command, "--config", cfg, "--out", str(out), *flags)
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1 and err.startswith("config error:"), (command, err)
+        assert not out.exists()
+    return err
 
 
 class TestCompareCommand:
@@ -150,6 +177,74 @@ class TestExitCodes:
         assert "floor" in capsys.readouterr().err
 
 
+class TestRejectedAtParse:
+    COMMANDS = ("simulate-sim", "simulate-kbm", "compare", "gamma-sweep", "check-operator")
+    BASE = {"physical": {"A": 1.0, "gamma": 8.0}, "numerical": {"t_end": 0.2}}
+
+    def doc(self, **numerical):
+        doc = json.loads(json.dumps(self.BASE))
+        doc["numerical"].update(numerical)
+        return doc
+
+    def test_test_hooks_section_on_every_command(self, tmp_path, capsys):
+        doc = self.doc()
+        doc["test_hooks"] = {"planted_theta": 0.5}
+        err = assert_one_line_rejection(tmp_path, capsys, doc, commands=self.COMMANDS)
+        assert "test_hooks" in err
+
+    @pytest.mark.parametrize("value", [None, [1], "x", 5], ids=["null", "list", "string", "number"])
+    @pytest.mark.parametrize("section", ["output", "numerical"])
+    @pytest.mark.parametrize("flag", [("--seed", "1"), ("--text",), ()], ids=["seed", "text", "out"])
+    def test_overrides_leave_a_non_object_section_to_the_parser(
+        self, tmp_path, capsys, flag, section, value
+    ):
+        doc = self.doc()
+        doc[section] = value
+        err = assert_one_line_rejection(tmp_path, capsys, doc, *flag)
+        assert f"'{section}' must be an object" in err
+
+    def test_trait_width_beyond_the_float_range(self, tmp_path, capsys):
+        # The width overflows to inf and the kernel mass defect is NaN.
+        doc = self.doc(space_points=16, trait_points=64, trait_bounds=[-1e308, 1e308])
+        assert "segregation kernel" in assert_one_line_rejection(tmp_path, capsys, doc, "--seed", "1")
+
+    @pytest.mark.parametrize(
+        "env",
+        [
+            {"kind": "sinusoidal_in_x", "amplitude": 1e200},
+            {"kind": "affine_in_t", "rate": 1e300},
+        ],
+        ids=["amplitude", "rate"],
+    )
+    def test_reaction_bound_overflow(self, tmp_path, capsys, env):
+        doc = self.doc(trait_bounds=[-8.0, 8.0], trait_points=256)
+        doc["physical"]["env"] = env
+        assert "reaction bound" in assert_one_line_rejection(tmp_path, capsys, doc)
+
+    @pytest.mark.parametrize("period", [1e-300, 1e300])
+    def test_diffusion_ratio_out_of_range(self, tmp_path, capsys, period):
+        doc = self.doc(period=period)
+        assert "dt/(2 h^2)" in assert_one_line_rejection(tmp_path, capsys, doc)
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("numerical.t_end", float("inf")),
+            ("physical.A", float("nan")),
+            ("physical.env", {"kind": "sinusoidal_in_x", "amplitude": float("nan")}),
+            ("physical.initial", {"N0": {"kind": "constant", "value": float("inf")}}),
+            ("physical.gamma", 10**400),
+            ("numerical.trait_bounds", [-8.0, float("inf")]),
+        ],
+        ids=["t_end-inf", "A-nan", "env-nan", "N0-inf", "gamma-1e400", "trait_bounds-inf"],
+    )
+    def test_non_finite_numbers(self, tmp_path, capsys, path, value):
+        doc = self.doc()
+        section, key = path.split(".")
+        doc[section][key] = value
+        assert "must be finite" in assert_one_line_rejection(tmp_path, capsys, doc)
+
+
 class TestConfigToRunContract:
     def test_auto_cadence_on_a_ragged_horizon(self, tmp_path, monkeypatch):
         # 350 steps: the rounded pick t_end / (100 dt) = 3 does not divide them.
@@ -229,11 +324,13 @@ class TestSimulateCommands:
 
 class TestGammaSweep:
     def test_planted_exponent_is_recovered_exactly(self, tmp_path, monkeypatch):
+        # The production sweep path must aggregate the planted suprema and fit
+        # them to theta = 1/2 exactly.
+        monkeypatch.setattr(experiments, "run_compare", planted_compare)
         monkeypatch.chdir(tmp_path)
         doc = json.loads(json.dumps(SMALL_COMPARE))
         del doc["physical"]["gamma"]
         doc["physical"]["gamma_list"] = [2.0, 4.0, 8.0, 16.0, 32.0]
-        doc["test_hooks"] = {"planted_theta": 0.5, "planted_c": 3.0}
         cfg = write_config(tmp_path, doc)
         assert run_cli("gamma-sweep", "--config", cfg, "--out", "sw") == 0
         summary = json.loads(pathlib.Path("sw/sweep_summary.json").read_text())
@@ -245,9 +342,6 @@ class TestGammaSweep:
         doc = json.loads(json.dumps(SMALL_COMPARE))
         del doc["physical"]["gamma"]
         doc["physical"]["gamma_list"] = [4.0]
-        cfg = write_config(tmp_path, doc)
-        assert run_cli("gamma-sweep", "--config", cfg, "--out", str(tmp_path / "o")) == 1
-        doc["test_hooks"] = {"planted_theta": 0.5}
         cfg = write_config(tmp_path, doc)
         assert run_cli("gamma-sweep", "--config", cfg, "--out", str(tmp_path / "o")) == 1
         assert not (tmp_path / "o").exists()
@@ -262,6 +356,32 @@ class TestGammaSweep:
         assert run_cli("gamma-sweep", "--config", cfg, "--out", str(tmp_path / "o")) == 1
         assert "gauss_dev" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_pool_has_at_most_one_worker_per_gamma(self, monkeypatch):
+        # A fork pool starts all its workers at the first submit.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiments.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(experiments, "run_compare", planted_compare)
+        doc = json.loads(json.dumps(SMALL_COMPARE))
+        del doc["physical"]["gamma"]
+        doc["physical"]["gamma_list"] = [4.0, 8.0, 16.0]
+        report, results = experiments.run_gamma_sweep(parse_config(doc), jobs=64)
+        assert sizes == [3]
+        assert sorted(results) == [4.0, 8.0, 16.0]
 
     def test_parallel_sweep_is_byte_identical(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -284,8 +404,8 @@ class TestGammaSweep:
 
 
 class TestCheckOperator:
-    def small_doc(self, hooks=None):
-        doc = {
+    def small_doc(self):
+        return {
             "physical": {"A": 1.0, "gamma": 8.0, "env": {"kind": "constant", "value": 0.0}},
             "numerical": {
                 "space_points": 32,
@@ -298,9 +418,6 @@ class TestCheckOperator:
             },
             "output": {"directory": "out"},
         }
-        if hooks:
-            doc["test_hooks"] = hooks
-        return doc
 
     def test_default_config_passes(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -313,10 +430,15 @@ class TestCheckOperator:
         assert "pass" in capsys.readouterr().out
 
     def test_broken_kernel_fails_mass_conservation(self, tmp_path, monkeypatch):
+        # The kernel the suite builds integrates to 1.01; parse_config holds its
+        # own reference to segregation_kernel, so the document still parses.
+        def broken_kernel(A, grid):
+            table, defect = segregation_kernel(A, grid)
+            return 1.01 * table, defect
+
+        monkeypatch.setattr(infinitesimal, "segregation_kernel", broken_kernel)
         monkeypatch.chdir(tmp_path)
-        cfg = write_config(
-            tmp_path, self.small_doc(hooks={"break_kernel_normalization": True})
-        )
+        cfg = write_config(tmp_path, self.small_doc())
         assert run_cli("check-operator", "--config", cfg, "--out", "op") == 3
         report = json.loads(pathlib.Path("op/operator_report.json").read_text())
         failed = {c["name"] for c in report["checks"] if not c["passed"]}

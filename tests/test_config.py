@@ -112,9 +112,9 @@ class TestParsing:
         with pytest.raises(ConfigError, match="N0"):
             parse_config(doc(**{"physical.initial": {"N0": {"kind": "constant", "value": 0.0}}}))
 
-    def test_planted_c_requires_theta(self):
-        with pytest.raises(ConfigError, match="planted_theta"):
-            parse_config(doc(test_hooks={"planted_c": 2.0}))
+    def test_test_hooks_section_rejected(self):
+        with pytest.raises(ConfigError, match="unknown key 'test_hooks'"):
+            parse_config(doc(test_hooks={"planted_theta": 0.5}))
 
     def test_bad_diagnostics_rejected(self):
         with pytest.raises(ConfigError, match="diagnostics"):
@@ -156,10 +156,10 @@ class TestRoundTrip:
         again = parse_config(cfg.to_json())
         assert again == cfg
 
-    def test_round_trip_with_hooks_and_gamma_list(self):
-        base = doc(test_hooks={"planted_theta": 0.5, "planted_c": 3.0})
+    def test_round_trip_with_gamma_list(self):
+        base = doc()
         base["physical"]["gamma_list"] = [2.0, 4.0, 8.0]
         del base["physical"]["gamma"]
         cfg = parse_config(base)
         assert parse_config(cfg.to_json()) == cfg
-        assert cfg.hooks() == {"planted_c": 3.0, "planted_theta": 0.5}
+        assert cfg.gamma_list == (2.0, 4.0, 8.0) and cfg.gamma is None
