@@ -74,9 +74,10 @@ def _load_config(args) -> RunConfig:
 
 
 def _series_from_trajectory(config, traj, kind):
-    want = set(config.diagnostics)
     if kind == "sim":
-        header = ["t", "mass", "N_min", "N_max", "Z_min", "Z_max"]
+        header = [
+            "t", "mass", "N_min", "N_max", "Z_min", "Z_max", "v_max", "gauss_dev", "mass_leak_rate"
+        ]
         h_x = traj.snapshots[0].space.spacing
         mass = np.array([s.n.sum() * s.trait.spacing * h_x for s in traj.snapshots])
         cols = [
@@ -86,16 +87,10 @@ def _series_from_trajectory(config, traj, kind):
             traj.N.max(axis=1),
             traj.Z.min(axis=1),
             traj.Z.max(axis=1),
+            traj.V.max(axis=1),
+            np.array([gaussian_deviation(s, config.A) for s in traj.snapshots]),
+            traj.leak_rate,
         ]
-        if "v_max" in want:
-            header.append("v_max")
-            cols.append(traj.V.max(axis=1))
-        if "gauss_dev" in want:
-            header.append("gauss_dev")
-            cols.append(np.array([gaussian_deviation(s, config.A) for s in traj.snapshots]))
-        if "mass_leak" in want:
-            header.append("mass_leak_rate")
-            cols.append(traj.leak_rate)
     else:
         header = ["t", "N_min", "N_max", "Z_min", "Z_max"]
         cols = [
@@ -109,11 +104,12 @@ def _series_from_trajectory(config, traj, kind):
 
 
 def _cmd_simulate_sim(config: RunConfig) -> int:
+    params = config.sim_params()
     out = ensure_dir(config.out_dir)
     snap_dir = ensure_dir(os.path.join(out, "snapshots"))
     doc = config.to_dict()
     state0 = init_state(config)
-    traj = run_sim(state0, config.sim_params(), config.env, config.t_end)
+    traj = run_sim(state0, params, config.env, config.t_end)
     for idx, state in enumerate(traj.snapshots):
         meta = {
             "space": {"points": state.space.points_per_dim, "period": state.space.period},
@@ -158,8 +154,8 @@ def _cmd_simulate_kbm(config: RunConfig) -> int:
     doc = config.to_dict()
     space = config.space_grid()
     x = space.centers
-    n0 = config.n0_values(x)
-    state0 = MacroState(0.0, n0, n0 * config.z0_values(x), space)
+    n0 = config.n0.evaluate(0.0, x)
+    state0 = MacroState(0.0, n0, n0 * config.z0.evaluate(0.0, x), space)
     traj = run_kbm(
         state0, config.env, config.A, config.dt, config.t_end, config.snapshot_dt
     )

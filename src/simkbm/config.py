@@ -19,49 +19,13 @@ from .infinitesimal import KERNEL_MASS_DEFECT_TOL, segregation_kernel
 from .sim_solver import INIT_MARGIN_SIGMAS, SimParams, max_stable_dt
 
 TRAIT_MARGIN_SIGMAS = 8.0
-DIAGNOSTIC_NAMES = ("gauss_dev", "v_max", "mass_leak", "holder")
+# 400 times the standard run; a trait grid far from the optimal trait makes
+# the stability bound on dt, and so the step count, unbounded.
+MAX_STEPS = 10**6
 
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclasses.dataclass(frozen=True)
-class SpatialProfile:
-    """Named function family for initial fields on the torus."""
-
-    kind: str
-    value: float = 0.0
-    offset: float = 0.0
-    amplitude: float = 0.0
-    wavenumber: int = 1
-
-    def __post_init__(self):
-        if self.kind not in ("constant", "sinusoidal"):
-            raise ConfigError(f"unknown profile kind {self.kind!r}")
-
-    def evaluate(self, x, period: float):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "constant":
-            return np.full_like(x, self.value)
-        return self.offset + self.amplitude * np.sin(
-            2.0 * np.pi * self.wavenumber * x / period
-        )
-
-    def bounds(self):
-        if self.kind == "constant":
-            return self.value, self.value
-        return self.offset - abs(self.amplitude), self.offset + abs(self.amplitude)
-
-    def to_dict(self):
-        if self.kind == "constant":
-            return {"kind": "constant", "value": self.value}
-        return {
-            "kind": "sinusoidal",
-            "offset": self.offset,
-            "amplitude": self.amplitude,
-            "wavenumber": self.wavenumber,
-        }
 
 
 def _require_keys(doc: dict, allowed: set, path: str):
@@ -105,42 +69,27 @@ def _get_int(doc: dict, key: str, path: str, default=None, minimum=None):
     return v
 
 
-def _parse_profile(doc, path: str, default: SpatialProfile) -> SpatialProfile:
-    if doc is None:
-        return default
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path} must be an object")
-    kind = doc.get("kind")
-    if kind == "constant":
-        _require_keys(doc, {"kind", "value"}, path)
-        return SpatialProfile(kind="constant", value=_get_number(doc, "value", path))
-    if kind == "sinusoidal":
-        _require_keys(doc, {"kind", "offset", "amplitude", "wavenumber"}, path)
-        return SpatialProfile(
-            kind="sinusoidal",
-            offset=_get_number(doc, "offset", path, default=0.0),
-            amplitude=_get_number(doc, "amplitude", path),
-            wavenumber=_get_int(doc, "wavenumber", path, default=1, minimum=1),
-        )
-    raise ConfigError(f"{path}.kind must be 'constant' or 'sinusoidal', got {kind!r}")
+ENV_NAMES = {kind: kind for kind in ENV_KINDS}
+PROFILE_NAMES = {"constant": "constant", "sinusoidal": "sinusoidal_in_x"}
 
 
-def _parse_env(doc, path: str, period: float) -> Environment:
-    if doc is None:
-        return Environment(kind="constant", offset=0.0, period=period)
+def _parse_env(doc, path: str, period: float, names: dict, value=None) -> Environment:
+    """The field a document object describes.  `names` maps its kind names to
+    Environment kinds; `value` is the default of a constant's "value" (None: required)."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{path} must be an object")
-    kind = doc.get("kind")
-    if kind not in ENV_KINDS:
-        raise ConfigError(f"{path}.kind must be one of {ENV_KINDS}, got {kind!r}")
+    name = doc.get("kind")
+    if name not in names:
+        raise ConfigError(f"{path}.kind must be one of {tuple(names)}, got {name!r}")
+    kind = names[name]
     keys = {"kind"}
     kwargs = {"kind": kind, "period": period}
     if kind == "constant":
         keys |= {"value"}
-        kwargs["offset"] = _get_number(doc, "value", path, default=0.0)
+        kwargs["offset"] = _get_number(doc, "value", path, default=value)
     if kind == "affine_in_t":
         keys |= {"value", "rate"}
-        kwargs["offset"] = _get_number(doc, "value", path, default=0.0)
+        kwargs["offset"] = _get_number(doc, "value", path, default=value)
         kwargs["rate"] = _get_number(doc, "rate", path)
     if kind in ("sinusoidal_in_x", "sinusoidal_plus_drift"):
         keys |= {"offset", "amplitude", "wavenumber"}
@@ -154,8 +103,8 @@ def _parse_env(doc, path: str, period: float) -> Environment:
     return Environment(**kwargs)
 
 
-def _env_to_dict(env: Environment) -> dict:
-    out = {"kind": env.kind}
+def _env_to_dict(env: Environment, names: dict) -> dict:
+    out = {"kind": next(name for name, kind in names.items() if kind == env.kind)}
     if env.kind == "constant":
         out["value"] = env.offset
     elif env.kind == "affine_in_t":
@@ -176,8 +125,8 @@ class RunConfig:
     gamma: float | None
     gamma_list: tuple | None
     env: Environment
-    n0: SpatialProfile
-    z0: SpatialProfile
+    n0: Environment
+    z0: Environment
     v0: float
     space_points: int
     period: float
@@ -189,19 +138,12 @@ class RunConfig:
     seed: int
     out_dir: str
     text: bool
-    diagnostics: tuple
 
     def space_grid(self) -> TorusGrid:
         return TorusGrid(self.space_points, self.period)
 
     def trait_grid(self) -> TraitGrid:
         return TraitGrid(self.trait_bounds[0], self.trait_bounds[1], self.trait_points)
-
-    def n0_values(self, x):
-        return self.n0.evaluate(x, self.period)
-
-    def z0_values(self, x):
-        return self.z0.evaluate(x, self.period)
 
     def sim_params(self, gamma: float | None = None) -> SimParams:
         g = self.gamma if gamma is None else gamma
@@ -212,10 +154,10 @@ class RunConfig:
     def to_dict(self) -> dict:
         physical = {
             "A": self.A,
-            "env": _env_to_dict(self.env),
+            "env": _env_to_dict(self.env, ENV_NAMES),
             "initial": {
-                "N0": self.n0.to_dict(),
-                "Z0": self.z0.to_dict(),
+                "N0": _env_to_dict(self.n0, PROFILE_NAMES),
+                "Z0": _env_to_dict(self.z0, PROFILE_NAMES),
                 "V0": self.v0,
             },
         }
@@ -236,11 +178,7 @@ class RunConfig:
                 "snapshot_dt": self.snapshot_dt,
                 "seed": self.seed,
             },
-            "output": {
-                "directory": self.out_dir,
-                "text": self.text,
-                "diagnostics": list(self.diagnostics),
-            },
+            "output": {"directory": self.out_dir, "text": self.text},
         }
 
     def to_json(self) -> str:
@@ -316,7 +254,10 @@ def parse_config(source) -> RunConfig:
     if seed >= 2**64:
         raise ConfigError("numerical.seed must fit in 64 bits")
 
-    env = _parse_env(phys.get("env"), "physical.env", period)
+    env = phys.get("env")
+    if env is None:
+        env = {"kind": "constant"}
+    env = _parse_env(env, "physical.env", period, ENV_NAMES, value=0.0)
 
     init = phys.get("initial")
     if init is None:
@@ -324,9 +265,17 @@ def parse_config(source) -> RunConfig:
     if not isinstance(init, dict):
         raise ConfigError("physical.initial must be an object")
     _require_keys(init, {"N0", "Z0", "V0"}, "physical.initial")
-    n0 = _parse_profile(init.get("N0"), "physical.initial.N0", SpatialProfile("constant", value=1.0))
-    z0 = _parse_profile(init.get("Z0"), "physical.initial.Z0", SpatialProfile("constant", value=0.0))
-    n0_lo, _ = n0.bounds()
+    # The initial fields are read at t = 0: [constant 1] for N0, [constant 0] for Z0.
+    n0, z0 = (
+        _parse_env(
+            {"kind": "constant", "value": value} if init.get(key) is None else init[key],
+            f"physical.initial.{key}",
+            period,
+            PROFILE_NAMES,
+        )
+        for key, value in (("N0", 1.0), ("Z0", 0.0))
+    )
+    n0_lo, n0_hi = n0.value_range(0.0)
     if n0_lo <= 0:
         raise ConfigError(f"physical.initial.N0 must be positive everywhere (min = {n0_lo:g})")
     v0 = init.get("V0", "auto")
@@ -334,7 +283,7 @@ def parse_config(source) -> RunConfig:
         v0 = A
     else:
         v0 = _get_number(init, "V0", "physical.initial", positive=True)
-    z_lo, z_hi = z0.bounds()
+    z_lo, z_hi = z0.value_range(0.0)
 
     # Trait truncation: cover the optimal-trait envelope and the initial means
     # with 8 standard deviations of headroom; Gaussian tails beyond that are
@@ -367,7 +316,6 @@ def parse_config(source) -> RunConfig:
             f"{0.9 * math.sqrt(0.5 * A):.4g} and the grid at least about 7*sqrt(A/2) wide; "
             "raise numerical.trait_points"
         )
-    _, n0_hi = n0.bounds()
     try:
         dt_cap = max_stable_dt(A, trait, env, n0_hi, t_end)
     except OverflowError:
@@ -403,8 +351,13 @@ def parse_config(source) -> RunConfig:
             "not finite: numerical.period is out of range"
         )
 
-    # The cadence, in steps, must divide the step count (sim_solver.plan_steps).
     n_steps = round(t_end / dt)
+    if n_steps > MAX_STEPS:
+        raise ConfigError(
+            f"the run needs {n_steps} time steps of dt = {dt:.3g}, more than {MAX_STEPS}: shorten "
+            "numerical.t_end or bring numerical.trait_bounds closer to the optimal trait"
+        )
+    # The cadence, in steps, must divide the step count (sim_solver.plan_steps).
     snapshot_dt = num.get("snapshot_dt", "auto")
     if snapshot_dt == "auto":
         # About 100 snapshots: the largest divisor of the step count up to t_end / (100 dt).
@@ -423,16 +376,13 @@ def parse_config(source) -> RunConfig:
     out = doc.get("output", {})
     if not isinstance(out, dict):
         raise ConfigError("'output' must be an object")
-    _require_keys(out, {"directory", "text", "diagnostics"}, "output")
+    _require_keys(out, {"directory", "text"}, "output")
     out_dir = out.get("directory", "out")
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError("output.directory must be a non-empty string")
     text = out.get("text", False)
     if not isinstance(text, bool):
         raise ConfigError("output.text must be a boolean")
-    diagnostics = out.get("diagnostics", list(DIAGNOSTIC_NAMES))
-    if not isinstance(diagnostics, list) or any(d not in DIAGNOSTIC_NAMES for d in diagnostics):
-        raise ConfigError(f"output.diagnostics entries must be among {DIAGNOSTIC_NAMES}")
 
     return RunConfig(
         A=A,
@@ -452,5 +402,4 @@ def parse_config(source) -> RunConfig:
         seed=seed,
         out_dir=out_dir,
         text=text,
-        diagnostics=tuple(diagnostics),
     )

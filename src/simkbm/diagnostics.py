@@ -13,7 +13,7 @@ import numpy as np
 
 from .environment import Environment
 from .grids import TorusGrid
-from .measures import GridMeasure, gaussian_on_grid, wasserstein
+from .measures import PROBABILITY_TOL, GridMeasure, gaussian_on_grid, wasserstein
 from .sim_solver import KineticState, SimulationError, kinetic_moments
 
 
@@ -41,7 +41,8 @@ def gaussian_deviation(state: KineticState, A: float) -> float:
 
     For exactly Gaussian columns this sits at the discretization floor
     (below 2 trait spacings); for a kinetic run it tracks how far the
-    profile is from local equilibrium.
+    profile is from local equilibrium.  Raises SimulationError when the
+    reference Gaussian is not a probability measure on the trait grid.
     """
     moms = kinetic_moments(state)
     trait = state.trait
@@ -49,6 +50,12 @@ def gaussian_deviation(state: KineticState, A: float) -> float:
     for i in range(state.space.points_per_dim):
         profile = GridMeasure(trait, state.n[i] / moms.N[i])
         target = gaussian_on_grid(moms.Z[i], A, trait)
+        if abs(target.mass - 1.0) > PROBABILITY_TOL:
+            raise SimulationError(
+                f"the reference Gaussian of variance A at Z = {moms.Z[i]:.6g} holds mass "
+                f"{target.mass:.12f} on the trait grid: widen numerical.trait_bounds",
+                {"t": state.t, "mass": target.mass},
+            )
         worst = max(worst, wasserstein(profile, target, 2))
     return worst
 

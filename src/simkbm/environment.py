@@ -1,4 +1,4 @@
-"""Optimal-trait fields on the torus: bounded, continuously differentiable, periodic in x."""
+"""Fields on the torus: bounded, continuously differentiable, periodic in x."""
 
 from __future__ import annotations
 
@@ -11,12 +11,12 @@ ENV_KINDS = ("constant", "affine_in_t", "sinusoidal_in_x", "sinusoidal_plus_drif
 
 @dataclasses.dataclass(frozen=True)
 class Environment:
-    """Evaluable optimal-trait field y_opt(t, x) with explicit W^{1,inf} bounds.
+    """Evaluable field f(t, x) with explicit W^{1,inf} bounds: y_opt, and N0, Z0 at t = 0.
 
     kinds:
-      constant             y_opt = offset
-      affine_in_t          y_opt = offset + rate * t
-      sinusoidal_in_x      y_opt = offset + amplitude * sin(2 pi k x / period)
+      constant             f = offset
+      affine_in_t          f = offset + rate * t
+      sinusoidal_in_x      f = offset + amplitude * sin(2 pi k x / period)
       sinusoidal_plus_drift  the sinusoid plus rate * t
     """
 
@@ -51,7 +51,7 @@ class Environment:
         return out
 
     def value_range(self, t_end: float):
-        """Envelope of y_opt over [0, t_end] x torus, used for trait truncation."""
+        """Envelope of f over [0, t_end] x torus, used for trait truncation."""
         lo = hi = self.offset
         if self._has_wave():
             lo -= abs(self.amplitude)

@@ -74,9 +74,8 @@ def run_compare(config: RunConfig, gamma: float | None = None) -> CompareResult:
     state0 = init_state(config)
     sim = run_sim(state0, params, env, config.t_end)
 
-    n0 = config.n0_values(x)
-    z0 = config.z0_values(x)
-    macro0 = MacroState(0.0, n0, n0 * z0, space)
+    n0 = config.n0.evaluate(0.0, x)
+    macro0 = MacroState(0.0, n0, n0 * config.z0.evaluate(0.0, x), space)
     kbm = run_kbm(macro0, env, config.A, config.dt, config.t_end, config.snapshot_dt)
 
     if len(sim.times) != len(kbm.times) or np.max(np.abs(sim.times - kbm.times)) > 1e-9:
@@ -84,11 +83,7 @@ def run_compare(config: RunConfig, gamma: float | None = None) -> CompareResult:
 
     err_N = np.abs(sim.N - kbm.N).max(axis=1)
     err_Z = np.abs(sim.Z - kbm.Z).max(axis=1)
-    want = set(config.diagnostics)
-    if "gauss_dev" in want:
-        gauss = np.array([gaussian_deviation(s, config.A) for s in sim.snapshots])
-    else:
-        gauss = np.zeros_like(sim.times)
+    gauss = np.array([gaussian_deviation(s, config.A) for s in sim.snapshots])
     v_max = sim.V.max(axis=1)
     leak = sim.leak_rate
 
@@ -116,12 +111,10 @@ def run_compare(config: RunConfig, gamma: float | None = None) -> CompareResult:
         "min_density": sim.diagnostics.min_density_seen,
         "positivity_clips": sim.diagnostics.positivity_clips,
     }
-    holder = {}
-    if "holder" in want:
-        holder = {
-            "N_theta_0.5": holder_quotient(sim.times, space, sim.N, 0.5),
-            "Z_theta_0.5": holder_quotient(sim.times, space, sim.Z, 0.5),
-        }
+    holder = {
+        "N_theta_0.5": holder_quotient(sim.times, space, sim.N, 0.5),
+        "Z_theta_0.5": holder_quotient(sim.times, space, sim.Z, 0.5),
+    }
 
     return CompareResult(
         gamma=gamma,
@@ -146,8 +139,6 @@ def run_gamma_sweep(config: RunConfig, jobs: int = 1):
     """Per-gamma compare runs aggregated into a SweepReport with power-law fits."""
     if config.gamma_list is None or len(config.gamma_list) < 3:
         raise ConfigError("gamma-sweep needs physical.gamma_list with >= 3 values")
-    if "gauss_dev" not in config.diagnostics:
-        raise ConfigError("gamma-sweep fits gauss_dev_sup: output.diagnostics needs gauss_dev")
     gammas = list(config.gamma_list)
     results = {}
     if jobs > 1:

@@ -144,7 +144,7 @@ def init_state(config) -> KineticState:
     trait = config.trait_grid()
     x = space.centers
     return gaussian_initial_state(
-        space, trait, config.n0_values(x), config.z0_values(x), config.v0
+        space, trait, config.n0.evaluate(0.0, x), config.z0.evaluate(0.0, x), config.v0
     )
 
 

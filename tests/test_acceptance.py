@@ -62,7 +62,7 @@ STANDARD_DOC = {
         "snapshot_dt": 0.05,
         "seed": 1,
     },
-    "output": {"directory": "out", "diagnostics": ["gauss_dev", "v_max", "mass_leak"]},
+    "output": {"directory": "out"},
 }
 
 

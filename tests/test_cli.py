@@ -31,7 +31,7 @@ SMALL_COMPARE = {
         "snapshot_dt": 0.1,
         "seed": 7,
     },
-    "output": {"directory": "out", "diagnostics": ["gauss_dev", "v_max", "mass_leak", "holder"]},
+    "output": {"directory": "out"},
 }
 
 
@@ -54,7 +54,7 @@ def planted_compare(config, gamma):
 
 
 def assert_one_line_rejection(tmp_path, capsys, doc, *flags, commands=("compare",)):
-    """Every command exits 1 at parse time with one stderr line; a warning is an error."""
+    """Every command exits 1 with one stderr line and writes nothing; a warning is an error."""
     cfg = write_config(tmp_path, doc)
     for command in commands:
         out = tmp_path / f"out-{command}"
@@ -107,7 +107,7 @@ class TestCompareCommand:
                 "snapshot_dt": 0.1,
                 "seed": 1,
             },
-            "output": {"directory": "out", "diagnostics": ["gauss_dev", "v_max", "mass_leak"]},
+            "output": {"directory": "out"},
         }
         cfg = write_config(tmp_path, cfg_doc)
         assert run_cli("compare", "--config", cfg, "--out", "out") == 0
@@ -176,6 +176,39 @@ class TestExitCodes:
         assert run_cli("simulate-kbm", "--config", cfg, "--out", str(tmp_path / "o")) == 2
         assert "floor" in capsys.readouterr().err
 
+    def test_reference_gaussian_short_of_mass_is_exit_two(self, tmp_path, capsys):
+        # The bounds clear Z0 by 4.24 sqrt(V0), enough for the initial columns,
+        # but the reference Gaussian of variance A holds only 0.99998 on the grid.
+        doc = {
+            "physical": {
+                "A": 2.0,
+                "gamma": 1.0,
+                "env": {"kind": "constant", "value": 0.0},
+                "initial": {
+                    "N0": {"kind": "constant", "value": 1.0},
+                    "Z0": {"kind": "constant", "value": 0.0},
+                    "V0": "auto",
+                },
+            },
+            "numerical": {
+                "space_points": 16,
+                "trait_points": 64,
+                "t_end": 0.02,
+                "seed": 0,
+                "trait_bounds": [-6.0, 6.0],
+            },
+        }
+        sweep = json.loads(json.dumps(doc))
+        del sweep["physical"]["gamma"]
+        sweep["physical"]["gamma_list"] = [1.0, 2.0, 4.0]
+        for command, cfg_doc in (("simulate-sim", doc), ("compare", doc), ("gamma-sweep", sweep)):
+            cfg = write_config(tmp_path, cfg_doc, f"{command}.json")
+            with warnings.catch_warnings(record=True):
+                rc = run_cli(command, "--config", cfg, "--out", str(tmp_path / command))
+            err = capsys.readouterr().err
+            assert rc == 2 and err.count("\n") == 1, (command, err)
+            assert "reference Gaussian" in err and "'t': 0.0" in err, (command, err)
+
 
 class TestRejectedAtParse:
     COMMANDS = ("simulate-sim", "simulate-kbm", "compare", "gamma-sweep", "check-operator")
@@ -221,6 +254,24 @@ class TestRejectedAtParse:
         doc["physical"]["env"] = env
         assert "reaction bound" in assert_one_line_rejection(tmp_path, capsys, doc)
 
+    @pytest.mark.parametrize(
+        "env, numerical",
+        [
+            (
+                {"kind": "sinusoidal_in_x", "amplitude": 1e4},
+                {"trait_bounds": [-8.0, 8.0], "trait_points": 256},
+            ),
+            ({"kind": "constant"}, {"dt": 1e-6, "t_end": 1000.0}),
+        ],
+        ids=["far-optimal-trait", "explicit-dt"],
+    )
+    def test_step_count_cap(self, tmp_path, capsys, env, numerical):
+        # 80 million and a billion steps.
+        doc = self.doc(**numerical)
+        doc["physical"]["env"] = env
+        err = assert_one_line_rejection(tmp_path, capsys, doc, commands=self.COMMANDS)
+        assert "time steps" in err
+
     @pytest.mark.parametrize("period", [1e-300, 1e300])
     def test_diffusion_ratio_out_of_range(self, tmp_path, capsys, period):
         doc = self.doc(period=period)
@@ -252,7 +303,6 @@ class TestConfigToRunContract:
         doc = json.loads(json.dumps(SMALL_COMPARE))
         doc["numerical"].update({"dt": 0.002, "t_end": 0.7})
         del doc["numerical"]["snapshot_dt"]
-        doc["output"]["diagnostics"] = ["v_max", "mass_leak"]
         cfg = write_config(tmp_path, doc)
         assert run_cli("compare", "--config", cfg, "--out", "out") == 0
         _, cols = read_csv("out/compare_series.csv")
@@ -293,6 +343,13 @@ class TestConfigToRunContract:
         assert run_cli("compare", "--config", cfg, "--out", str(tmp_path / "o")) == 1
         assert "3 snapshots" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_single_gamma_commands_reject_a_gamma_list(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(SMALL_COMPARE))
+        del doc["physical"]["gamma"]
+        doc["physical"]["gamma_list"] = [4.0, 8.0, 16.0]
+        err = assert_one_line_rejection(tmp_path, capsys, doc, commands=("simulate-sim", "compare"))
+        assert "physical.gamma" in err
 
     def test_jobs_is_a_gamma_sweep_option(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_COMPARE)
@@ -344,17 +401,6 @@ class TestGammaSweep:
         doc["physical"]["gamma_list"] = [4.0]
         cfg = write_config(tmp_path, doc)
         assert run_cli("gamma-sweep", "--config", cfg, "--out", str(tmp_path / "o")) == 1
-        assert not (tmp_path / "o").exists()
-
-    def test_sweep_without_gauss_dev_rejected(self, tmp_path, capsys):
-        # All-zero gauss_dev errors cannot be fitted by a power law.
-        doc = json.loads(json.dumps(SMALL_COMPARE))
-        del doc["physical"]["gamma"]
-        doc["physical"]["gamma_list"] = [4.0, 8.0, 16.0]
-        doc["output"]["diagnostics"] = ["v_max"]
-        cfg = write_config(tmp_path, doc)
-        assert run_cli("gamma-sweep", "--config", cfg, "--out", str(tmp_path / "o")) == 1
-        assert "gauss_dev" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_pool_has_at_most_one_worker_per_gamma(self, monkeypatch):

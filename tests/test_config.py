@@ -117,8 +117,23 @@ class TestParsing:
             parse_config(doc(test_hooks={"planted_theta": 0.5}))
 
     def test_bad_diagnostics_rejected(self):
-        with pytest.raises(ConfigError, match="diagnostics"):
-            parse_config(doc(output={"diagnostics": ["spectra"]}))
+        # Every run writes every diagnostic, so no key selects them.
+        with pytest.raises(ConfigError, match="unknown key 'diagnostics' in output"):
+            parse_config(doc(output={"diagnostics": ["gauss_dev"]}))
+
+    @pytest.mark.parametrize("field", ["N0", "Z0"])
+    @pytest.mark.parametrize(
+        "profile, message",
+        [
+            ({"kind": "sinusoidal_in_x", "amplitude": 0.1}, "physical.initial.{field}.kind"),
+            ({"kind": "affine_in_t", "value": 1.0, "rate": 0.1}, "physical.initial.{field}.kind"),
+            ({"kind": "constant"}, "missing required key physical.initial.{field}.value"),
+        ],
+        ids=["sinusoidal_in_x", "affine_in_t", "constant-without-value"],
+    )
+    def test_initial_fields_take_only_their_own_kinds(self, field, profile, message):
+        with pytest.raises(ConfigError, match=message.format(field=field)):
+            parse_config(doc(**{f"physical.initial.{field}": profile}))
 
     def test_environment_kinds(self):
         cfg = parse_config(
@@ -143,7 +158,7 @@ class TestRoundTrip:
                     },
                     "physical.initial": {
                         "N0": {"kind": "sinusoidal", "offset": 1.0, "amplitude": 0.2, "wavenumber": 1},
-                        "Z0": {"kind": "constant", "value": 0.1},
+                        "Z0": {"kind": "sinusoidal", "offset": 0.1, "amplitude": 0.2, "wavenumber": 3},
                         "V0": 0.8,
                     },
                     "numerical.dt": 0.002,
@@ -155,6 +170,11 @@ class TestRoundTrip:
         )
         again = parse_config(cfg.to_json())
         assert again == cfg
+        assert cfg.to_dict()["physical"]["initial"] == {
+            "N0": {"kind": "sinusoidal", "offset": 1.0, "amplitude": 0.2, "wavenumber": 1},
+            "Z0": {"kind": "sinusoidal", "offset": 0.1, "amplitude": 0.2, "wavenumber": 3},
+            "V0": 0.8,
+        }
 
     def test_round_trip_with_gamma_list(self):
         base = doc()

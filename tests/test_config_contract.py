@@ -4,8 +4,13 @@ A document that parse_config rejects makes every command exit 1 with a
 one-line message.  A document it accepts makes every command finish with
 exit 0 (3 for a failing operator suite) or stop with exit 2 and a one-line
 reason; a command exits 1 only when the document lacks what that command
-needs (a single gamma, three or more gammas and the gauss_dev diagnostic
-for a sweep, three or more snapshots).  No command raises.
+needs (a single gamma, three or more gammas for a sweep, three or more
+snapshots).  No command raises.
+
+Hypothesis draws some values from the literal constants of the loaded
+modules, so the 25 derandomized documents change with edits to the package
+and the tests and with which test files are collected.  Documents that must
+always run are pinned as examples.
 """
 
 import contextlib
@@ -14,11 +19,11 @@ import json
 import os
 import warnings
 
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from simkbm.cli import main
-from simkbm.config import DIAGNOSTIC_NAMES, ConfigError, parse_config
+from simkbm.config import ConfigError, parse_config
 
 COMMANDS = ("simulate-sim", "simulate-kbm", "compare", "gamma-sweep", "check-operator")
 
@@ -94,11 +99,7 @@ def documents(draw):
         numerical["dt"] = dt
         if draw(st.booleans()):
             numerical["snapshot_dt"] = dt * draw(st.integers(1, 60))
-    output = {
-        "text": draw(st.booleans()),
-        "diagnostics": draw(st.lists(st.sampled_from(DIAGNOSTIC_NAMES), unique=True)),
-    }
-    return {"physical": physical, "numerical": numerical, "output": output}
+    return {"physical": physical, "numerical": numerical, "output": {"text": draw(st.booleans())}}
 
 
 def _allowed_exits(config, command):
@@ -107,11 +108,7 @@ def _allowed_exits(config, command):
         return {0, 3}
     if command in ("simulate-sim", "compare") and config.gamma is None:
         return {1}
-    if command == "gamma-sweep" and (
-        config.gamma_list is None
-        or len(config.gamma_list) < 3
-        or "gauss_dev" not in config.diagnostics
-    ):
+    if command == "gamma-sweep" and (config.gamma_list is None or len(config.gamma_list) < 3):
         return {1}
     if command in ("compare", "gamma-sweep") and too_few_snapshots:
         return {1}
@@ -126,8 +123,23 @@ def _run(workdir, command, config_path):
     return rc, err.getvalue()
 
 
+# Bounds that clear Z0 by 4.24 sqrt(V0) hold the initial columns but not the
+# reference Gaussian of variance A = 2: exit 2 wherever gauss_dev is computed.
+_SHORT_BOUNDS = {"space_points": 16, "trait_points": 64, "t_end": 0.02, "trait_bounds": [-6.0, 6.0]}
+
+
 @settings(max_examples=25, derandomize=True, deadline=None, database=None)
 @given(documents())
+@example(doc={"physical": {"A": 2.0, "gamma": 1.0}, "numerical": _SHORT_BOUNDS})
+@example(doc={"physical": {"A": 2.0, "gamma_list": [1.0, 2.0, 4.0]}, "numerical": _SHORT_BOUNDS})
+# A far optimal trait (80 million steps) and a tiny dt (a billion steps): exit 1.
+@example(
+    doc={
+        "physical": {"A": 1.0, "gamma": 8.0, "env": {"kind": "sinusoidal_in_x", "amplitude": 1e4}},
+        "numerical": {"t_end": 0.2, "trait_bounds": [-8.0, 8.0], "trait_points": 256},
+    }
+)
+@example(doc={"physical": {"A": 1.0, "gamma": 8.0}, "numerical": {"dt": 1e-6, "t_end": 1000.0}})
 def test_every_command_honours_the_exit_contract(tmp_path_factory, doc):
     try:
         config = parse_config(doc)
