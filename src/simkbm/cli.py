@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -105,11 +106,13 @@ def _series_from_trajectory(config, traj, kind):
 
 def _cmd_simulate_sim(config: RunConfig) -> int:
     params = config.sim_params()
+    state0 = init_state(config)
+    traj = run_sim(state0, params, config.env, config.t_end)
+    # The series can still raise (gauss_dev), so it comes before any output.
+    header, cols = _series_from_trajectory(config, traj, "sim")
     out = ensure_dir(config.out_dir)
     snap_dir = ensure_dir(os.path.join(out, "snapshots"))
     doc = config.to_dict()
-    state0 = init_state(config)
-    traj = run_sim(state0, params, config.env, config.t_end)
     for idx, state in enumerate(traj.snapshots):
         meta = {
             "space": {"points": state.space.points_per_dim, "period": state.space.period},
@@ -128,7 +131,6 @@ def _cmd_simulate_sim(config: RunConfig) -> int:
             doc,
             text=config.text,
         )
-    header, cols = _series_from_trajectory(config, traj, "sim")
     write_csv(os.path.join(out, "sim_series.csv"), header, cols)
     write_json(
         os.path.join(out, "sim_summary.json"),
@@ -253,7 +255,15 @@ def _cmd_check_operator(config: RunConfig) -> int:
     return 0 if report["all_passed"] else 3
 
 
+def _format_warning(message, category, filename, lineno, line=None):
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
+    # One stderr line per warning, with no source echo; forked sweep workers
+    # inherit the format.
+    default_format = warnings.formatwarning
+    warnings.formatwarning = _format_warning
     try:
         args = _build_parser().parse_args(argv)
         config = _load_config(args)
@@ -274,6 +284,8 @@ def main(argv=None) -> int:
     except SimulationError as exc:
         print(f"runtime invariant violation: {exc} {exc.report}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = default_format
 
 
 if __name__ == "__main__":

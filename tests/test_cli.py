@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -33,6 +36,38 @@ SMALL_COMPARE = {
     },
     "output": {"directory": "out"},
 }
+
+
+# The bounds clear Z0 by 4.24 sqrt(V0), enough for the initial columns, but the
+# reference Gaussian of variance A holds only 0.99998 on the grid: every
+# command that computes gauss_dev exits 2 at t = 0, after two RuntimeWarnings.
+SHORT_REFERENCE = {
+    "physical": {
+        "A": 2.0,
+        "gamma": 1.0,
+        "env": {"kind": "constant", "value": 0.0},
+        "initial": {
+            "N0": {"kind": "constant", "value": 1.0},
+            "Z0": {"kind": "constant", "value": 0.0},
+            "V0": "auto",
+        },
+    },
+    "numerical": {
+        "space_points": 16,
+        "trait_points": 64,
+        "t_end": 0.02,
+        "seed": 0,
+        "trait_bounds": [-6.0, 6.0],
+    },
+}
+SHORT_REFERENCE_SWEEP = json.loads(json.dumps(SHORT_REFERENCE))
+del SHORT_REFERENCE_SWEEP["physical"]["gamma"]
+SHORT_REFERENCE_SWEEP["physical"]["gamma_list"] = [1.0, 2.0, 4.0]
+SHORT_REFERENCE_RUNS = (
+    ("simulate-sim", SHORT_REFERENCE),
+    ("compare", SHORT_REFERENCE),
+    ("gamma-sweep", SHORT_REFERENCE_SWEEP),
+)
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -177,37 +212,38 @@ class TestExitCodes:
         assert "floor" in capsys.readouterr().err
 
     def test_reference_gaussian_short_of_mass_is_exit_two(self, tmp_path, capsys):
-        # The bounds clear Z0 by 4.24 sqrt(V0), enough for the initial columns,
-        # but the reference Gaussian of variance A holds only 0.99998 on the grid.
-        doc = {
-            "physical": {
-                "A": 2.0,
-                "gamma": 1.0,
-                "env": {"kind": "constant", "value": 0.0},
-                "initial": {
-                    "N0": {"kind": "constant", "value": 1.0},
-                    "Z0": {"kind": "constant", "value": 0.0},
-                    "V0": "auto",
-                },
-            },
-            "numerical": {
-                "space_points": 16,
-                "trait_points": 64,
-                "t_end": 0.02,
-                "seed": 0,
-                "trait_bounds": [-6.0, 6.0],
-            },
-        }
-        sweep = json.loads(json.dumps(doc))
-        del sweep["physical"]["gamma"]
-        sweep["physical"]["gamma_list"] = [1.0, 2.0, 4.0]
-        for command, cfg_doc in (("simulate-sim", doc), ("compare", doc), ("gamma-sweep", sweep)):
+        for command, cfg_doc in SHORT_REFERENCE_RUNS:
             cfg = write_config(tmp_path, cfg_doc, f"{command}.json")
             with warnings.catch_warnings(record=True):
                 rc = run_cli(command, "--config", cfg, "--out", str(tmp_path / command))
             err = capsys.readouterr().err
             assert rc == 2 and err.count("\n") == 1, (command, err)
             assert "reference Gaussian" in err and "'t': 0.0" in err, (command, err)
+            # gauss_dev raises after the whole run, before any output is written.
+            assert not (tmp_path / command).exists(), command
+
+    @pytest.mark.parametrize(
+        "command,flags", [("simulate-sim", ()), ("gamma-sweep", ("--jobs", "2"))]
+    )
+    def test_warnings_are_one_line_each_on_real_stderr(self, tmp_path, command, flags):
+        # The in-process tests record warnings; only a fresh interpreter shows
+        # what the default warning display prints.
+        cfg = write_config(tmp_path, dict(SHORT_REFERENCE_RUNS)[command])
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        entry = "import sys; from simkbm.cli import main; sys.exit(main())"
+        proc = subprocess.run(
+            [sys.executable, "-c", entry, command, "--config", cfg, "--out", str(tmp_path / "o")]
+            + list(flags),
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        lines = proc.stderr.splitlines()
+        assert proc.returncode == 2 and len(lines) > 1, proc.stderr
+        assert lines[-1].startswith("runtime invariant violation"), proc.stderr
+        assert all(line.startswith("warning: ") for line in lines[:-1]), proc.stderr
 
 
 class TestRejectedAtParse:

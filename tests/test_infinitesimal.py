@@ -1,4 +1,5 @@
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -129,7 +130,9 @@ class TestRowBlocks:
         )
 
     def test_transient_memory_stays_block_sized(self, trait512, rng):
-        # The whole 64-row batch at nfft 4096 would hold about 6 MiB of spectra.
+        # The whole 64-row batch at nfft 4096 would hold about 6 MiB of spectra;
+        # the work blocks are the kernel's, so a call adds little beyond its
+        # 0.25 MiB result.
         kernel = ReproductionKernel(1.0, trait512)
         profiles = rng.random((64, 512))
         tracemalloc.start()
@@ -138,7 +141,39 @@ class TestRowBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * 2**20
+        assert peak <= 0.5 * 2**20
+
+
+class TestFold:
+    @staticmethod
+    def _strided_reference(kernel, profiles):
+        # The full-length product and its every-other-sample read.
+        m, nfft = kernel.grid.points, kernel._nfft
+        w_hat = np.fft.rfft(profiles * kernel.grid.spacing, nfft, axis=1)
+        full = np.fft.irfft(w_hat**2 * np.fft.rfft(kernel.table, nfft), nfft, axis=1)
+        return np.clip(full[:, 2 * m - 2 : 4 * m - 3 : 2], 0.0, None)
+
+    # nfft 32 to 8192, with the lengths pocketfft factors into radix-4 passes
+    # only (256, 1024, 4096) and the others.
+    @pytest.mark.filterwarnings("ignore:segregation kernel mass defect")
+    @pytest.mark.parametrize("m", [3, 16, 40, 64, 100, 256, 512, 1000])
+    def test_matches_full_length_strided_product(self, m, rng):
+        # TraitGrid needs 16 points; the transform reads only points and spacing.
+        grid = types.SimpleNamespace(points=m, spacing=8.0 / m)
+        kernel = ReproductionKernel(1.0, grid if m < 16 else TraitGrid(-4.0, 4.0, m))
+        profiles = rng.random((5, m))
+        got = kernel.apply_to_profiles(profiles)
+        want = self._strided_reference(kernel, profiles)
+        tol = 4 * np.finfo(float).eps * want.max(axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= tol)
+
+    def test_result_owns_its_memory(self, kernel256, rng):
+        profiles = rng.random((3, 256))
+        first = kernel256.apply_to_profiles(profiles)
+        kept = first.copy()
+        assert not any(np.shares_memory(first, b) for b in kernel256._blocks)
+        kernel256.apply_to_profiles(rng.random((3, 256)))
+        assert np.array_equal(first, kept)
 
 
 class TestContraction:
