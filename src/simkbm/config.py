@@ -22,6 +22,8 @@ TRAIT_MARGIN_SIGMAS = 8.0
 # 400 times the standard run; a trait grid far from the optimal trait makes
 # the stability bound on dt, and so the step count, unbounded.
 MAX_STEPS = 10**6
+# The diffusion step is a dense n x n matrix: 2 MiB at this cap.
+MAX_SPACE_POINTS = 512
 
 
 class ConfigError(ValueError):
@@ -56,7 +58,7 @@ def _get_number(doc: dict, key: str, path: str, default=None, positive=False):
     return _as_number(doc[key], f"{path}.{key}", positive)
 
 
-def _get_int(doc: dict, key: str, path: str, default=None, minimum=None):
+def _get_int(doc: dict, key: str, path: str, default=None, minimum=None, maximum=None):
     if key not in doc:
         if default is None:
             raise ConfigError(f"missing required key {path}.{key}")
@@ -66,6 +68,8 @@ def _get_int(doc: dict, key: str, path: str, default=None, minimum=None):
         raise ConfigError(f"{path}.{key} must be an integer, got {v!r}")
     if minimum is not None and v < minimum:
         raise ConfigError(f"{path}.{key} must be >= {minimum}, got {v}")
+    if maximum is not None and v > maximum:
+        raise ConfigError(f"{path}.{key} must be <= {maximum}, got {v}")
     return v
 
 
@@ -246,7 +250,9 @@ def parse_config(source) -> RunConfig:
     )
     if _get_int(num, "dim", "numerical", default=1) != 1:
         raise ConfigError("numerical.dim must be 1 (the integrators are one-dimensional)")
-    space_points = _get_int(num, "space_points", "numerical", default=64, minimum=4)
+    space_points = _get_int(
+        num, "space_points", "numerical", default=64, minimum=4, maximum=MAX_SPACE_POINTS
+    )
     period = _get_number(num, "period", "numerical", default=1.0, positive=True)
     trait_points = _get_int(num, "trait_points", "numerical", default=512, minimum=16)
     t_end = _get_number(num, "t_end", "numerical", positive=True)

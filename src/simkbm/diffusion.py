@@ -1,10 +1,14 @@
-"""Crank-Nicolson heat steps on the periodic interval, applied through their Fourier symbol.
+"""Crank-Nicolson heat steps on the periodic interval, applied as one circulant matrix.
 
 On the uniform periodic grid the three-point Laplacian is circulant, so both
 Crank-Nicolson matrices are diagonal in the discrete Fourier basis: mode k
 has Laplacian eigenvalue -lambda_k / h^2 with lambda_k = 2 - 2 cos(2 pi k / n),
 and one step multiplies it by (1 - mu lambda_k) / (1 + mu lambda_k) with
-mu = dt / (2 h^2).
+mu = dt / (2 h^2).  The step is therefore itself circulant; its first column
+is the inverse real DFT of that symbol.  The matrix is built once per run and
+each step is one dense product: at 32 and 64 cells that is several times
+faster than an FFT along the strided space axis, and `parse_config` caps the
+cell count at 512, where the matrix takes 2 MiB.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ class PeriodicHeatCN:
     """One Crank-Nicolson step of du/dt = u_xx on the periodic cell-centered grid.
 
     Unconditionally stable and second order.  The symbol is exactly 1 at
-    k = 0, so the discrete total mass is conserved up to FFT roundoff.
+    k = 0, so every column of the step matrix sums to 1 up to roundoff and
+    the discrete total mass is conserved.  The n x n matrix holds n^2 doubles.
     """
 
     def __init__(self, n: int, spacing: float, dt: float):
@@ -25,10 +30,11 @@ class PeriodicHeatCN:
         self.n = n
         mu = dt / (2.0 * spacing**2)
         lam = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)
-        self._symbol = (1.0 - mu * lam) / (1.0 + mu * lam)
+        column = np.fft.irfft((1.0 - mu * lam) / (1.0 + mu * lam), n)
+        i = np.arange(n)
+        self._matrix = column[(i[:, None] - i[None, :]) % n]
 
     def step(self, field: np.ndarray) -> np.ndarray:
         """Advance by dt; diffusion acts along axis 0, extra axes are batched."""
         field = np.asarray(field, dtype=float)
-        symbol = self._symbol.reshape((-1,) + (1,) * (field.ndim - 1))
-        return np.fft.irfft(symbol * np.fft.rfft(field, axis=0), self.n, axis=0)
+        return (self._matrix @ field.reshape(self.n, -1)).reshape(field.shape)

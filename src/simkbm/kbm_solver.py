@@ -2,7 +2,8 @@
 
 Writing the mean-trait equation through Y = N Z moves the awkward
 2 grad N . grad Z / N coupling into zeroth-order reaction terms, so one
-Crank-Nicolson diffusion substep plus an explicit two-stage (Heun) reaction
+Crank-Nicolson diffusion substep (one product of the circulant step matrix
+with the (points, 2) pair) plus an explicit two-stage (Heun) reaction
 substep advances the system; Z is recovered as Y / N afterwards.
 
 The stepper carries the state as one (2, points) array U = (N, Y) from the

@@ -144,14 +144,13 @@ def quantile(mu: GridMeasure, u):
     return float(vals) if np.isscalar(u) else vals
 
 
-def _segment_lines(mu: GridMeasure, u_lo, u_hi):
-    """Affine law of the quantile on the open segments (u_lo, u_hi).
+def _segment_lines(mu: GridMeasure, cum, u_lo, u_hi):
+    """Affine law of the quantile on the open segments (u_lo, u_hi); cum is mu's CDF.
 
     The serving cell is located from the segment midpoint, so segments that
     start or end exactly at a CDF breakpoint pick up the one-sided limit
     rather than an arbitrary value at the jump.
     """
-    cum = _cdf_values(mu)
     edges = mu.grid.edges
     h = mu.grid.spacing
     mid = 0.5 * (u_lo + u_hi)
@@ -176,10 +175,11 @@ def wasserstein(mu: GridMeasure, nu: GridMeasure, p: int) -> float:
     mu.require_probability()
     nu.require_probability()
 
-    breaks = np.unique(np.concatenate((_cdf_values(mu), _cdf_values(nu))))
+    cum_mu, cum_nu = _cdf_values(mu), _cdf_values(nu)
+    breaks = np.unique(np.concatenate((cum_mu, cum_nu)))
     u_lo, u_hi = breaks[:-1], breaks[1:]
-    f_lo, f_hi = _segment_lines(mu, u_lo, u_hi)
-    g_lo, g_hi = _segment_lines(nu, u_lo, u_hi)
+    f_lo, f_hi = _segment_lines(mu, cum_mu, u_lo, u_hi)
+    g_lo, g_hi = _segment_lines(nu, cum_nu, u_lo, u_hi)
     a = f_lo - g_lo
     b = f_hi - g_hi
     w = u_hi - u_lo

@@ -80,6 +80,21 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def run_cli_fresh(*argv, cwd=None, env=()):
+    """The CLI in a fresh interpreter, with this checkout's sources first on the path."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    entry = "import sys; from simkbm.cli import main; sys.exit(main())"
+    return subprocess.run(
+        [sys.executable, "-c", entry, *argv],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path, **dict(env)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 def planted_compare(config, gamma):
     """Stand-in for experiments.run_compare: every supremum is 3 * gamma^-1/2."""
     err = 3.0 * gamma**-0.5
@@ -163,6 +178,23 @@ class TestCompareCommand:
         sb = pathlib.Path("outB/compare_summary.json").read_text()
         assert sa.replace('"outA"', '"X"') == sb.replace('"outB"', '"X"')
 
+    def test_byte_identical_across_blas_thread_counts(self, tmp_path):
+        # 64 x 64 x 128 multiply-adds per diffusion step: above the size at
+        # which OpenBLAS splits a product across threads.
+        doc = json.loads(json.dumps(SMALL_COMPARE))
+        doc["numerical"].update(space_points=64, t_end=0.1, snapshot_dt=0.02)
+        cfg = write_config(tmp_path, doc)
+        trees = []
+        for threads in ("1", "2"):
+            cwd = tmp_path / f"blas{threads}"
+            cwd.mkdir()
+            env = {"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            proc = run_cli_fresh("compare", "--config", cfg, "--out", "out", cwd=cwd, env=env)
+            assert proc.returncode == 0, proc.stderr
+            out = cwd / "out"
+            trees.append({str(f.relative_to(out)): f.read_bytes() for f in out.rglob("*") if f.is_file()})
+        assert trees[0] and trees[0] == trees[1]
+
 
 class TestExitCodes:
     def test_config_error_is_exit_one(self, tmp_path, capsys):
@@ -229,17 +261,7 @@ class TestExitCodes:
         # The in-process tests record warnings; only a fresh interpreter shows
         # what the default warning display prints.
         cfg = write_config(tmp_path, dict(SHORT_REFERENCE_RUNS)[command])
-        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        entry = "import sys; from simkbm.cli import main; sys.exit(main())"
-        proc = subprocess.run(
-            [sys.executable, "-c", entry, command, "--config", cfg, "--out", str(tmp_path / "o")]
-            + list(flags),
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        proc = run_cli_fresh(command, "--config", cfg, "--out", str(tmp_path / "o"), *flags)
         lines = proc.stderr.splitlines()
         assert proc.returncode == 2 and len(lines) > 1, proc.stderr
         assert lines[-1].startswith("runtime invariant violation"), proc.stderr
@@ -307,6 +329,13 @@ class TestRejectedAtParse:
         doc["physical"]["env"] = env
         err = assert_one_line_rejection(tmp_path, capsys, doc, commands=self.COMMANDS)
         assert "time steps" in err
+
+    def test_space_points_cap(self, tmp_path, capsys):
+        err = assert_one_line_rejection(
+            tmp_path, capsys, self.doc(space_points=513), commands=self.COMMANDS
+        )
+        assert "numerical.space_points must be <= 512, got 513" in err
+        assert parse_config(self.doc(space_points=512)).space_points == 512
 
     @pytest.mark.parametrize("period", [1e-300, 1e300])
     def test_diffusion_ratio_out_of_range(self, tmp_path, capsys, period):

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import simkbm
 from simkbm.diffusion import PeriodicHeatCN
 
 
-@pytest.mark.parametrize("n", [4, 7, 64])
+@pytest.mark.parametrize("n", [4, 7, 64, 512])
 def test_cn_step_matches_dense(n, rng):
     # (I - mu L) u_new = (I + mu L) u with L the periodic three-point stencil.
     h, dt = 1.0 / n, 3e-3
@@ -63,3 +64,17 @@ class TestPeriodicHeat:
         block = rng.normal(size=(16, 7))
         cols = np.stack([heat.step(block[:, j]) for j in range(7)], axis=1)
         assert np.abs(heat.step(block) - cols).max() <= 1e-14
+
+    def test_fortran_ordered_pair(self, rng):
+        # kbm_step passes the (2, n) state transposed: an F-ordered (n, 2) view.
+        heat = PeriodicHeatCN(64, 1 / 64, 1e-3)
+        U = rng.normal(size=(2, 64))
+        cols = np.stack([heat.step(U[j]) for j in range(2)], axis=1)
+        assert np.abs(heat.step(U.T) - cols).max() <= 1e-14
+
+    @pytest.mark.parametrize("n, dt", [(32, 5e-3), (64, 2e-3), (512, 1e-4)])
+    def test_columns_sum_to_one(self, n, dt):
+        # The columns of the identity's step are the matrix's; fsum rounds once.
+        matrix = PeriodicHeatCN(n, 1.0 / n, dt).step(np.eye(n))
+        sums = np.array([math.fsum(col) for col in matrix.T])
+        assert np.abs(sums - 1.0).max() <= 4 * np.finfo(float).eps

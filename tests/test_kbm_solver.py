@@ -180,10 +180,14 @@ class TestStackedStepper:
         assert counts == {"kbm_step": 50, "evaluate": 51}
 
 
+# First row of the 64-cell diffusion step at dt = 1e-3: its absolute values sum to 1.68.
+_HEAT_ROW = PeriodicHeatCN(64, 1.0 / 64, 1e-3).step(np.eye(64))[0]
+
 # (N0, Z0, environment, A, dt) making each stage the first to see the failure.
 _NON_FINITE_Y = {
-    # Y overflows the diffusion transform: NaN in Y, N untouched.
-    "diffusion": (1.0, 1e307, Environment(kind="constant"), 1.0, 1e-3),
+    # Y at 1.7e308 with the signs of that row: the exact diffusion step of Y
+    # overflows at x_0 under any summation order, N untouched.
+    "diffusion": (1.0, 1.7e308 * np.sign(_HEAT_ROW), Environment(kind="constant"), 1.0, 1e-3),
     # A (Y - y_opt N) overflows at the stage-1 field: Y1 = -inf.
     "heun stage 1": (1.0, 2.0, Environment(kind="constant"), 1e308, 1e-3),
     # The same term overflows at the stage-2 field only: Y2 = +inf, N2 near 1.

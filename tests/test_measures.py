@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import simkbm.measures as measures
 from simkbm import (
     GridMeasure,
     TraitGrid,
@@ -151,6 +152,15 @@ class TestWasserstein:
         nu = GridMeasure(trait512, 2.0 * mu.density)
         with pytest.raises(ValueError, match="not normalized"):
             wasserstein(mu, nu, 2)
+
+    def test_builds_each_cdf_once(self, trait512, monkeypatch):
+        calls = []
+        cdf_values = measures._cdf_values
+        monkeypatch.setattr(measures, "_cdf_values", lambda mu: calls.append(mu) or cdf_values(mu))
+        mu = gaussian_on_grid(0.0, 1.0, trait512)
+        nu = gaussian_on_grid(1.0, 1.0, trait512)
+        wasserstein(mu, nu, 2)
+        assert len(calls) == 2 and calls[0] is mu and calls[1] is nu
 
     def test_different_grids(self):
         g1 = TraitGrid(-8.0, 8.0, 512)
