@@ -89,7 +89,12 @@ def _series_from_trajectory(config, traj, kind):
             traj.Z.min(axis=1),
             traj.Z.max(axis=1),
             traj.V.max(axis=1),
-            np.array([gaussian_deviation(s, config.A) for s in traj.snapshots]),
+            np.array(
+                [
+                    gaussian_deviation(s, config.A, N, Z)
+                    for s, N, Z in zip(traj.snapshots, traj.N, traj.Z)
+                ]
+            ),
             traj.leak_rate,
         ]
     else:

@@ -24,6 +24,10 @@ TRAIT_MARGIN_SIGMAS = 8.0
 MAX_STEPS = 10**6
 # The diffusion step is a dense n x n matrix: 2 MiB at this cap.
 MAX_SPACE_POINTS = 512
+# One SIM density at 512 x 4096 cells is 16 MiB (8 times the standard trait grid).
+MAX_TRAIT_POINTS = 4096
+# 100 times the standard 101; every snapshot of a run is retained until it ends.
+MAX_SNAPSHOTS = 10**4
 
 
 class ConfigError(ValueError):
@@ -254,7 +258,9 @@ def parse_config(source) -> RunConfig:
         num, "space_points", "numerical", default=64, minimum=4, maximum=MAX_SPACE_POINTS
     )
     period = _get_number(num, "period", "numerical", default=1.0, positive=True)
-    trait_points = _get_int(num, "trait_points", "numerical", default=512, minimum=16)
+    trait_points = _get_int(
+        num, "trait_points", "numerical", default=512, minimum=16, maximum=MAX_TRAIT_POINTS
+    )
     t_end = _get_number(num, "t_end", "numerical", positive=True)
     seed = _get_int(num, "seed", "numerical", default=0, minimum=0)
     if seed >= 2**64:
@@ -378,6 +384,11 @@ def parse_config(source) -> RunConfig:
         every = round(snapshot_dt / dt)
         if every > n_steps or n_steps % every:
             raise ConfigError("numerical.snapshot_dt must divide t_end")
+    if n_steps // every + 1 > MAX_SNAPSHOTS:
+        raise ConfigError(
+            f"the run takes {n_steps // every + 1} snapshots, more than {MAX_SNAPSHOTS}: set "
+            "numerical.snapshot_dt to a larger multiple of dt that divides t_end"
+        )
 
     out = doc.get("output", {})
     if not isinstance(out, dict):

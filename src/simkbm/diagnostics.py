@@ -13,7 +13,7 @@ import numpy as np
 
 from .environment import Environment
 from .grids import TorusGrid
-from .measures import PROBABILITY_TOL, GridMeasure, gaussian_on_grid, wasserstein
+from .measures import PROBABILITY_TOL, GridMeasure, gaussian_on_grid
 from .sim_solver import KineticState, SimulationError, kinetic_moments
 
 
@@ -36,28 +36,115 @@ class SweepReport:
                 raise ValueError(f"negative error in family {family!r}")
 
 
-def gaussian_deviation(state: KineticState, A: float) -> float:
+# Cells per batch of the W2 computation.  Every temporary of a batch holds
+# about twice this many doubles (32 KiB) whatever the snapshot size.
+_CHUNK_CELLS = 2048
+
+
+def gaussian_deviation(state: KineticState, A: float, N=None, Z=None) -> float:
     """max over x of W2(profile(x, .), Gaussian of variance A centered at Z(x)).
 
     For exactly Gaussian columns this sits at the discretization floor
     (below 2 trait spacings); for a kinetic run it tracks how far the
     profile is from local equilibrium.  Raises SimulationError when the
     reference Gaussian is not a probability measure on the trait grid.
+    N and Z are the state's column sizes and mean traits (kinetic_moments)
+    when the caller already holds them, as a KineticTrajectory does.
+
+    The columns are taken _CHUNK_CELLS // trait points at a time.  Per
+    batch, one stable argsort per row merges the breakpoints of the two
+    piecewise-linear CDFs; a running count of the profile's breakpoints then
+    names the cell of either measure that serves each merged segment, and
+    the closed-form segment integrals of measures.wasserstein follow.  A
+    column that fails a check raises the error, or emits the warning, that
+    GridMeasure and gaussian_on_grid give it.
     """
-    moms = kinetic_moments(state)
+    if not A > 0:
+        raise ValueError(f"variance must be positive, got {A}")
+    if N is None or Z is None:
+        moms = kinetic_moments(state)
+        N, Z = moms.N, moms.Z
     trait = state.trait
+    h = trait.spacing
+    y = trait.centers
+    rows = max(1, _CHUNK_CELLS // trait.points)
     worst = 0.0
-    for i in range(state.space.points_per_dim):
-        profile = GridMeasure(trait, state.n[i] / moms.N[i])
-        target = gaussian_on_grid(moms.Z[i], A, trait)
-        if abs(target.mass - 1.0) > PROBABILITY_TOL:
-            raise SimulationError(
-                f"the reference Gaussian of variance A at Z = {moms.Z[i]:.6g} holds mass "
-                f"{target.mass:.12f} on the trait grid: widen numerical.trait_bounds",
-                {"t": state.t, "mass": target.mass},
-            )
-        worst = max(worst, wasserstein(profile, target, 2))
+    for lo in range(0, len(N), rows):
+        cols = slice(lo, lo + rows)
+        profile = state.n[cols] / N[cols, None]
+        target = np.exp(-((y - Z[cols, None]) ** 2) / (2.0 * A)) / np.sqrt(2.0 * np.pi * A)
+        _check_columns(state, A, profile, target, Z[cols])
+        dist = _w2_rows(_cdf_rows(profile, h), _cdf_rows(target, h), trait.edges, h)
+        worst = max(worst, float(dist.max()))
     return worst
+
+
+def _check_columns(state, A, profile, target, Z):
+    """Reject the first column whose profile is not a probability density or
+    whose reference Gaussian is short of mass, warning about every reference
+    mean near the trait boundary up to it, in column order."""
+    trait = state.trait
+    h = trait.spacing
+    bad = (profile < 0).any(axis=1) | ~(np.abs(profile.sum(axis=1) * h - 1.0) <= PROBABILITY_TOL)
+    short = ~(np.abs(target.sum(axis=1) * h - 1.0) <= PROBABILITY_TOL)
+    near = np.minimum(Z - trait.y_min, trait.y_max - Z) < 6.0 * np.sqrt(A)
+    for i in np.flatnonzero(bad | short | near):
+        if bad[i]:
+            GridMeasure(trait, profile[i]).require_probability()
+        ref = gaussian_on_grid(Z[i], A, trait)
+        if abs(ref.mass - 1.0) > PROBABILITY_TOL:
+            raise SimulationError(
+                f"the reference Gaussian of variance A at Z = {Z[i]:.6g} holds mass "
+                f"{ref.mass:.12f} on the trait grid: widen numerical.trait_bounds",
+                {"t": state.t, "mass": ref.mass},
+            )
+
+
+def _cdf_rows(density: np.ndarray, h: float) -> np.ndarray:
+    """Normalized CDFs at the cell edges, one row per density row."""
+    cum = np.zeros((len(density), density.shape[1] + 1))
+    np.cumsum(density * h, axis=1, out=cum[:, 1:])
+    cum /= cum[:, -1:].copy()
+    cum[:, -1] = 1.0
+    return cum
+
+
+def _w2_rows(cum_mu: np.ndarray, cum_nu: np.ndarray, edges: np.ndarray, h: float) -> np.ndarray:
+    """W2 between the grid measures of matching CDF rows, with the segment
+    arithmetic of measures.wasserstein (p = 2)."""
+    rows, m1 = cum_mu.shape
+    width = 2 * m1
+    merged = np.concatenate((cum_mu, cum_nu), axis=1)
+    order = np.argsort(merged, axis=1, kind="stable")
+    # Breakpoints of mu at or before each merged position.
+    seen = np.cumsum(order < m1, axis=1)[:, :-1]
+    order += np.arange(0, rows * width, width)[:, None]
+    u = merged.take(order)
+    # A segment of positive width, from merged position k to k + 1, lies in
+    # cell seen - 1 of mu and cell k - seen of nu; indices below are flat.
+    keep = u[:, 1:] > u[:, :-1]
+    u_lo = u[:, :-1][keep]
+    u_hi = u[:, 1:][keep]
+    first = np.arange(0, rows * m1, m1)[:, None]
+    j_mu = (first - 1 + seen)[keep]
+    j_nu = (first + np.arange(width - 1) - seen)[keep]
+    edges = np.tile(edges, rows)
+    f_lo, f_hi = _quantile_lines(cum_mu.ravel(), j_mu, u_lo, u_hi, edges, h)
+    g_lo, g_hi = _quantile_lines(cum_nu.ravel(), j_nu, u_lo, u_hi, edges, h)
+    a = f_lo - g_lo
+    b = f_hi - g_hi
+    seg = (u_hi - u_lo) * (a * a + a * b + b * b) / 3.0
+    # Every row has a segment: its CDF climbs from 0 to 1.
+    starts = np.concatenate(([0], np.cumsum(keep.sum(axis=1))[:-1]))
+    return np.sqrt(np.add.reduceat(seg, starts))
+
+
+def _quantile_lines(cum, j, u_lo, u_hi, edges, h):
+    """The quantile at both ends of each segment, read off its cell j."""
+    c0 = cum.take(j)
+    slope = h / (cum.take(j + 1) - c0)
+    e = edges.take(j)
+    return e + (u_lo - c0) * slope, e + (u_hi - c0) * slope
 
 
 def _uniform_cadence(times: np.ndarray) -> float:
@@ -139,7 +226,9 @@ def holder_quotient(
     (a, x, y) is divided once by (a*cadence + d(x,y))^theta.  Lags are visited
     in increasing order until osc(f) / (a*cadence)^theta cannot beat the
     running max; later lags are farther apart, so the value is exact.  Extra
-    memory is one (snapshots, points, points) array.
+    memory is a few (points, points) arrays and one gap array of at most
+    max(_GAP_CHUNK, points^2) doubles, 2 MiB up to 512 points, whatever the
+    snapshot count.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
@@ -164,10 +253,25 @@ def holder_quotient(
     return best
 
 
+# Entries of the (start times, points, points) gap array of one batch of
+# start times in _max_gap: 2 MiB.
+_GAP_CHUNK = 2**18
+
+
 def _max_gap(field: np.ndarray, lag: int) -> np.ndarray:
-    """max over t of |f(t + lag, y) - f(t, x)|, indexed [x, y]."""
-    gap = field[lag:, None, :] - field[: len(field) - lag, :, None]
-    return np.abs(gap, out=gap).max(axis=0)
+    """max over t of |f(t + lag, y) - f(t, x)|, indexed [x, y].
+
+    Start times are taken _GAP_CHUNK // points^2 at a time (at least one).
+    """
+    starts, nx = len(field) - lag, field.shape[1]
+    step = max(1, _GAP_CHUNK // nx**2)
+    best = None
+    for lo in range(0, starts, step):
+        hi = min(lo + step, starts)
+        gap = field[lo + lag : hi + lag, None, :] - field[lo:hi, :, None]
+        gap = np.abs(gap, out=gap).max(axis=0)
+        best = gap if best is None else np.maximum(best, gap, out=best)
+    return best
 
 
 @dataclasses.dataclass(frozen=True)

@@ -41,6 +41,11 @@ class Environment:
     def _has_drift(self) -> bool:
         return self.kind in ("affine_in_t", "sinusoidal_plus_drift")
 
+    @property
+    def drift_rate(self) -> float:
+        """df/dt: the rate of the drifting kinds, 0 for the others."""
+        return self.rate if self._has_drift() else 0.0
+
     def evaluate(self, t: float, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         out = np.full_like(x, self.offset)

@@ -83,7 +83,9 @@ def run_compare(config: RunConfig, gamma: float | None = None) -> CompareResult:
 
     err_N = np.abs(sim.N - kbm.N).max(axis=1)
     err_Z = np.abs(sim.Z - kbm.Z).max(axis=1)
-    gauss = np.array([gaussian_deviation(s, config.A) for s in sim.snapshots])
+    gauss = np.array(
+        [gaussian_deviation(s, config.A, N, Z) for s, N, Z in zip(sim.snapshots, sim.N, sim.Z)]
+    )
     v_max = sim.V.max(axis=1)
     leak = sim.leak_rate
 

@@ -6,6 +6,10 @@ Each step advances the density n(t, x, y) by Lie splitting in the order
   (B) reproduction relaxation toward N * T(profile), integrated exactly
       with the mixing output frozen at the substep start.
 (R) is unconditionally positive, (B) is unconditionally stable in gamma.
+The optimal trait is s(x) + rate * t (rate 0 for the kinds without drift),
+so the factor exp(-dt/2 (y - s(x))^2) of (R) is the same at every step and
+is built once per run.  (R) and (B) update the density array that (D)
+returns in place.
 """
 
 from __future__ import annotations
@@ -164,12 +168,18 @@ def max_stable_dt(
 
 
 class _Operators:
-    """Per-run precomputation: diffusion solver, kernel, relaxation weight."""
+    """Per-run precomputation: diffusion solver, kernel, relaxation weight, and
+    the selection factor exp(-dt/2 (y_j - s_i)^2) with s = y_opt(0, x)."""
 
-    def __init__(self, space: TorusGrid, trait: TraitGrid, params: SimParams):
+    def __init__(self, space: TorusGrid, trait: TraitGrid, params: SimParams, env: Environment):
         self.heat = PeriodicHeatCN(space.points_per_dim, space.spacing, params.dt)
         self.kernel = ReproductionKernel(params.A, trait)
         self.decay = math.exp(-params.gamma * params.dt)
+        self.optimum = env.evaluate(0.0, space.centers)
+        self.drift = env.drift_rate
+        self.selection = np.exp(
+            -0.5 * params.dt * (trait.centers[None, :] - self.optimum[:, None]) ** 2
+        )
 
 
 def _guard_density(n: np.ndarray, stage: str, t: float, diag: RunDiagnostics):
@@ -212,19 +222,24 @@ def _diffusion_substep(n, ops, t, diag):
     return _guard_density(out, "diffusion", t, diag)
 
 
-def _reaction_substep(n, state, params, env, diag):
-    """(R) selection-competition: n * exp(dt * r), positive by construction.
+def _reaction_substep(n, state, params, ops, diag):
+    """(R) selection-competition: n * exp(dt * r) in place, positive by construction.
 
-    The optimal trait is read at the substep midpoint; the competition
-    pressure N is frozen at the substep start.
+    r = 1 + A/2 - N_i - (y_j - y_opt_i)^2 / 2 with the optimal trait
+    y_opt = s + tau read at the substep midpoint, tau = rate * (t + dt/2), and
+    the competition pressure N frozen at the substep start.  Expanding the
+    square splits exp(dt * r) into the run-constant ops.selection, a factor
+    per column, exp(dt (1 + A/2 - N_i - tau s_i - tau^2/2)), and a factor per
+    trait, exp(dt tau y_j), which is exactly 1 when the rate is 0.
     """
     t = state.t
+    dt = params.dt
     N = _column_sizes(n, state.trait.spacing, t)
-    y_opt = env.evaluate(t + 0.5 * params.dt, state.space.centers)
-    r = (1.0 + 0.5 * params.A - N)[:, None] - 0.5 * (
-        state.trait.centers[None, :] - y_opt[:, None]
-    ) ** 2
-    return _guard_density(n * np.exp(params.dt * r), "reaction", t, diag)
+    tau = ops.drift * (t + 0.5 * dt)
+    n *= ops.selection
+    n *= np.exp(dt * (1.0 + 0.5 * params.A - N - tau * ops.optimum - 0.5 * tau**2))[:, None]
+    n *= np.exp(dt * tau * state.trait.centers)
+    return _guard_density(n, "reaction", t, diag)
 
 
 def _reproduction_substep(n, state, params, ops, diag):
@@ -232,7 +247,7 @@ def _reproduction_substep(n, state, params, ops, diag):
 
     Both terms of the convex combination carry column mass N, so the substep
     is mass-neutral per column up to the trait-boundary leak, which is
-    monitored here rather than redistributed.
+    monitored here rather than redistributed.  n is overwritten with the result.
     """
     t = state.t
     h_y = state.trait.spacing
@@ -241,20 +256,22 @@ def _reproduction_substep(n, state, params, ops, diag):
     leak = np.abs(1.0 - mixed.sum(axis=1) * h_y).max()
     rate = (1.0 - ops.decay) * leak / params.dt
     diag.max_boundary_leak_rate = max(diag.max_boundary_leak_rate, float(rate))
-    out = ops.decay * n + (1.0 - ops.decay) * (N[:, None] * mixed)
-    return _guard_density(out, "reproduction", t, diag)
+    mixed *= ((1.0 - ops.decay) * N)[:, None]
+    n *= ops.decay
+    n += mixed
+    return _guard_density(n, "reproduction", t, diag)
 
 
 def sim_step(
     state: KineticState,
     params: SimParams,
-    env: Environment,
     ops: _Operators,
     diag: RunDiagnostics,
 ) -> KineticState:
-    """One Lie-split step D -> R -> B of length params.dt."""
+    """One Lie-split step D -> R -> B of length params.dt; the environment
+    reaches R through ops."""
     n = _diffusion_substep(state.n, ops, state.t, diag)
-    n = _reaction_substep(n, state, params, env, diag)
+    n = _reaction_substep(n, state, params, ops, diag)
     n = _reproduction_substep(n, state, params, ops, diag)
     return KineticState(state.t + params.dt, n, state.space, state.trait)
 
@@ -305,13 +322,13 @@ def run_sim(
     """Repeated sim_step with snapshot collection; aborts on invariant violation."""
     n_steps, every = plan_steps(state0.t, t_end, params.dt, params.snapshot_dt)
     diag = RunDiagnostics()
-    ops = _Operators(state0.space, state0.trait, params)
+    ops = _Operators(state0.space, state0.trait, params, env)
 
     state = state0.copy()
     snapshots = [state.copy()]
     leak_marks = [0.0]
     for k in range(1, n_steps + 1):
-        state = sim_step(state, params, env, ops=ops, diag=diag)
+        state = sim_step(state, params, ops, diag)
         state.t = state0.t + k * params.dt
         if k % every == 0:
             snapshots.append(state.copy())

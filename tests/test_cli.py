@@ -337,6 +337,23 @@ class TestRejectedAtParse:
         assert "numerical.space_points must be <= 512, got 513" in err
         assert parse_config(self.doc(space_points=512)).space_points == 512
 
+    def test_trait_points_cap(self, tmp_path, capsys):
+        # Uncapped, 2**62 points end in a traceback from the kernel table.
+        err = assert_one_line_rejection(
+            tmp_path, capsys, self.doc(trait_points=2**62), commands=self.COMMANDS
+        )
+        assert f"numerical.trait_points must be <= 4096, got {2**62}" in err
+        assert parse_config(self.doc(trait_points=4096)).trait_points == 4096
+
+    def test_snapshot_count_cap(self, tmp_path, capsys):
+        # 10001 steps with a snapshot after each; a 4 x 64 grid keeps the run
+        # small where the count is not capped.
+        small = {"space_points": 4, "trait_points": 64, "dt": 0.001, "snapshot_dt": 0.001}
+        doc = self.doc(t_end=10.001, **small)
+        err = assert_one_line_rejection(tmp_path, capsys, doc, commands=self.COMMANDS)
+        assert "the run takes 10002 snapshots, more than 10000" in err
+        assert parse_config(self.doc(t_end=9.999, **small)).snapshot_dt == 0.001
+
     @pytest.mark.parametrize("period", [1e-300, 1e300])
     def test_diffusion_ratio_out_of_range(self, tmp_path, capsys, period):
         doc = self.doc(period=period)

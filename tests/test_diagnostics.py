@@ -1,12 +1,17 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from simkbm import diagnostics
 from simkbm import (
     Environment,
     MacroState,
     SimParams,
+    SimulationError,
     TorusGrid,
     TraitGrid,
     fit_power_law,
@@ -14,10 +19,13 @@ from simkbm import (
     gaussian_initial_state,
     holder_quotient,
     kbm_residuals,
+    kinetic_moments,
     run_kbm,
     run_sim,
 )
 from simkbm.diagnostics import SweepReport, burn_in_time
+from simkbm.measures import GridMeasure, gaussian_on_grid, wasserstein
+from simkbm.sim_solver import KineticState
 
 SIN_ENV = Environment(kind="sinusoidal_in_x", amplitude=0.5, wavenumber=1)
 ZERO_ENV = Environment(kind="constant", offset=0.0)
@@ -52,6 +60,97 @@ class TestGaussianDeviation:
             traj = run_sim(state, params, SIN_ENV, 1.0)
             devs.append(gaussian_deviation(traj.snapshots[-1], 1.0))
         assert devs[0] >= devs[1] >= devs[2]
+
+
+# Cell weights: zeros, and values so small next to the rest that the CDF
+# reaches 1 before the last cell (saturated tails).  Subnormal cell masses
+# are left out: h / mass overflows in the segment slope of both methods.
+_WEIGHTS = st.one_of(st.sampled_from([0.0, 1e-300, 1e-20]), st.floats(1e-12, 1.0))
+
+
+@st.composite
+def batched_cases(draw):
+    """A state on the trait grid [-12, 12] whose columns live on [-4, 4], the
+    reference variance, and the rows per W2 batch."""
+    columns = draw(st.integers(4, 11))
+    trait = TraitGrid(-12.0, 12.0, draw(st.integers(48, 96)))
+    inner = np.flatnonzero(np.abs(trait.centers) <= 4.0)
+    n = np.zeros((columns, trait.points))
+    for i in range(columns):
+        weights = draw(st.lists(_WEIGHTS, min_size=len(inner), max_size=len(inner)))
+        n[i, inner] = weights
+        n[i, inner[draw(st.integers(0, len(inner) - 1))]] += draw(st.floats(0.1, 5.0))
+    state = KineticState(0.0, n, TorusGrid(columns, 1.0), trait)
+    return state, draw(st.floats(0.5, 1.5)), draw(st.integers(1, columns))
+
+
+def per_column_w2(state, A):
+    moms = kinetic_moments(state)
+    return [
+        wasserstein(
+            GridMeasure(state.trait, state.n[i] / moms.N[i]),
+            gaussian_on_grid(moms.Z[i], A, state.trait),
+            2,
+        )
+        for i in range(state.space.points_per_dim)
+    ]
+
+
+class TestBatchedGaussianDeviation:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(batched_cases())
+    def test_matches_the_per_column_oracle(self, case):
+        state, A, rows = case
+        want = max(per_column_w2(state, A))
+        with mock.patch.object(diagnostics, "_CHUNK_CELLS", rows * state.trait.points):
+            got = gaussian_deviation(state, A)
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_every_column_matches_the_oracle(self, rng):
+        trait = TraitGrid(-8.5, 8.5, 256)
+        space = TorusGrid(9, 1.0)
+        state = gaussian_initial_state(space, trait, np.ones(9), 0.4 * rng.normal(size=9), 1.3)
+        state.n *= rng.uniform(0.5, 1.5, size=state.n.shape)
+        state.n[:, :20] = 0.0
+        state.n[2, 100:130] = 0.0
+        moms = kinetic_moments(state)
+        h = trait.spacing
+        y = trait.centers
+        target = np.exp(-((y - moms.Z[:, None]) ** 2) / 2.0) / np.sqrt(2.0 * np.pi)
+        got = diagnostics._w2_rows(
+            diagnostics._cdf_rows(state.n / moms.N[:, None], h),
+            diagnostics._cdf_rows(target, h),
+            trait.edges,
+            h,
+        )
+        want = np.array(per_column_w2(state, 1.0))
+        assert np.abs(got - want).max() <= 1e-12 * want.max()
+
+    def test_short_reference_reports_the_first_failing_column(self, space64):
+        # Columns 40 and 50 sit 4.5 and 4 standard deviations from the top
+        # end: both warn, and the error names column 40.
+        trait = TraitGrid(-8.5, 8.5, 512)
+        z0 = np.zeros(64)
+        z0[40], z0[50] = 4.0, 4.5
+        state = gaussian_initial_state(space64, trait, np.ones(64), z0, 0.25)
+        with pytest.warns(RuntimeWarning, match="standard deviations") as record:
+            with pytest.raises(SimulationError, match="at Z = 4 holds mass") as err:
+                gaussian_deviation(state, 1.0)
+        assert len(record) == 1 and "Gaussian mean 4 " in str(record[0].message)
+        assert err.value.report["t"] == 0.0
+
+    def test_one_call_peaks_below_one_mebibyte(self, space64, rng):
+        trait = TraitGrid(-8.5, 8.5, 512)
+        z0 = 0.5 * np.sin(2 * np.pi * space64.centers)
+        state = gaussian_initial_state(space64, trait, np.ones(64), z0, 1.3)
+        state.n *= rng.uniform(0.8, 1.2, size=state.n.shape)
+        tracemalloc.start()
+        try:
+            gaussian_deviation(state, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
 
 
 class TestKbmResiduals:
@@ -175,6 +274,20 @@ class TestHolderQuotient:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
+
+    def test_chunked_gap_matches_one_shot(self, rng):
+        # 8 start-time chunks at lag 0 and 3 at the last lag the test reads.
+        space = TorusGrid(16, 1.0)
+        times = np.arange(40) * 0.05
+        field = rng.normal(size=(40, 16))
+        want = holder_quotient(times, space, field, 0.5)
+        with mock.patch.object(diagnostics, "_GAP_CHUNK", 5 * 16**2):
+            for lag in (0, 1, 7, 25):
+                gap = field[lag:, None, :] - field[: 40 - lag, :, None]
+                np.testing.assert_array_equal(
+                    diagnostics._max_gap(field, lag), np.abs(gap).max(axis=0)
+                )
+            assert holder_quotient(times, space, field, 0.5) == want
 
     @pytest.mark.parametrize("theta", [0.0, 1.0, -0.5])
     def test_rejects_bad_exponent(self, space64, theta):

@@ -21,7 +21,9 @@ from simkbm.sim_solver import (
     RunDiagnostics,
     _diffusion_substep,
     _guard_density,
+    KineticState,
     _Operators,
+    _reaction_substep,
     _reproduction_substep,
     max_stable_dt,
 )
@@ -123,7 +125,7 @@ class TestSubsteps:
             space, trait, 1.0 + 0.5 * rng.uniform(size=16), np.zeros(16), 1.0
         )
         params = SimParams(A=1.0, gamma=4.0, dt=2e-3, snapshot_dt=0.1)
-        ops = _Operators(space, trait, params)
+        ops = _Operators(space, trait, params, CONST_ENV)
         diag = RunDiagnostics()
         n = state.n
         for _ in range(25):
@@ -136,7 +138,7 @@ class TestSubsteps:
             space, trait, 1.0 + 0.5 * rng.uniform(size=16), np.zeros(16), 0.7
         )
         params = SimParams(A=1.0, gamma=50.0, dt=2e-3, snapshot_dt=0.1)
-        ops = _Operators(space, trait, params)
+        ops = _Operators(space, trait, params, CONST_ENV)
         before = state.n.sum(axis=1) * trait.spacing
         out = _reproduction_substep(state.n, state, params, ops, RunDiagnostics())
         after = out.sum(axis=1) * trait.spacing
@@ -146,9 +148,9 @@ class TestSubsteps:
         space, trait = small_grids
         state = gaussian_initial_state(space, trait, np.ones(16), np.zeros(16), 1.0)
         params = SimParams(A=1.0, gamma=8.0, dt=2e-3, snapshot_dt=0.1)
-        ops = _Operators(space, trait, params)
+        ops = _Operators(space, trait, params, CONST_ENV)
         for _ in range(10):
-            state = sim_step(state, params, CONST_ENV, ops, RunDiagnostics())
+            state = sim_step(state, params, ops, RunDiagnostics())
             assert state.n.min() >= 0.0
 
     def test_negative_density_detected(self, small_grids):
@@ -156,9 +158,9 @@ class TestSubsteps:
         state = gaussian_initial_state(space, trait, np.ones(16), np.zeros(16), 1.0)
         state.n[:, 60] = -1e-3  # a full trait slice: x-diffusion cannot heal it
         params = SimParams(A=1.0, gamma=8.0, dt=2e-3, snapshot_dt=0.1)
-        ops = _Operators(space, trait, params)
+        ops = _Operators(space, trait, params, CONST_ENV)
         with pytest.raises(SimulationError, match="negative density"):
-            sim_step(state, params, CONST_ENV, ops, RunDiagnostics())
+            sim_step(state, params, ops, RunDiagnostics())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_density_detected(self, bad):
@@ -184,9 +186,40 @@ class TestSubsteps:
         state = gaussian_initial_state(space, trait, np.full(16, 1e-11), np.zeros(16), 1.0)
         state.n *= 1e-3  # push N below the 1e-12 floor
         params = SimParams(A=1.0, gamma=8.0, dt=2e-3, snapshot_dt=0.1)
-        ops = _Operators(space, trait, params)
+        ops = _Operators(space, trait, params, CONST_ENV)
         with pytest.raises(SimulationError, match="floor"):
-            sim_step(state, params, CONST_ENV, ops, RunDiagnostics())
+            sim_step(state, params, ops, RunDiagnostics())
+
+
+class TestReactionFactorization:
+    @pytest.mark.parametrize(
+        "env",
+        [
+            Environment(kind="constant", offset=0.4),
+            Environment(kind="affine_in_t", offset=-0.2, rate=1.5),
+            Environment(kind="sinusoidal_in_x", offset=0.1, amplitude=0.5, wavenumber=2),
+            Environment(kind="sinusoidal_plus_drift", offset=0.1, amplitude=0.5, rate=-2.0),
+        ],
+        ids=lambda env: env.kind,
+    )
+    def test_matches_the_literal_exponential_over_50_steps(self, small_grids, env):
+        space, trait = small_grids
+        x, y = space.centers, trait.centers
+        z0 = 0.3 * np.cos(2 * np.pi * x)
+        state = gaussian_initial_state(space, trait, 1.0 + 0.2 * np.sin(2 * np.pi * x), z0, 1.0)
+        params = SimParams(A=1.0, gamma=8.0, dt=2e-3, snapshot_dt=0.1)
+        ops = _Operators(space, trait, params, env)
+        factored, literal = state.n.copy(), state.n.copy()
+        for k in range(50):
+            t = 0.3 + k * params.dt
+            N = literal.sum(axis=1) * trait.spacing
+            y_opt = env.evaluate(t + 0.5 * params.dt, x)
+            r = (1.0 + 0.5 * params.A - N)[:, None] - 0.5 * (y[None, :] - y_opt[:, None]) ** 2
+            literal = literal * np.exp(params.dt * r)
+            step_state = KineticState(t, factored, space, trait)
+            out = _reaction_substep(factored, step_state, params, ops, RunDiagnostics())
+            assert out is factored
+            assert np.abs(factored / literal - 1.0).max() <= 1e-13, k
 
 
 class TestRunSim:
