@@ -371,9 +371,10 @@ def parse_config(source) -> RunConfig:
         )
     # The cadence, in steps, must divide the step count (sim_solver.plan_steps).
     snapshot_dt = num.get("snapshot_dt", "auto")
-    if snapshot_dt == "auto":
+    auto = snapshot_dt == "auto"
+    if auto:
         # About 100 snapshots: the largest divisor of the step count up to t_end / (100 dt).
-        every = max(1, round(t_end / (100.0 * dt)))
+        target = every = max(1, round(t_end / (100.0 * dt)))
         while n_steps % every:
             every -= 1
         snapshot_dt = dt * every
@@ -385,6 +386,14 @@ def parse_config(source) -> RunConfig:
         if every > n_steps or n_steps % every:
             raise ConfigError("numerical.snapshot_dt must divide t_end")
     if n_steps // every + 1 > MAX_SNAPSHOTS:
+        if auto:
+            # E.g. a prime step count: only every step, or t_end itself, divides it.
+            raise ConfigError(
+                f'numerical.snapshot_dt "auto": the {n_steps}-step horizon has no divisor near '
+                f"t_end / (100 dt) = {target} (the largest up to it is {every}), so the run "
+                f"takes {n_steps // every + 1} snapshots, more than {MAX_SNAPSHOTS}: change "
+                "numerical.t_end or numerical.dt"
+            )
         raise ConfigError(
             f"the run takes {n_steps // every + 1} snapshots, more than {MAX_SNAPSHOTS}: set "
             "numerical.snapshot_dt to a larger multiple of dt that divides t_end"

@@ -57,7 +57,8 @@ def gaussian_deviation(state: KineticState, A: float, N=None, Z=None) -> float:
     names the cell of either measure that serves each merged segment, and
     the closed-form segment integrals of measures.wasserstein follow.  A
     column that fails a check raises the error, or emits the warning, that
-    GridMeasure and gaussian_on_grid give it.
+    GridMeasure and gaussian_on_grid give it; a distance that is not
+    finite raises SimulationError.
     """
     if not A > 0:
         raise ValueError(f"variance must be positive, got {A}")
@@ -75,6 +76,15 @@ def gaussian_deviation(state: KineticState, A: float, N=None, Z=None) -> float:
         target = np.exp(-((y - Z[cols, None]) ** 2) / (2.0 * A)) / np.sqrt(2.0 * np.pi * A)
         _check_columns(state, A, profile, target, Z[cols])
         dist = _w2_rows(_cdf_rows(profile, h), _cdf_rows(target, h), trait.edges, h)
+        # max(worst, nan) keeps worst: a NaN column must not drop out silently.
+        bad = np.flatnonzero(~np.isfinite(dist))
+        if len(bad):
+            col = lo + int(bad[0])
+            raise SimulationError(
+                f"the W2 distance of column {col} to its reference Gaussian is "
+                f"{dist[bad[0]]}",
+                {"t": state.t, "column": col},
+            )
         worst = max(worst, float(dist.max()))
     return worst
 
@@ -140,11 +150,12 @@ def _w2_rows(cum_mu: np.ndarray, cum_nu: np.ndarray, edges: np.ndarray, h: float
 
 
 def _quantile_lines(cum, j, u_lo, u_hi, edges, h):
-    """The quantile at both ends of each segment, read off its cell j."""
+    """The quantile at both ends of each segment, read off its cell j, with
+    the mass share formed first (measures._quantile_values)."""
     c0 = cum.take(j)
-    slope = h / (cum.take(j + 1) - c0)
+    cell_mass = cum.take(j + 1) - c0
     e = edges.take(j)
-    return e + (u_lo - c0) * slope, e + (u_hi - c0) * slope
+    return e + (u_lo - c0) / cell_mass * h, e + (u_hi - c0) / cell_mass * h
 
 
 def _uniform_cadence(times: np.ndarray) -> float:

@@ -7,9 +7,10 @@ with the (points, 2) pair) plus an explicit two-stage (Heun) reaction
 substep advances the system; Z is recovered as Y / N afterwards.
 
 The stepper carries the state as one (2, points) array U = (N, Y) from the
-validated initial MacroState to the last step.  The optimal trait is read
-once per time level t0 + k dt: the Heun stage-2 field of step k is the
-stage-1 field of step k + 1.
+validated initial MacroState to the last step.  The optimal trait is
+evaluated once per run, at t = 0, and shifted by its drift to each time
+level t0 + k dt: the Heun stage-2 field of step k is the stage-1 field of
+step k + 1.
 """
 
 from __future__ import annotations
@@ -125,11 +126,14 @@ def run_kbm(
     N = np.empty((len(times), len(x)))
     Y = np.empty_like(N)
     N[0], Y[0] = U
+    # y_opt(t, x) = y_opt(0, x) + drift_rate * t, the same bits as evaluate(t, x).
+    base = env.evaluate(0.0, x)
+    drift = env.drift_rate
     t = state0.t
-    y_now = env.evaluate(t, x)
+    y_now = base + drift * t if drift else base
     for k in range(1, n_steps + 1):
         t_next = state0.t + k * dt
-        y_next = env.evaluate(t_next, x)
+        y_next = base + drift * t_next if drift else base
         U = kbm_step(U, t, y_now, y_next, A, dt, heat)
         t, y_now = t_next, y_next
         if k % every == 0:

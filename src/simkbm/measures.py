@@ -127,10 +127,14 @@ def _cdf_values(mu: GridMeasure) -> np.ndarray:
 
 
 def _quantile_values(cum, edges, spacing, u):
-    """Generalized inverse of the piecewise-linear CDF at interior levels u."""
+    """Generalized inverse of the piecewise-linear CDF at interior levels u.
+
+    The share of the cell's mass below u comes first and the spacing last:
+    spacing / cell_mass overflows when a cell's mass is subnormal.
+    """
     j = np.searchsorted(cum, u, side="left") - 1
     cell_mass = cum[j + 1] - cum[j]
-    return edges[j] + (u - cum[j]) * (spacing / cell_mass)
+    return edges[j] + (u - cum[j]) / cell_mass * spacing
 
 
 def quantile(mu: GridMeasure, u):
@@ -149,15 +153,17 @@ def _segment_lines(mu: GridMeasure, cum, u_lo, u_hi):
 
     The serving cell is located from the segment midpoint, so segments that
     start or end exactly at a CDF breakpoint pick up the one-sided limit
-    rather than an arbitrary value at the jump.
+    rather than an arbitrary value at the jump.  As in _quantile_values,
+    the mass share is formed before the spacing multiplies it.
     """
     edges = mu.grid.edges
     h = mu.grid.spacing
     mid = 0.5 * (u_lo + u_hi)
     j = np.searchsorted(cum, mid, side="left") - 1
-    slope = h / (cum[j + 1] - cum[j])
-    q_lo = edges[j] + (u_lo - cum[j]) * slope
-    q_hi = edges[j] + (u_hi - cum[j]) * slope
+    c0 = cum[j]
+    cell_mass = cum[j + 1] - c0
+    q_lo = edges[j] + (u_lo - c0) / cell_mass * h
+    q_hi = edges[j] + (u_hi - c0) / cell_mass * h
     return q_lo, q_hi
 
 
@@ -213,25 +219,35 @@ def wasserstein_oracle(mu: GridMeasure, nu: GridMeasure, p: int) -> float:
     Treats each cell as an atom at its center and pairs mass front to front.
     On sorted supports this greedy plan is the monotone coupling, so the
     value agrees with `wasserstein` up to the O(h) atomization gap.
+
+    The loop runs on Python floats, with the residual weights of the two
+    current atoms in locals a and b: a literal pairing loop, kept apart
+    from the CDF merge it checks.
     """
     if p not in WASSERSTEIN_ORDERS:
         raise ValueError(f"p must be one of {WASSERSTEIN_ORDERS}, got {p}")
     mu.require_probability()
     nu.require_probability()
 
-    xu, wu = _sorted_atoms(mu)
-    xv, wv = _sorted_atoms(nu)
-    wu = wu.copy()
-    wv = wv.copy()
+    xu, wu = (v.tolist() for v in _sorted_atoms(mu))
+    xv, wv = (v.tolist() for v in _sorted_atoms(nu))
+    # Both lists hold at least one atom: a GridMeasure has positive mass.
     i = j = 0
+    a, b = wu[0], wv[0]
     cost = 0.0
-    while i < len(xu) and j < len(xv):
-        f = min(wu[i], wv[j])
+    while True:
+        f = b if b < a else a
         cost += f * abs(xu[i] - xv[j]) ** p
-        wu[i] -= f
-        wv[j] -= f
-        if wu[i] == 0.0:
+        a -= f
+        b -= f
+        if a == 0.0:
             i += 1
-        if wv[j] == 0.0:
+            if i == len(xu):
+                break
+            a = wu[i]
+        if b == 0.0:
             j += 1
+            if j == len(xv):
+                break
+            b = wv[j]
     return cost ** (1.0 / p)

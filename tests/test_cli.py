@@ -354,6 +354,15 @@ class TestRejectedAtParse:
         assert "the run takes 10002 snapshots, more than 10000" in err
         assert parse_config(self.doc(t_end=9.999, **small)).snapshot_dt == 0.001
 
+    def test_auto_cadence_of_a_prime_step_count(self, tmp_path, capsys):
+        # 10007 steps is prime: no cadence near 100 steps divides it.
+        doc = self.doc(space_points=4, trait_points=64, dt=0.001, t_end=10.007)
+        err = assert_one_line_rejection(tmp_path, capsys, doc, commands=self.COMMANDS)
+        assert 'snapshot_dt "auto": the 10007-step horizon has no divisor near' in err
+        assert "t_end / (100 dt) = 100 (the largest up to it is 1)" in err
+        assert "10008 snapshots" in err and "change numerical.t_end or numerical.dt" in err
+        assert "larger multiple" not in err
+
     @pytest.mark.parametrize("period", [1e-300, 1e300])
     def test_diffusion_ratio_out_of_range(self, tmp_path, capsys, period):
         doc = self.doc(period=period)

@@ -62,10 +62,12 @@ class TestGaussianDeviation:
         assert devs[0] >= devs[1] >= devs[2]
 
 
-# Cell weights: zeros, and values so small next to the rest that the CDF
-# reaches 1 before the last cell (saturated tails).  Subnormal cell masses
-# are left out: h / mass overflows in the segment slope of both methods.
-_WEIGHTS = st.one_of(st.sampled_from([0.0, 1e-300, 1e-20]), st.floats(1e-12, 1.0))
+# Cell weights: zeros, subnormals (their cell masses once overflowed the
+# segment slope h / mass), and values so small next to the rest that the CDF
+# reaches 1 before the last cell (saturated tails).
+_WEIGHTS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2e-313, 1e-310, 1e-300, 1e-20]), st.floats(1e-12, 1.0)
+)
 
 
 @st.composite
@@ -138,6 +140,38 @@ class TestBatchedGaussianDeviation:
                 gaussian_deviation(state, 1.0)
         assert len(record) == 1 and "Gaussian mean 4 " in str(record[0].message)
         assert err.value.report["t"] == 0.0
+
+    def test_subnormal_cell_mass_gives_a_finite_distance(self):
+        # A subnormal cell next to a full one: h / mass overflowed to inf and
+        # the segment's quantile became 0 * inf = NaN.
+        trait = TraitGrid(-12.0, 12.0, 48)
+        n = np.zeros((4, 48))
+        n[:, 22] = 1.0
+        n[1, 21] = 2.2e-313
+        state = KineticState(0.0, n, TorusGrid(4, 1.0), trait)
+        want = per_column_w2(state, 1.0)
+        assert np.all(np.isfinite(want))
+        assert gaussian_deviation(state, 1.0) == pytest.approx(max(want), rel=1e-12)
+
+    def test_non_finite_distance_raises(self, space64, monkeypatch):
+        trait = TraitGrid(-8.5, 8.5, 512)
+        state = gaussian_initial_state(space64, trait, np.ones(64), np.zeros(64), 1.0)
+        state = KineticState(0.75, state.n, space64, trait)
+        w2_rows = diagnostics._w2_rows
+        batches = []
+
+        def nan_in_third_batch(*args):
+            dist = w2_rows(*args)
+            batches.append(len(dist))
+            if len(batches) == 3:
+                dist[1] = np.nan
+            return dist
+
+        monkeypatch.setattr(diagnostics, "_w2_rows", nan_in_third_batch)
+        with pytest.raises(SimulationError, match="column 9 .* is nan") as err:
+            gaussian_deviation(state, 1.0)
+        assert batches == [4, 4, 4]
+        assert err.value.report == {"t": 0.75, "column": 9}
 
     def test_one_call_peaks_below_one_mebibyte(self, space64, rng):
         trait = TraitGrid(-8.5, 8.5, 512)

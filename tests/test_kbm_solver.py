@@ -177,7 +177,33 @@ class TestStackedStepper:
         count_calls(simkbm.kbm_solver, "kbm_step")
         counts = count_calls(Environment, "evaluate")
         run_kbm(MacroState(0.0, np.ones(64), np.zeros(64), space64), SIN_ENV, 1.0, 1e-3, 0.05, 0.01)
-        assert counts == {"kbm_step": 50, "evaluate": 51}
+        assert counts == {"kbm_step": 50, "evaluate": 1}
+
+    @pytest.mark.parametrize(
+        "env",
+        [
+            Environment(kind="constant", offset=-0.3),
+            Environment(kind="affine_in_t", offset=0.1, rate=-0.7),
+            SIN_ENV,
+            Environment(kind="sinusoidal_plus_drift", amplitude=0.4, wavenumber=2, rate=0.9),
+        ],
+        ids=lambda env: env.kind,
+    )
+    def test_y_opt_fields_equal_evaluate_bit_for_bit(self, space64, env, monkeypatch):
+        seen = []
+        step = simkbm.kbm_solver.kbm_step
+
+        def recording(U, t, y_now, y_next, *args):
+            seen.append((y_now.copy(), y_next.copy()))
+            return step(U, t, y_now, y_next, *args)
+
+        monkeypatch.setattr(simkbm.kbm_solver, "kbm_step", recording)
+        t0, dt, x = 0.3, 1e-3, space64.centers
+        run_kbm(MacroState(t0, np.ones(64), np.zeros(64), space64), env, 1.0, dt, 0.35, 0.01)
+        assert len(seen) == 50
+        for k, (y_now, y_next) in enumerate(seen):
+            assert np.array_equal(y_now, env.evaluate(t0 + k * dt, x))
+            assert np.array_equal(y_next, env.evaluate(t0 + (k + 1) * dt, x))
 
 
 # First row of the 64-cell diffusion step at dt = 1e-3: its absolute values sum to 1.68.

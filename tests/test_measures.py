@@ -147,6 +147,20 @@ class TestWasserstein:
         with pytest.raises(ValueError, match="p must be"):
             wasserstein(mu, mu, 3)
 
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_subnormal_cell_mass(self, p):
+        # Weights 2.2e-313 and 1.0 side by side: h / mass overflowed to inf
+        # and the subnormal cell's segment gave 0 * inf = NaN.
+        g = TraitGrid(-12.0, 12.0, 48)
+        dens = np.zeros(48)
+        dens[20], dens[21] = 2.2e-313, 1.0
+        mu = GridMeasure(g, dens / g.integrate(dens))
+        nu = gaussian_on_grid(0.0, 1.0, g)
+        d = wasserstein(mu, nu, p)
+        assert np.isfinite(d) and d == pytest.approx(wasserstein(nu, mu, p), rel=1e-14)
+        assert d == pytest.approx(wasserstein_oracle(mu, nu, p), abs=g.spacing)
+        assert g.edges[20] <= quantile(mu, 1e-320) <= g.edges[21]
+
     def test_rejects_unnormalized(self, trait512):
         mu = gaussian_on_grid(0.0, 1.0, trait512)
         nu = GridMeasure(trait512, 2.0 * mu.density)
@@ -170,11 +184,74 @@ class TestWasserstein:
         assert wasserstein(mu, nu, 2) == pytest.approx(2.0, abs=1e-4)
 
 
+def numpy_scalar_oracle(mu, nu, p):
+    """The north-west-corner loop on numpy scalars, as wasserstein_oracle ran it
+    before its loop moved to Python floats: the bit-for-bit reference."""
+    xu, wu = measures._sorted_atoms(mu)
+    xv, wv = measures._sorted_atoms(nu)
+    wu = wu.copy()
+    wv = wv.copy()
+    i = j = 0
+    cost = 0.0
+    while i < len(xu) and j < len(xv):
+        f = min(wu[i], wv[j])
+        cost += f * abs(xu[i] - xv[j]) ** p
+        wu[i] -= f
+        wv[j] -= f
+        if wu[i] == 0.0:
+            i += 1
+        if wv[j] == 0.0:
+            j += 1
+    return cost ** (1.0 / p)
+
+
+def with_zero_cells(mu, cells):
+    dens = mu.density.copy()
+    dens[cells] = 0.0
+    return GridMeasure(mu.grid, dens / mu.grid.integrate(dens))
+
+
 class TestWassersteinOracle:
     def test_identical_inputs(self, trait256, rng):
         mu = random_mixture(rng, trait256)
         for p in (1, 2, 4):
             assert wasserstein_oracle(mu, mu, p) == 0.0
+
+    @pytest.mark.parametrize("points", [64, 256])
+    def test_bit_identical_to_the_numpy_scalar_loop(self, points, rng):
+        grid = TraitGrid(-4.0, 4.0, points)
+        for _ in range(100):
+            mu = random_mixture(rng, grid)
+            nu = random_mixture(rng, grid)
+            for p in (1, 2, 4):
+                assert wasserstein_oracle(mu, nu, p) == numpy_scalar_oracle(mu, nu, p)
+
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_edge_cases_bit_identical(self, trait256, rng, p):
+        g = integer_grid()
+        mu = random_mixture(rng, trait256)
+        nu = random_mixture(rng, trait256)
+        holes = with_zero_cells(mu, np.r_[0:90, 120:125, 131, 200:256])
+        # Dyadic weights on both sides: every pairing empties both atoms at
+        # once, down to the last step.
+        c = g.centers
+        left = GridMeasure(g, np.where((c >= -6) & (c <= -3), 0.25, 0.0))
+        right = GridMeasure(g, np.where((c >= 2) & (c <= 5), 0.25, 0.0))
+        pairs = [
+            (mu, mu),
+            (atom_measure(g, 8), atom_measure(g, 8)),
+            (atom_measure(g, 3), random_mixture(rng, g, mean_span=1.0, var_range=(0.5, 1.0))),
+            (random_mixture(rng, g, mean_span=1.0, var_range=(0.5, 1.0)), atom_measure(g, 12)),
+            (holes, nu),
+            (nu, holes),
+            (holes, with_zero_cells(nu, np.r_[0:100, 140:256])),
+            (left, right),
+        ]
+        for a, b in pairs:
+            assert wasserstein_oracle(a, b, p) == numpy_scalar_oracle(a, b, p)
+        assert wasserstein_oracle(mu, mu, p) == 0.0
+        assert wasserstein_oracle(atom_measure(g, 8), atom_measure(g, 8), p) == 0.0
+        assert wasserstein_oracle(left, right, p) == 8.0
 
     @pytest.mark.parametrize("p", [1, 2, 4])
     def test_agreement_on_random_pairs(self, trait256, rng, p):
