@@ -377,6 +377,14 @@ def parse_config(source) -> RunConfig:
         target = every = max(1, round(t_end / (100.0 * dt)))
         while n_steps % every:
             every -= 1
+        if every < target / 2:
+            # E.g. a prime step count: only every step, or t_end itself, divides it.
+            raise ConfigError(
+                f'numerical.snapshot_dt "auto": the {n_steps}-step horizon has no divisor near '
+                f"t_end / (100 dt) = {target} (the largest up to it is {every}), so the run "
+                f"takes {n_steps // every + 1} snapshots instead of about "
+                f"{n_steps // target + 1}: change numerical.t_end or numerical.dt"
+            )
         snapshot_dt = dt * every
     else:
         snapshot_dt = _get_number(num, "snapshot_dt", "numerical", positive=True)
@@ -386,14 +394,6 @@ def parse_config(source) -> RunConfig:
         if every > n_steps or n_steps % every:
             raise ConfigError("numerical.snapshot_dt must divide t_end")
     if n_steps // every + 1 > MAX_SNAPSHOTS:
-        if auto:
-            # E.g. a prime step count: only every step, or t_end itself, divides it.
-            raise ConfigError(
-                f'numerical.snapshot_dt "auto": the {n_steps}-step horizon has no divisor near '
-                f"t_end / (100 dt) = {target} (the largest up to it is {every}), so the run "
-                f"takes {n_steps // every + 1} snapshots, more than {MAX_SNAPSHOTS}: change "
-                "numerical.t_end or numerical.dt"
-            )
         raise ConfigError(
             f"the run takes {n_steps // every + 1} snapshots, more than {MAX_SNAPSHOTS}: set "
             "numerical.snapshot_dt to a larger multiple of dt that divides t_end"

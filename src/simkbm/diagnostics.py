@@ -13,7 +13,14 @@ import numpy as np
 
 from .environment import Environment
 from .grids import TorusGrid
-from .measures import PROBABILITY_TOL, GridMeasure, gaussian_on_grid
+from .measures import (
+    PROBABILITY_TOL,
+    GridMeasure,
+    batch_rows,
+    cdf_rows,
+    gaussian_on_grid,
+    wasserstein_rows,
+)
 from .sim_solver import KineticState, SimulationError, kinetic_moments
 
 
@@ -36,11 +43,6 @@ class SweepReport:
                 raise ValueError(f"negative error in family {family!r}")
 
 
-# Cells per batch of the W2 computation.  Every temporary of a batch holds
-# about twice this many doubles (32 KiB) whatever the snapshot size.
-_CHUNK_CELLS = 2048
-
-
 def gaussian_deviation(state: KineticState, A: float, N=None, Z=None) -> float:
     """max over x of W2(profile(x, .), Gaussian of variance A centered at Z(x)).
 
@@ -51,14 +53,11 @@ def gaussian_deviation(state: KineticState, A: float, N=None, Z=None) -> float:
     N and Z are the state's column sizes and mean traits (kinetic_moments)
     when the caller already holds them, as a KineticTrajectory does.
 
-    The columns are taken _CHUNK_CELLS // trait points at a time.  Per
-    batch, one stable argsort per row merges the breakpoints of the two
-    piecewise-linear CDFs; a running count of the profile's breakpoints then
-    names the cell of either measure that serves each merged segment, and
-    the closed-form segment integrals of measures.wasserstein follow.  A
-    column that fails a check raises the error, or emits the warning, that
-    GridMeasure and gaussian_on_grid give it; a distance that is not
-    finite raises SimulationError.
+    The columns are taken measures.batch_rows(trait points) at a time, and
+    each batch goes through measures.wasserstein_rows at p = 2.  A column
+    that fails a check raises the error, or emits the warning, that
+    GridMeasure and gaussian_on_grid give it; a distance that is not finite
+    raises SimulationError.
     """
     if not A > 0:
         raise ValueError(f"variance must be positive, got {A}")
@@ -68,14 +67,14 @@ def gaussian_deviation(state: KineticState, A: float, N=None, Z=None) -> float:
     trait = state.trait
     h = trait.spacing
     y = trait.centers
-    rows = max(1, _CHUNK_CELLS // trait.points)
+    rows = batch_rows(trait.points)
     worst = 0.0
     for lo in range(0, len(N), rows):
         cols = slice(lo, lo + rows)
         profile = state.n[cols] / N[cols, None]
         target = np.exp(-((y - Z[cols, None]) ** 2) / (2.0 * A)) / np.sqrt(2.0 * np.pi * A)
         _check_columns(state, A, profile, target, Z[cols])
-        dist = _w2_rows(_cdf_rows(profile, h), _cdf_rows(target, h), trait.edges, h)
+        dist = wasserstein_rows(trait, cdf_rows(profile, h), cdf_rows(target, h), (2,))[0]
         # max(worst, nan) keeps worst: a NaN column must not drop out silently.
         bad = np.flatnonzero(~np.isfinite(dist))
         if len(bad):
@@ -108,54 +107,6 @@ def _check_columns(state, A, profile, target, Z):
                 f"{ref.mass:.12f} on the trait grid: widen numerical.trait_bounds",
                 {"t": state.t, "mass": ref.mass},
             )
-
-
-def _cdf_rows(density: np.ndarray, h: float) -> np.ndarray:
-    """Normalized CDFs at the cell edges, one row per density row."""
-    cum = np.zeros((len(density), density.shape[1] + 1))
-    np.cumsum(density * h, axis=1, out=cum[:, 1:])
-    cum /= cum[:, -1:].copy()
-    cum[:, -1] = 1.0
-    return cum
-
-
-def _w2_rows(cum_mu: np.ndarray, cum_nu: np.ndarray, edges: np.ndarray, h: float) -> np.ndarray:
-    """W2 between the grid measures of matching CDF rows, with the segment
-    arithmetic of measures.wasserstein (p = 2)."""
-    rows, m1 = cum_mu.shape
-    width = 2 * m1
-    merged = np.concatenate((cum_mu, cum_nu), axis=1)
-    order = np.argsort(merged, axis=1, kind="stable")
-    # Breakpoints of mu at or before each merged position.
-    seen = np.cumsum(order < m1, axis=1)[:, :-1]
-    order += np.arange(0, rows * width, width)[:, None]
-    u = merged.take(order)
-    # A segment of positive width, from merged position k to k + 1, lies in
-    # cell seen - 1 of mu and cell k - seen of nu; indices below are flat.
-    keep = u[:, 1:] > u[:, :-1]
-    u_lo = u[:, :-1][keep]
-    u_hi = u[:, 1:][keep]
-    first = np.arange(0, rows * m1, m1)[:, None]
-    j_mu = (first - 1 + seen)[keep]
-    j_nu = (first + np.arange(width - 1) - seen)[keep]
-    edges = np.tile(edges, rows)
-    f_lo, f_hi = _quantile_lines(cum_mu.ravel(), j_mu, u_lo, u_hi, edges, h)
-    g_lo, g_hi = _quantile_lines(cum_nu.ravel(), j_nu, u_lo, u_hi, edges, h)
-    a = f_lo - g_lo
-    b = f_hi - g_hi
-    seg = (u_hi - u_lo) * (a * a + a * b + b * b) / 3.0
-    # Every row has a segment: its CDF climbs from 0 to 1.
-    starts = np.concatenate(([0], np.cumsum(keep.sum(axis=1))[:-1]))
-    return np.sqrt(np.add.reduceat(seg, starts))
-
-
-def _quantile_lines(cum, j, u_lo, u_hi, edges, h):
-    """The quantile at both ends of each segment, read off its cell j, with
-    the mass share formed first (measures._quantile_values)."""
-    c0 = cum.take(j)
-    cell_mass = cum.take(j + 1) - c0
-    e = edges.take(j)
-    return e + (u_lo - c0) / cell_mass * h, e + (u_hi - c0) / cell_mass * h
 
 
 def _uniform_cadence(times: np.ndarray) -> float:

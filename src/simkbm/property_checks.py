@@ -12,14 +12,16 @@ import dataclasses
 import numpy as np
 
 from .grids import TraitGrid
-from .infinitesimal import (
-    W2_CONTRACTION,
-    W4_CONTRACTION,
-    ReproductionKernel,
-    apply_T_fast,
-    apply_T_oracle,
+from .infinitesimal import W2_CONTRACTION, W4_CONTRACTION, ReproductionKernel, apply_T_oracle
+from .measures import (
+    PROBABILITY_TOL,
+    GridMeasure,
+    cdf_rows,
+    gaussian_on_grid,
+    moment_rows,
+    wasserstein_oracle,
+    wasserstein_rows,
 )
-from .measures import GridMeasure, gaussian_on_grid, moments, wasserstein, wasserstein_oracle
 
 
 @dataclasses.dataclass
@@ -43,6 +45,29 @@ class CheckResult:
         return out
 
 
+# The draws of random_mixtures assume a grid that reaches DRAW_REACH on both
+# sides of 0: component means within 0.8 of 0, moved by up to 1.3 when a
+# mixture is recentered on a target mean, and spreads up to sqrt(0.6) leave
+# every component's tail about 7 sigma inside such a grid, so T pushes no
+# measurable mass over its ends.
+DRAW_REACH = 7.5
+
+
+def draw_frame(grid: TraitGrid) -> tuple:
+    """Center and scale of the random draws on this grid.
+
+    (0, 1) on a grid that reaches DRAW_REACH on both sides of 0, whatever
+    else it holds, so the draws there are the unscaled ones.  On a narrower
+    grid the draws move to its midpoint, and their means, mean spans and
+    standard deviations shrink by its half-width over DRAW_REACH (never
+    grow).
+    """
+    if min(-grid.y_min, grid.y_max) >= DRAW_REACH:
+        return 0.0, 1.0
+    half = 0.5 * (grid.y_max - grid.y_min)
+    return grid.y_min + half, min(1.0, half / DRAW_REACH)
+
+
 def random_mixture(
     rng: np.random.Generator,
     grid: TraitGrid,
@@ -51,33 +76,88 @@ def random_mixture(
     var_range=(0.2, 0.6),
     max_components: int = 3,
 ) -> GridMeasure:
-    """Random Gaussian mixture, exactly normalized on the grid.
+    """Random Gaussian mixture, exactly normalized on the grid: the one-row
+    case of random_mixtures."""
+    targets = None if target_mean is None else (target_mean,)
+    dens = random_mixtures(rng, grid, 1, targets, mean_span, var_range, max_components)
+    return GridMeasure(grid, dens[0])
 
-    Component spreads are kept small enough that every tail dies >= 7 sigma
-    inside an 8-wide grid, so matching `target_mean` at the component level
-    (recentering can push components out to about 2 * mean_span + |target|)
-    pins the sampled mean to the target within ~1e-12.
+
+def random_mixtures(
+    rng: np.random.Generator,
+    grid: TraitGrid,
+    count: int,
+    target_means=None,
+    mean_span: float = 0.8,
+    var_range=(0.2, 0.6),
+    max_components: int = 3,
+) -> np.ndarray:
+    """`count` random Gaussian mixtures, one density per row, each exactly
+    normalized on the grid.
+
+    Row i takes the rng calls, and holds the bits, of the i-th of `count`
+    one-measure draws.  target_means is read one value per row, just before
+    that row's draws, so it may itself draw from rng.  Matching the target
+    at the component level pins the sampled mean of a row to it within
+    ~1e-12, as long as the grid holds the recentered components.
     """
-    k = int(rng.integers(1, max_components + 1))
-    weights = rng.dirichlet(np.ones(k))
-    means = rng.uniform(-mean_span, mean_span, size=k)
-    variances = rng.uniform(var_range[0], var_range[1], size=k)
-    if target_mean is not None:
-        means = means - float(weights @ means) + target_mean
+    center, scale = draw_frame(grid)
+    targets = None if target_means is None else iter(target_means)
+    # Weights, means and variances; padding components have zero weight.
+    components = np.zeros((3, count, max_components))
+    components[2] = 1.0
+    for i in range(count):
+        target = None if targets is None else next(targets)
+        k = int(rng.integers(1, max_components + 1))
+        weights = rng.dirichlet(np.ones(k))
+        means = center + rng.uniform(-mean_span * scale, mean_span * scale, size=k)
+        variances = rng.uniform(var_range[0] * scale**2, var_range[1] * scale**2, size=k)
+        if target is not None:
+            means = means - float(weights @ means) + target
+        components[:, i, :k] = weights, means, variances
+    # Each row adds its components in order to a zero row, as a one-measure
+    # draw does; a padding component adds exact zeros.
     y = grid.centers
-    dens = np.zeros_like(y)
-    for w, m, v in zip(weights, means, variances):
+    dens = np.zeros((count, grid.points))
+    for w, m, v in zip(*(c.T[:, :, None] for c in components)):
         dens += w * np.exp(-((y - m) ** 2) / (2.0 * v)) / np.sqrt(2.0 * np.pi * v)
-    dens = dens / grid.integrate(dens)
-    return GridMeasure(grid, dens)
+    dens /= grid.spacing * dens.sum(axis=1)[:, None]
+    _require_rows(grid, dens)
+    return dens
+
+
+def _require_rows(grid, rows, probability=False) -> np.ndarray:
+    """Masses of the grid measures of the rows, one density per row.
+
+    Raises the error that GridMeasure (and, with `probability`,
+    require_probability) gives the first row it rejects: only rows a cheap
+    test flags are rebuilt one at a time.
+    """
+    mass = grid.spacing * rows.sum(axis=1)
+    bad = (rows < 0).any(axis=1) | ~np.isfinite(mass) | ~(mass > 0)
+    if probability:
+        bad |= ~(np.abs(mass - 1.0) <= PROBABILITY_TOL)
+    for i in np.flatnonzero(bad):
+        mu = GridMeasure(grid, rows[i])
+        if probability:
+            mu.require_probability()
+    return mass
+
+
+def _apply_T(kernel, rows):
+    """apply_T_fast on every row at once: rows must be probability
+    densities, and every output row a grid measure.  Returns the outputs
+    and their masses."""
+    _require_rows(kernel.grid, rows, probability=True)
+    out = kernel.apply_to_profiles(rows)
+    return out, _require_rows(kernel.grid, out)
 
 
 def check_mass_conservation(kernel, rng, n_measures=50, tol=1e-8) -> CheckResult:
-    worst = 0.0
-    for _ in range(n_measures):
-        mu = random_mixture(rng, kernel.grid)
-        out = apply_T_fast(mu, kernel)
-        worst = max(worst, abs(out.mass - mu.mass))
+    mu = random_mixtures(rng, kernel.grid, n_measures)
+    _, out_mass = _apply_T(kernel, mu)
+    gap = np.abs(out_mass - kernel.grid.spacing * mu.sum(axis=1))
+    worst = float(np.max(gap, initial=0.0))
     return CheckResult(
         "mass_conservation", worst <= tol, worst, tol,
         f"max |mass(T mu) - mass(mu)| over {n_measures} random measures",
@@ -85,10 +165,10 @@ def check_mass_conservation(kernel, rng, n_measures=50, tol=1e-8) -> CheckResult
 
 
 def check_mean_conservation(kernel, rng, n_measures=50, tol=1e-8) -> CheckResult:
-    worst = 0.0
-    for _ in range(n_measures):
-        mu = random_mixture(rng, kernel.grid)
-        worst = max(worst, abs(moments(apply_T_fast(mu, kernel)).mean - moments(mu).mean))
+    mu = random_mixtures(rng, kernel.grid, n_measures)
+    out, _ = _apply_T(kernel, mu)
+    gap = np.abs(moment_rows(kernel.grid, out)[1] - moment_rows(kernel.grid, mu)[1])
+    worst = float(np.max(gap, initial=0.0))
     return CheckResult(
         "mean_conservation", worst <= tol, worst, tol,
         f"max |mean(T mu) - mean(mu)| over {n_measures} random measures",
@@ -96,11 +176,10 @@ def check_mean_conservation(kernel, rng, n_measures=50, tol=1e-8) -> CheckResult
 
 
 def check_variance_map(kernel, rng, n_measures=50, tol=1e-6) -> CheckResult:
-    worst = 0.0
-    for _ in range(n_measures):
-        mu = random_mixture(rng, kernel.grid)
-        expected = 0.5 * moments(mu).variance + 0.5 * kernel.A
-        worst = max(worst, abs(moments(apply_T_fast(mu, kernel)).variance - expected))
+    mu = random_mixtures(rng, kernel.grid, n_measures)
+    out, _ = _apply_T(kernel, mu)
+    expected = 0.5 * moment_rows(kernel.grid, mu)[2] + 0.5 * kernel.A
+    worst = float(np.max(np.abs(moment_rows(kernel.grid, out)[2] - expected), initial=0.0))
     return CheckResult(
         "variance_map", worst <= tol, worst, tol,
         f"max |Var(T mu) - Var(mu)/2 - A/2| over {n_measures} random measures",
@@ -109,11 +188,15 @@ def check_variance_map(kernel, rng, n_measures=50, tol=1e-6) -> CheckResult:
 
 def check_gaussian_fixed_point(kernel, centers=(-1.0, 0.0, 1.0), tol=1e-6) -> CheckResult:
     """T fixes the Gaussian of variance A: L1 distance of T(G) from G."""
-    worst = 0.0
+    rows = []
     for z in centers:
         g = gaussian_on_grid(z, kernel.A, kernel.grid)
-        out = apply_T_fast(g, kernel)
-        worst = max(worst, kernel.grid.integrate(np.abs(out.density - g.density)))
+        g.require_probability()
+        rows.append(g.density)
+    g = np.array(rows)
+    out, _ = _apply_T(kernel, g)
+    l1 = kernel.grid.spacing * np.abs(out - g).sum(axis=1)
+    worst = float(np.max(l1, initial=0.0))
     return CheckResult(
         "gaussian_fixed_point", worst <= tol, worst, tol,
         f"max L1(T G_A(.-Z), G_A(.-Z)) over Z in {tuple(centers)}",
@@ -121,10 +204,8 @@ def check_gaussian_fixed_point(kernel, centers=(-1.0, 0.0, 1.0), tol=1e-6) -> Ch
 
 
 def check_positivity(kernel, rng, n_measures=20) -> CheckResult:
-    worst = 0.0
-    for _ in range(n_measures):
-        mu = random_mixture(rng, kernel.grid)
-        worst = min(worst, float(apply_T_fast(mu, kernel).density.min()))
+    out, _ = _apply_T(kernel, random_mixtures(rng, kernel.grid, n_measures))
+    worst = float(np.min(out, initial=0.0))
     return CheckResult(
         "positivity", worst >= 0.0, worst, 0.0,
         f"min entry of T mu over {n_measures} random measures",
@@ -133,16 +214,25 @@ def check_positivity(kernel, rng, n_measures=20) -> CheckResult:
 
 def check_tanaka(kernel, rng, p, n_pairs=100, slack=1e-4) -> CheckResult:
     bound = {2: W2_CONTRACTION, 4: W4_CONTRACTION}[p]
-    worst = 0.0
-    for _ in range(n_pairs):
-        mean = float(rng.uniform(-0.5, 0.5))
-        mu = random_mixture(rng, kernel.grid, target_mean=mean)
-        nu = random_mixture(rng, kernel.grid, target_mean=mean)
-        d = wasserstein(mu, nu, p)
-        if d < 1e-12:
-            continue
-        ratio = wasserstein(apply_T_fast(mu, kernel), apply_T_fast(nu, kernel), p) / d
-        worst = max(worst, ratio)
+    grid = kernel.grid
+    center, scale = draw_frame(grid)
+
+    def pair_means():
+        # Drawn lazily: each pair's mean comes just before its first mixture.
+        for _ in range(n_pairs):
+            mean = center + float(rng.uniform(-0.5 * scale, 0.5 * scale))
+            yield mean
+            yield mean
+
+    # Rows 2i and 2i + 1 hold pair i.
+    both = random_mixtures(rng, grid, 2 * n_pairs, pair_means())
+    d = _pair_distances(grid, both, (p,))[0]
+    out, _ = _apply_T(kernel, both)
+    # Pairs closer than 1e-12 are skipped, their images unchecked.
+    keep = np.flatnonzero(d >= 1e-12)
+    images = out.reshape(n_pairs, 2, -1)[keep].reshape(2 * len(keep), -1)
+    ratio = _pair_distances(grid, images, (p,))[0] / d[keep]
+    worst = float(np.max(ratio, initial=0.0))
     return CheckResult(
         f"tanaka_w{p}", worst <= bound + slack, worst, bound + slack,
         f"max W{p} contraction ratio over {n_pairs} random equal-mean pairs "
@@ -150,13 +240,20 @@ def check_tanaka(kernel, rng, p, n_pairs=100, slack=1e-4) -> CheckResult:
     )
 
 
+def _pair_distances(grid, rows, orders):
+    """W_p between rows 2i and 2i + 1, one result row per order.  As for
+    wasserstein, every row must be a probability density."""
+    _require_rows(grid, rows, probability=True)
+    cum = cdf_rows(rows, grid.spacing)
+    return wasserstein_rows(grid, cum[0::2], cum[1::2], orders)
+
+
 def check_oracle_agreement(kernel, rng, n_measures=10, tol=1e-6) -> CheckResult:
-    worst = 0.0
-    for _ in range(n_measures):
-        mu = random_mixture(rng, kernel.grid)
-        fast = apply_T_fast(mu, kernel)
-        slow = apply_T_oracle(mu, kernel)
-        worst = max(worst, kernel.grid.integrate(np.abs(fast.density - slow.density)))
+    grid = kernel.grid
+    mu = random_mixtures(rng, grid, n_measures)
+    fast, _ = _apply_T(kernel, mu)
+    slow = np.array([apply_T_oracle(GridMeasure(grid, row), kernel).density for row in mu])
+    worst = float(np.max(grid.spacing * np.abs(fast - slow).sum(axis=1), initial=0.0))
     return CheckResult(
         "reproduction_oracle_agreement", worst <= tol, worst, tol,
         f"max L1 gap between convolution and direct pair summation over {n_measures} measures",
@@ -165,13 +262,13 @@ def check_oracle_agreement(kernel, rng, n_measures=10, tol=1e-6) -> CheckResult:
 
 def check_wasserstein_oracle_agreement(grid, rng, n_pairs=100, p_values=(1, 2, 4)) -> CheckResult:
     tol = max(1e-6, 2.0 * grid.spacing)
+    both = random_mixtures(rng, grid, 2 * n_pairs)
+    fast = _pair_distances(grid, both, p_values)
     worst = 0.0
-    for _ in range(n_pairs):
-        mu = random_mixture(rng, grid)
-        nu = random_mixture(rng, grid)
-        for p in p_values:
-            gap = abs(wasserstein(mu, nu, p) - wasserstein_oracle(mu, nu, p))
-            worst = max(worst, gap)
+    for i in range(n_pairs):
+        mu, nu = GridMeasure(grid, both[2 * i]), GridMeasure(grid, both[2 * i + 1])
+        for k, p in enumerate(p_values):
+            worst = max(worst, abs(fast[k, i] - wasserstein_oracle(mu, nu, p)))
     return CheckResult(
         "wasserstein_oracle_agreement", worst <= tol, worst, tol,
         f"max |quantile - transport oracle| over {n_pairs} random pairs, p in {p_values}",
@@ -187,11 +284,14 @@ def run_all(A, grid, seed) -> list:
     kernel = ReproductionKernel(A, grid)
     seq = np.random.SeedSequence(seed)
     rngs = [np.random.default_rng(s) for s in seq.spawn(9)]
+    # The fixed-point centers follow the draws: -1, 0 and 1 on a wide grid.
+    center, scale = draw_frame(grid)
+    centers = tuple(center + scale * z for z in (-1.0, 0.0, 1.0))
     plan = [
         ("mass_conservation", lambda: check_mass_conservation(kernel, rngs[0])),
         ("mean_conservation", lambda: check_mean_conservation(kernel, rngs[1])),
         ("variance_map", lambda: check_variance_map(kernel, rngs[2])),
-        ("gaussian_fixed_point", lambda: check_gaussian_fixed_point(kernel)),
+        ("gaussian_fixed_point", lambda: check_gaussian_fixed_point(kernel, centers)),
         ("positivity", lambda: check_positivity(kernel, rngs[3])),
         ("tanaka_w2", lambda: check_tanaka(kernel, rngs[4], p=2)),
         ("tanaka_w4", lambda: check_tanaka(kernel, rngs[5], p=4)),

@@ -363,6 +363,20 @@ class TestRejectedAtParse:
         assert "10008 snapshots" in err and "change numerical.t_end or numerical.dt" in err
         assert "larger multiple" not in err
 
+    @pytest.mark.parametrize(
+        "t_end, steps, every", [(1.009, 1009, 1), (1.006, 1006, 2)], ids=["prime", "twice-a-prime"]
+    )
+    def test_auto_cadence_far_below_its_target(self, tmp_path, capsys, t_end, steps, every):
+        # t_end / (100 dt) = 10, and no divisor of the step count lies in
+        # [5, 10]: the run would take a snapshot every step or every other.
+        doc = self.doc(space_points=4, trait_points=64, dt=0.001, t_end=t_end)
+        err = assert_one_line_rejection(tmp_path, capsys, doc, commands=self.COMMANDS)
+        assert f'snapshot_dt "auto": the {steps}-step horizon has no divisor near' in err
+        assert f"t_end / (100 dt) = 10 (the largest up to it is {every})" in err
+        assert f"{steps // every + 1} snapshots" in err
+        # 1008 steps: 9 divides them.
+        assert parse_config(self.doc(dt=0.001, t_end=1.008)).snapshot_dt == pytest.approx(0.009)
+
     @pytest.mark.parametrize("period", [1e-300, 1e300])
     def test_diffusion_ratio_out_of_range(self, tmp_path, capsys, period):
         doc = self.doc(period=period)
@@ -565,6 +579,18 @@ class TestCheckOperator:
         names = {c["name"] for c in report["checks"]}
         assert {"mass_conservation", "tanaka_w2", "tanaka_w4", "gaussian_fixed_point"} <= names
         assert "pass" in capsys.readouterr().out
+
+    def test_narrow_grid_passes(self, tmp_path, monkeypatch):
+        # Draws sized for an 8-wide grid lost 5.8e-8 of their mass under T
+        # on this one, and both Tanaka checks aborted.
+        doc = self.small_doc()
+        doc["physical"]["A"] = 0.27
+        doc["numerical"].update({"trait_bounds": [-4.16, 4.21], "trait_points": 64})
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, doc)
+        assert run_cli("check-operator", "--config", cfg, "--out", "op") == 0
+        report = json.loads(pathlib.Path("op/operator_report.json").read_text())
+        assert report["all_passed"] is True
 
     def test_broken_kernel_fails_mass_conservation(self, tmp_path, monkeypatch):
         # The kernel the suite builds integrates to 1.01; parse_config holds its

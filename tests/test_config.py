@@ -136,8 +136,14 @@ class TestParsing:
             parse_config(doc(**{f"physical.initial.{field}": profile}))
 
     def test_environment_kinds(self):
+        # The auto dt gives 1777 steps here, a prime: "auto" snapshots need dt.
         cfg = parse_config(
-            doc(**{"physical.env": {"kind": "affine_in_t", "value": 0.1, "rate": 0.2}})
+            doc(
+                **{
+                    "physical.env": {"kind": "affine_in_t", "value": 0.1, "rate": 0.2},
+                    "numerical.dt": 0.002,
+                }
+            )
         )
         env = cfg.env
         assert isinstance(env, Environment)

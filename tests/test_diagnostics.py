@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simkbm import diagnostics
+from simkbm import diagnostics, measures
 from simkbm import (
     Environment,
     MacroState,
@@ -104,7 +104,7 @@ class TestBatchedGaussianDeviation:
     def test_matches_the_per_column_oracle(self, case):
         state, A, rows = case
         want = max(per_column_w2(state, A))
-        with mock.patch.object(diagnostics, "_CHUNK_CELLS", rows * state.trait.points):
+        with mock.patch.object(measures, "_CHUNK_CELLS", rows * state.trait.points):
             got = gaussian_deviation(state, A)
         assert abs(got - want) <= 1e-12 * want
 
@@ -119,12 +119,12 @@ class TestBatchedGaussianDeviation:
         h = trait.spacing
         y = trait.centers
         target = np.exp(-((y - moms.Z[:, None]) ** 2) / 2.0) / np.sqrt(2.0 * np.pi)
-        got = diagnostics._w2_rows(
-            diagnostics._cdf_rows(state.n / moms.N[:, None], h),
-            diagnostics._cdf_rows(target, h),
-            trait.edges,
-            h,
-        )
+        got = measures.wasserstein_rows(
+            trait,
+            measures.cdf_rows(state.n / moms.N[:, None], h),
+            measures.cdf_rows(target, h),
+            (2,),
+        )[0]
         want = np.array(per_column_w2(state, 1.0))
         assert np.abs(got - want).max() <= 1e-12 * want.max()
 
@@ -157,17 +157,17 @@ class TestBatchedGaussianDeviation:
         trait = TraitGrid(-8.5, 8.5, 512)
         state = gaussian_initial_state(space64, trait, np.ones(64), np.zeros(64), 1.0)
         state = KineticState(0.75, state.n, space64, trait)
-        w2_rows = diagnostics._w2_rows
+        wasserstein_rows = measures.wasserstein_rows
         batches = []
 
         def nan_in_third_batch(*args):
-            dist = w2_rows(*args)
-            batches.append(len(dist))
+            dist = wasserstein_rows(*args)
+            batches.append(dist.shape[1])
             if len(batches) == 3:
-                dist[1] = np.nan
+                dist[0, 1] = np.nan
             return dist
 
-        monkeypatch.setattr(diagnostics, "_w2_rows", nan_in_third_batch)
+        monkeypatch.setattr(diagnostics, "wasserstein_rows", nan_in_third_batch)
         with pytest.raises(SimulationError, match="column 9 .* is nan") as err:
             gaussian_deviation(state, 1.0)
         assert batches == [4, 4, 4]

@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import simkbm.measures as measures
 from simkbm import (
@@ -161,6 +165,17 @@ class TestWasserstein:
         assert d == pytest.approx(wasserstein_oracle(mu, nu, p), abs=g.spacing)
         assert g.edges[20] <= quantile(mu, 1e-320) <= g.edges[21]
 
+    def test_one_ulp_segment_takes_the_cell_it_lies_in(self):
+        # Breakpoints 1 - 2^-52 and 1 - 2^-53 are adjacent doubles: the
+        # segment's midpoint rounds to its start, and a midpoint lookup read
+        # the quantile line of the cell below (-6 at both ends).
+        g = TraitGrid(-8.0, 8.0, 16)
+        cum = np.array([0.0, 0.5, 0.9999999999999998, 0.9999999999999999] + [1.0] * 13)
+        mu = gaussian_on_grid(0.0, 1.0, g)  # only its grid is read
+        q_lo, q_hi = measures._segment_lines(mu, cum, cum[2:3], cum[3:4])
+        assert q_lo[0] == pytest.approx(g.edges[2], abs=1e-12)
+        assert q_hi[0] == pytest.approx(g.edges[3], abs=1e-12)
+
     def test_rejects_unnormalized(self, trait512):
         mu = gaussian_on_grid(0.0, 1.0, trait512)
         nu = GridMeasure(trait512, 2.0 * mu.density)
@@ -182,6 +197,52 @@ class TestWasserstein:
         mu = gaussian_on_grid(0.0, 1.0, g1)
         nu = gaussian_on_grid(2.0, 1.0, g2)
         assert wasserstein(mu, nu, 2) == pytest.approx(2.0, abs=1e-4)
+
+
+# Cell weights: zeros, subnormals, and values so small next to the rest that
+# the CDF reaches 1 before the last cell (saturated tails).
+_WEIGHTS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2e-313, 1e-310, 1e-300, 1e-20]), st.floats(1e-12, 1.0)
+)
+
+
+@st.composite
+def row_batches(draw):
+    """Two batches of normalized density rows on one grid, and the rows per
+    batch of wasserstein_rows."""
+    rows = draw(st.integers(1, 9))
+    grid = TraitGrid(-6.0, 6.0, draw(st.integers(16, 80)))
+
+    def batch():
+        dens = np.zeros((rows, grid.points))
+        for i in range(rows):
+            dens[i] = draw(st.lists(_WEIGHTS, min_size=grid.points, max_size=grid.points))
+            dens[i, draw(st.integers(0, grid.points - 1))] += draw(st.floats(0.1, 5.0))
+        return dens / (grid.spacing * dens.sum(axis=1))[:, None]
+
+    return grid, batch(), batch(), draw(st.integers(1, rows))
+
+
+class TestWassersteinRows:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(row_batches())
+    def test_matches_the_scalar_distance(self, case):
+        grid, mu, nu, per_batch = case
+        h = grid.spacing
+        with mock.patch.object(measures, "_CHUNK_CELLS", per_batch * grid.points):
+            got = measures.wasserstein_rows(
+                grid, measures.cdf_rows(mu, h), measures.cdf_rows(nu, h), (1, 2, 4)
+            )
+        for i in range(len(mu)):
+            pair = GridMeasure(grid, mu[i]), GridMeasure(grid, nu[i])
+            for k, p in enumerate((1, 2, 4)):
+                want = wasserstein(*pair, p)
+                assert abs(got[k, i] - want) <= 1e-12 * want, (i, p)
+
+    def test_rejects_bad_order(self, trait256):
+        cum = measures.cdf_rows(gaussian_on_grid(0.0, 1.0, trait256).density[None], 1.0)
+        with pytest.raises(ValueError, match="p must be"):
+            measures.wasserstein_rows(trait256, cum, cum, (2, 3))
 
 
 def numpy_scalar_oracle(mu, nu, p):
