@@ -198,6 +198,14 @@ def _near_multiple(total: float, step: float) -> bool:
     return k >= 1 and abs(total - k * step) <= 1e-9 * max(1.0, step)
 
 
+def _auto_cadence(n_steps: int, target: int) -> int:
+    """The largest divisor of n_steps up to target: the "auto" snapshot cadence, in steps."""
+    every = target
+    while n_steps % every:
+        every -= 1
+    return every
+
+
 def parse_config(source) -> RunConfig:
     """Validate a JSON document (text or dict) into a RunConfig with defaults applied."""
     if isinstance(source, (str, bytes)):
@@ -341,6 +349,11 @@ def parse_config(source) -> RunConfig:
     dt = num.get("dt", "auto")
     if dt == "auto":
         n_steps = max(1, math.ceil(t_end / (0.5 * dt_cap)))
+        target = max(1, round(n_steps / 100))
+        if num.get("snapshot_dt", "auto") == "auto" and _auto_cadence(n_steps, target) < target / 2:
+            # E.g. a prime step count: round it up to a multiple of the "auto"
+            # cadence.  The smaller dt stays under the stability bound.
+            n_steps += -n_steps % target
         dt = t_end / n_steps
     else:
         dt = _get_number(num, "dt", "numerical", positive=True)
@@ -374,11 +387,11 @@ def parse_config(source) -> RunConfig:
     auto = snapshot_dt == "auto"
     if auto:
         # About 100 snapshots: the largest divisor of the step count up to t_end / (100 dt).
-        target = every = max(1, round(t_end / (100.0 * dt)))
-        while n_steps % every:
-            every -= 1
+        target = max(1, round(t_end / (100.0 * dt)))
+        every = _auto_cadence(n_steps, target)
         if every < target / 2:
-            # E.g. a prime step count: only every step, or t_end itself, divides it.
+            # A dt the document sets, e.g. with a prime step count: only every
+            # step, or t_end itself, divides it.  An auto dt never gets here.
             raise ConfigError(
                 f'numerical.snapshot_dt "auto": the {n_steps}-step horizon has no divisor near '
                 f"t_end / (100 dt) = {target} (the largest up to it is {every}), so the run "

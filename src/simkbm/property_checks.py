@@ -45,25 +45,23 @@ class CheckResult:
         return out
 
 
-# The draws of random_mixtures assume a grid that reaches DRAW_REACH on both
-# sides of 0: component means within 0.8 of 0, moved by up to 1.3 when a
-# mixture is recentered on a target mean, and spreads up to sqrt(0.6) leave
-# every component's tail about 7 sigma inside such a grid, so T pushes no
-# measurable mass over its ends.
+# The draws of random_mixtures are sized for a grid that reaches DRAW_REACH
+# on both sides of its midpoint: component means within 0.8 of it, moved by
+# up to 1.3 when a mixture is recentered on a target mean, and spreads up to
+# sqrt(0.6) leave every component's tail about 7 sigma inside such a grid,
+# so T pushes no measurable mass over its ends.
 DRAW_REACH = 7.5
 
 
 def draw_frame(grid: TraitGrid) -> tuple:
     """Center and scale of the random draws on this grid.
 
-    (0, 1) on a grid that reaches DRAW_REACH on both sides of 0, whatever
-    else it holds, so the draws there are the unscaled ones.  On a narrower
-    grid the draws move to its midpoint, and their means, mean spans and
-    standard deviations shrink by its half-width over DRAW_REACH (never
-    grow).
+    The draws are centered on the grid's midpoint.  Their means, mean spans
+    and standard deviations shrink by its half-width over DRAW_REACH on a
+    narrower grid and keep their size on a wider one.  On a grid symmetric
+    about 0 the center is exactly 0.0, so a wide symmetric grid gives
+    (0.0, 1.0) and the unscaled draws.
     """
-    if min(-grid.y_min, grid.y_max) >= DRAW_REACH:
-        return 0.0, 1.0
     half = 0.5 * (grid.y_max - grid.y_min)
     return grid.y_min + half, min(1.0, half / DRAW_REACH)
 
@@ -284,7 +282,7 @@ def run_all(A, grid, seed) -> list:
     kernel = ReproductionKernel(A, grid)
     seq = np.random.SeedSequence(seed)
     rngs = [np.random.default_rng(s) for s in seq.spawn(9)]
-    # The fixed-point centers follow the draws: -1, 0 and 1 on a wide grid.
+    # The fixed-point centers follow the draws: -1, 0 and 1 on a wide symmetric grid.
     center, scale = draw_frame(grid)
     centers = tuple(center + scale * z for z in (-1.0, 0.0, 1.0))
     plan = [

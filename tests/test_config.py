@@ -136,18 +136,24 @@ class TestParsing:
             parse_config(doc(**{f"physical.initial.{field}": profile}))
 
     def test_environment_kinds(self):
-        # The auto dt gives 1777 steps here, a prime: "auto" snapshots need dt.
         cfg = parse_config(
-            doc(
-                **{
-                    "physical.env": {"kind": "affine_in_t", "value": 0.1, "rate": 0.2},
-                    "numerical.dt": 0.002,
-                }
-            )
+            doc(**{"physical.env": {"kind": "affine_in_t", "value": 0.1, "rate": 0.2}})
         )
         env = cfg.env
         assert isinstance(env, Environment)
         assert env.evaluate(2.0, np.zeros(1))[0] == pytest.approx(0.5)
+
+    def test_auto_dt_fits_its_step_count_to_the_auto_cadence(self):
+        # The stability bound gives 1777 steps here, a prime: the auto dt
+        # takes 1782 = 99 * 18 instead, and the run about 100 snapshots.
+        cfg = parse_config(
+            doc(**{"physical.env": {"kind": "affine_in_t", "value": 0.1, "rate": 0.2}})
+        )
+        n_steps = round(cfg.t_end / cfg.dt)
+        every = round(cfg.snapshot_dt / cfg.dt)
+        assert (n_steps, every) == (1782, 18)
+        assert cfg.dt == cfg.t_end / n_steps
+        assert n_steps // every + 1 == 100
 
 
 class TestRoundTrip:

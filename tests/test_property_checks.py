@@ -237,8 +237,10 @@ def test_random_mixtures_rows_are_one_measure_draws(setting):
     assert np.array_equal(one.density, reference_mixture(reference_rng, grid).density)
 
 
-def test_draw_frame_is_the_identity_on_wide_grids():
+def test_draw_frame_is_the_identity_on_wide_symmetric_grids():
     assert draw_frame(TraitGrid(-8.5, 8.5, 256)) == (0.0, 1.0)
-    assert draw_frame(TraitGrid(-8.5, 7.5, 16)) == (0.0, 1.0)
+    assert draw_frame(TraitGrid(-0.1 - 1e9, 0.1 + 1e9, 16)) == (0.0, 1.0)
+    # Wide but asymmetric: centered on the midpoint, unscaled.
+    assert draw_frame(TraitGrid(-8.5, 7.5, 16)) == (-0.5, 1.0)
     center, scale = draw_frame(NARROW[1])
     assert center == pytest.approx(0.025) and scale == pytest.approx(4.185 / 7.5)
