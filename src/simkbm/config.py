@@ -10,12 +10,15 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 
 from .environment import ENV_KINDS, Environment
 from .grids import TorusGrid, TraitGrid
 from .infinitesimal import KERNEL_MASS_DEFECT_TOL, segregation_kernel
+from .measures import PROBABILITY_TOL, gaussian_on_grid
+from .property_checks import fixed_point_centers
 from .sim_solver import INIT_MARGIN_SIGMAS, SimParams, max_stable_dt
 
 TRAIT_MARGIN_SIGMAS = 8.0
@@ -335,6 +338,16 @@ def parse_config(source) -> RunConfig:
             f"the spacing {trait.spacing:.4g} must be below about 0.9*sqrt(A/2) = "
             f"{0.9 * math.sqrt(0.5 * A):.4g} and the grid at least about 7*sqrt(A/2) wide; "
             "raise numerical.trait_points"
+        )
+    # check-operator needs the Gaussian of variance A at its fixed-point
+    # centers to be a probability measure on the grid.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        mass, z = min((gaussian_on_grid(c, A, trait).mass, c) for c in fixed_point_centers(trait))
+    if not mass >= 1.0 - PROBABILITY_TOL:
+        raise ConfigError(
+            f"the Gaussian of variance A at {z:.4g}, a fixed-point center of the operator "
+            f"suite, holds mass {mass:.12f} on this trait grid: widen numerical.trait_bounds"
         )
     try:
         dt_cap = max_stable_dt(A, trait, env, n0_hi, t_end)

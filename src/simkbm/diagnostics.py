@@ -21,7 +21,7 @@ from .measures import (
     gaussian_on_grid,
     wasserstein_rows,
 )
-from .sim_solver import KineticState, SimulationError, kinetic_moments
+from .sim_solver import KineticState, SimulationError
 
 
 @dataclasses.dataclass
@@ -43,15 +43,15 @@ class SweepReport:
                 raise ValueError(f"negative error in family {family!r}")
 
 
-def gaussian_deviation(state: KineticState, A: float, N=None, Z=None) -> float:
+def gaussian_deviation(state: KineticState, A: float, N: np.ndarray, Z: np.ndarray) -> float:
     """max over x of W2(profile(x, .), Gaussian of variance A centered at Z(x)).
 
     For exactly Gaussian columns this sits at the discretization floor
     (below 2 trait spacings); for a kinetic run it tracks how far the
     profile is from local equilibrium.  Raises SimulationError when the
     reference Gaussian is not a probability measure on the trait grid.
-    N and Z are the state's column sizes and mean traits (kinetic_moments)
-    when the caller already holds them, as a KineticTrajectory does.
+    N and Z are the state's column sizes and mean traits, as
+    kinetic_moments gives them and a KineticTrajectory holds them.
 
     The columns are taken measures.batch_rows(trait points) at a time, and
     each batch goes through measures.wasserstein_rows at p = 2.  A column
@@ -61,9 +61,6 @@ def gaussian_deviation(state: KineticState, A: float, N=None, Z=None) -> float:
     """
     if not A > 0:
         raise ValueError(f"variance must be positive, got {A}")
-    if N is None or Z is None:
-        moms = kinetic_moments(state)
-        N, Z = moms.N, moms.Z
     trait = state.trait
     h = trait.spacing
     y = trait.centers

@@ -27,7 +27,6 @@ class PeriodicHeatCN:
     def __init__(self, n: int, spacing: float, dt: float):
         if not (spacing > 0 and dt > 0):
             raise ValueError("spacing and dt must be positive")
-        self.n = n
         mu = dt / (2.0 * spacing**2)
         lam = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)
         column = np.fft.irfft((1.0 - mu * lam) / (1.0 + mu * lam), n)
@@ -35,6 +34,6 @@ class PeriodicHeatCN:
         self._matrix = column[(i[:, None] - i[None, :]) % n]
 
     def step(self, field: np.ndarray) -> np.ndarray:
-        """Advance by dt; diffusion acts along axis 0, extra axes are batched."""
-        field = np.asarray(field, dtype=float)
-        return (self._matrix @ field.reshape(self.n, -1)).reshape(field.shape)
+        """Advance by dt a field of one or two axes; diffusion acts along
+        axis 0, and the columns of a second axis are batched."""
+        return self._matrix @ np.asarray(field, dtype=float)

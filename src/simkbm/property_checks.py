@@ -66,6 +66,12 @@ def draw_frame(grid: TraitGrid) -> tuple:
     return grid.y_min + half, min(1.0, half / DRAW_REACH)
 
 
+def fixed_point_centers(grid: TraitGrid) -> tuple:
+    """The centers of check_gaussian_fixed_point: -1, 0 and 1 in the draw frame."""
+    center, scale = draw_frame(grid)
+    return tuple(center + scale * z for z in (-1.0, 0.0, 1.0))
+
+
 def random_mixture(
     rng: np.random.Generator,
     grid: TraitGrid,
@@ -282,9 +288,7 @@ def run_all(A, grid, seed) -> list:
     kernel = ReproductionKernel(A, grid)
     seq = np.random.SeedSequence(seed)
     rngs = [np.random.default_rng(s) for s in seq.spawn(9)]
-    # The fixed-point centers follow the draws: -1, 0 and 1 on a wide symmetric grid.
-    center, scale = draw_frame(grid)
-    centers = tuple(center + scale * z for z in (-1.0, 0.0, 1.0))
+    centers = fixed_point_centers(grid)
     plan = [
         ("mass_conservation", lambda: check_mass_conservation(kernel, rngs[0])),
         ("mean_conservation", lambda: check_mean_conservation(kernel, rngs[1])),

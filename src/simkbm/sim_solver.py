@@ -69,9 +69,6 @@ class KineticState:
             raise ValueError(f"density shape {n.shape} does not match grids {expected}")
         self.n = n
 
-    def copy(self) -> "KineticState":
-        return KineticState(self.t, self.n.copy(), self.space, self.trait)
-
 
 @dataclasses.dataclass
 class KineticMoments:
@@ -168,18 +165,21 @@ def max_stable_dt(
 
 
 class _Operators:
-    """Per-run precomputation: diffusion solver, kernel, relaxation weight, and
-    the selection factor exp(-dt/2 (y_j - s_i)^2) with s = y_opt(0, x)."""
+    """All the substeps read, built once per run: dt, the diffusion solver, kernel,
+    relaxation weight, growth rate 1 + A/2, trait spacing and centers, and the
+    selection factor exp(-dt/2 (y_j - s_i)^2) with s = y_opt(0, x)."""
 
     def __init__(self, space: TorusGrid, trait: TraitGrid, params: SimParams, env: Environment):
+        self.dt = params.dt
         self.heat = PeriodicHeatCN(space.points_per_dim, space.spacing, params.dt)
         self.kernel = ReproductionKernel(params.A, trait)
         self.decay = math.exp(-params.gamma * params.dt)
+        self.growth = 1.0 + 0.5 * params.A
+        self.h_y = trait.spacing
+        self.y = trait.centers
         self.optimum = env.evaluate(0.0, space.centers)
         self.drift = env.drift_rate
-        self.selection = np.exp(
-            -0.5 * params.dt * (trait.centers[None, :] - self.optimum[:, None]) ** 2
-        )
+        self.selection = np.exp(-0.5 * params.dt * (self.y[None, :] - self.optimum[:, None]) ** 2)
 
 
 def _guard_density(n: np.ndarray, stage: str, t: float, diag: RunDiagnostics):
@@ -213,7 +213,7 @@ def _column_sizes(n: np.ndarray, h_y: float, t: float) -> np.ndarray:
 
 
 def _diffusion_substep(n, ops, t, diag):
-    """(D) heat flow of every trait slice along x; conserves total mass."""
+    """(D) heat flow of every trait slice along x into a new array; conserves mass."""
     mass_before = n.sum()
     out = ops.heat.step(n)
     if mass_before > 0:
@@ -222,7 +222,7 @@ def _diffusion_substep(n, ops, t, diag):
     return _guard_density(out, "diffusion", t, diag)
 
 
-def _reaction_substep(n, state, params, ops, diag):
+def _reaction_substep(n, ops, t, diag):
     """(R) selection-competition: n * exp(dt * r) in place, positive by construction.
 
     r = 1 + A/2 - N_i - (y_j - y_opt_i)^2 / 2 with the optimal trait
@@ -232,29 +232,26 @@ def _reaction_substep(n, state, params, ops, diag):
     per column, exp(dt (1 + A/2 - N_i - tau s_i - tau^2/2)), and a factor per
     trait, exp(dt tau y_j), which is exactly 1 when the rate is 0.
     """
-    t = state.t
-    dt = params.dt
-    N = _column_sizes(n, state.trait.spacing, t)
+    dt = ops.dt
+    N = _column_sizes(n, ops.h_y, t)
     tau = ops.drift * (t + 0.5 * dt)
     n *= ops.selection
-    n *= np.exp(dt * (1.0 + 0.5 * params.A - N - tau * ops.optimum - 0.5 * tau**2))[:, None]
-    n *= np.exp(dt * tau * state.trait.centers)
+    n *= np.exp(dt * (ops.growth - N - tau * ops.optimum - 0.5 * tau**2))[:, None]
+    n *= np.exp(dt * tau * ops.y)
     return _guard_density(n, "reaction", t, diag)
 
 
-def _reproduction_substep(n, state, params, ops, diag):
+def _reproduction_substep(n, ops, t, diag):
     """(B) exact relaxation toward N * T(profile) with the mixing output frozen.
 
     Both terms of the convex combination carry column mass N, so the substep
     is mass-neutral per column up to the trait-boundary leak, which is
     monitored here rather than redistributed.  n is overwritten with the result.
     """
-    t = state.t
-    h_y = state.trait.spacing
-    N = _column_sizes(n, h_y, t)
+    N = _column_sizes(n, ops.h_y, t)
     mixed = ops.kernel.apply_to_profiles(n / N[:, None])
-    leak = np.abs(1.0 - mixed.sum(axis=1) * h_y).max()
-    rate = (1.0 - ops.decay) * leak / params.dt
+    leak = np.abs(1.0 - mixed.sum(axis=1) * ops.h_y).max()
+    rate = (1.0 - ops.decay) * leak / ops.dt
     diag.max_boundary_leak_rate = max(diag.max_boundary_leak_rate, float(rate))
     mixed *= ((1.0 - ops.decay) * N)[:, None]
     n *= ops.decay
@@ -262,18 +259,12 @@ def _reproduction_substep(n, state, params, ops, diag):
     return _guard_density(n, "reproduction", t, diag)
 
 
-def sim_step(
-    state: KineticState,
-    params: SimParams,
-    ops: _Operators,
-    diag: RunDiagnostics,
-) -> KineticState:
-    """One Lie-split step D -> R -> B of length params.dt; the environment
-    reaches R through ops."""
-    n = _diffusion_substep(state.n, ops, state.t, diag)
-    n = _reaction_substep(n, state, params, ops, diag)
-    n = _reproduction_substep(n, state, params, ops, diag)
-    return KineticState(state.t + params.dt, n, state.space, state.trait)
+def sim_step(n: np.ndarray, ops: _Operators, t: float, diag: RunDiagnostics) -> np.ndarray:
+    """One Lie-split step D -> R -> B of length ops.dt from time t.  n is left
+    unchanged: D writes a new array, which R and B update in place."""
+    n = _diffusion_substep(n, ops, t, diag)
+    n = _reaction_substep(n, ops, t, diag)
+    return _reproduction_substep(n, ops, t, diag)
 
 
 @dataclasses.dataclass
@@ -319,19 +310,22 @@ def run_sim(
     env: Environment,
     t_end: float,
 ) -> KineticTrajectory:
-    """Repeated sim_step with snapshot collection; aborts on invariant violation."""
-    n_steps, every = plan_steps(state0.t, t_end, params.dt, params.snapshot_dt)
+    """Repeated sim_step with snapshot collection; aborts on invariant violation.
+
+    The density is stepped as a bare array.  Each snapshot is a KineticState
+    around its step's array, which no later step writes to."""
+    t0, dt = state0.t, params.dt
+    n_steps, every = plan_steps(t0, t_end, dt, params.snapshot_dt)
     diag = RunDiagnostics()
     ops = _Operators(state0.space, state0.trait, params, env)
 
-    state = state0.copy()
-    snapshots = [state.copy()]
+    n = state0.n.copy()
+    snapshots = [KineticState(t0, n, state0.space, state0.trait)]
     leak_marks = [0.0]
     for k in range(1, n_steps + 1):
-        state = sim_step(state, params, ops, diag)
-        state.t = state0.t + k * params.dt
+        n = sim_step(n, ops, t0 + (k - 1) * dt, diag)
         if k % every == 0:
-            snapshots.append(state.copy())
+            snapshots.append(KineticState(t0 + k * dt, n, state0.space, state0.trait))
             leak_marks.append(diag.max_boundary_leak_rate)
 
     times = np.array([s.t for s in snapshots])

@@ -38,17 +38,18 @@ SMALL_COMPARE = {
 }
 
 
-# The bounds clear Z0 by 4.24 sqrt(V0), enough for the initial columns, but the
-# reference Gaussian of variance A holds only 0.99998 on the grid: every
-# command that computes gauss_dev exits 2 at t = 0, after two RuntimeWarnings.
+# The bounds clear Z0 by 4.5 sqrt(V0), enough for the initial columns, and the
+# operator suite's fixed-point centers by 7 sqrt(A), but the reference Gaussian
+# of variance A at Z0 holds only 0.999997 on the grid: every command that
+# computes gauss_dev exits 2 at t = 0, after two RuntimeWarnings.
 SHORT_REFERENCE = {
     "physical": {
-        "A": 2.0,
+        "A": 1.0,
         "gamma": 1.0,
         "env": {"kind": "constant", "value": 0.0},
         "initial": {
             "N0": {"kind": "constant", "value": 1.0},
-            "Z0": {"kind": "constant", "value": 0.0},
+            "Z0": {"kind": "constant", "value": 3.5},
             "V0": "auto",
         },
     },
@@ -57,7 +58,7 @@ SHORT_REFERENCE = {
         "trait_points": 64,
         "t_end": 0.02,
         "seed": 0,
-        "trait_bounds": [-6.0, 6.0],
+        "trait_bounds": [-8.0, 8.0],
     },
 }
 SHORT_REFERENCE_SWEEP = json.loads(json.dumps(SHORT_REFERENCE))
@@ -329,6 +330,17 @@ class TestRejectedAtParse:
         doc["physical"]["env"] = env
         err = assert_one_line_rejection(tmp_path, capsys, doc, commands=self.COMMANDS)
         assert "time steps" in err
+
+    @pytest.mark.parametrize("A", [2.24, 0.855])
+    def test_fixed_point_gaussian_short_of_mass(self, tmp_path, capsys, A):
+        # The operator suite's fixed-point centers on [-6.63, 4.27] are -1.91,
+        # -1.18 and -0.45.  At -1.91 the Gaussian of variance A holds 1 - 8.1e-4
+        # (A = 2.24) and 1 - 1.6e-7 (A = 0.855) of its mass: check-operator
+        # exited 3, and simulate-sim and compare 2 from gauss_dev.
+        doc = self.doc(space_points=16, trait_points=64, trait_bounds=[-6.63, 4.27])
+        doc["physical"].update({"A": A, "initial": {"V0": 0.5}})
+        err = assert_one_line_rejection(tmp_path, capsys, doc, commands=self.COMMANDS)
+        assert "at -1.907, a fixed-point center" in err and "widen numerical.trait_bounds" in err
 
     def test_space_points_cap(self, tmp_path, capsys):
         err = assert_one_line_rejection(

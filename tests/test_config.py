@@ -99,10 +99,15 @@ class TestParsing:
         assert cfg.snapshot_dt == 0.002 * 5
 
     def test_trait_bounds_need_initial_headroom(self):
-        with pytest.raises(ConfigError, match="trait_bounds"):
-            parse_config(doc(**{"numerical.trait_bounds": [-3.0, 3.0]}))
-        cfg = parse_config(doc(**{"numerical.trait_bounds": [-4.0, 4.0]}))
+        # V0 = 1 needs 4 units on either side of Z0 = 0.  A = 0.25 keeps the
+        # operator suite's fixed-point Gaussians on [-4, 4]; A = 1 does not.
+        narrow = {"physical.A": 0.25, "physical.initial": {"V0": 1.0}}
+        with pytest.raises(ConfigError, match="trait_bounds must leave"):
+            parse_config(doc(**narrow, **{"numerical.trait_bounds": [-3.0, 3.0]}))
+        cfg = parse_config(doc(**narrow, **{"numerical.trait_bounds": [-4.0, 4.0]}))
         assert cfg.trait_bounds == (-4.0, 4.0)
+        with pytest.raises(ConfigError, match="a fixed-point center of the operator suite"):
+            parse_config(doc(**{"numerical.trait_bounds": [-4.0, 4.0]}))
 
     def test_rejects_dim_two_for_runs(self):
         with pytest.raises(ConfigError, match="dim"):

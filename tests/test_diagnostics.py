@@ -37,17 +37,23 @@ class TestRecords:
             SweepReport([4.0, 2.0], {"e": [1.0, 2.0]}, {}, {}, {})
 
 
+def gauss_dev(state, A):
+    """gaussian_deviation with the state's own moments."""
+    moms = kinetic_moments(state)
+    return gaussian_deviation(state, A, moms.N, moms.Z)
+
+
 class TestGaussianDeviation:
     def test_exact_gaussian_columns_sit_at_the_floor(self, space64):
         trait = TraitGrid(-8.5, 8.5, 512)
         state = gaussian_initial_state(space64, trait, np.ones(64), np.zeros(64), 1.0)
-        assert gaussian_deviation(state, 1.0) <= 2 * trait.spacing
+        assert gauss_dev(state, 1.0) <= 2 * trait.spacing
 
     def test_wrong_variance_detected(self, space64):
         # Same-mean Gaussians: W2 distance is the gap of standard deviations.
         trait = TraitGrid(-8.5, 8.5, 512)
         state = gaussian_initial_state(space64, trait, np.ones(64), np.zeros(64), 2.0)
-        dev = gaussian_deviation(state, 1.0)
+        dev = gauss_dev(state, 1.0)
         assert dev == pytest.approx(np.sqrt(2.0) - 1.0, abs=1e-3)
 
     def test_deviation_shrinks_with_faster_mixing(self):
@@ -58,7 +64,7 @@ class TestGaussianDeviation:
             state = gaussian_initial_state(space, trait, np.ones(32), np.zeros(32), 1.0)
             params = SimParams(A=1.0, gamma=gamma, dt=2e-3, snapshot_dt=1.0)
             traj = run_sim(state, params, SIN_ENV, 1.0)
-            devs.append(gaussian_deviation(traj.snapshots[-1], 1.0))
+            devs.append(gaussian_deviation(traj.snapshots[-1], 1.0, traj.N[-1], traj.Z[-1]))
         assert devs[0] >= devs[1] >= devs[2]
 
 
@@ -105,7 +111,7 @@ class TestBatchedGaussianDeviation:
         state, A, rows = case
         want = max(per_column_w2(state, A))
         with mock.patch.object(measures, "_CHUNK_CELLS", rows * state.trait.points):
-            got = gaussian_deviation(state, A)
+            got = gauss_dev(state, A)
         assert abs(got - want) <= 1e-12 * want
 
     def test_every_column_matches_the_oracle(self, rng):
@@ -137,7 +143,7 @@ class TestBatchedGaussianDeviation:
         state = gaussian_initial_state(space64, trait, np.ones(64), z0, 0.25)
         with pytest.warns(RuntimeWarning, match="standard deviations") as record:
             with pytest.raises(SimulationError, match="at Z = 4 holds mass") as err:
-                gaussian_deviation(state, 1.0)
+                gauss_dev(state, 1.0)
         assert len(record) == 1 and "Gaussian mean 4 " in str(record[0].message)
         assert err.value.report["t"] == 0.0
 
@@ -151,7 +157,7 @@ class TestBatchedGaussianDeviation:
         state = KineticState(0.0, n, TorusGrid(4, 1.0), trait)
         want = per_column_w2(state, 1.0)
         assert np.all(np.isfinite(want))
-        assert gaussian_deviation(state, 1.0) == pytest.approx(max(want), rel=1e-12)
+        assert gauss_dev(state, 1.0) == pytest.approx(max(want), rel=1e-12)
 
     def test_non_finite_distance_raises(self, space64, monkeypatch):
         trait = TraitGrid(-8.5, 8.5, 512)
@@ -169,7 +175,7 @@ class TestBatchedGaussianDeviation:
 
         monkeypatch.setattr(diagnostics, "wasserstein_rows", nan_in_third_batch)
         with pytest.raises(SimulationError, match="column 9 .* is nan") as err:
-            gaussian_deviation(state, 1.0)
+            gauss_dev(state, 1.0)
         assert batches == [4, 4, 4]
         assert err.value.report == {"t": 0.75, "column": 9}
 
@@ -178,9 +184,10 @@ class TestBatchedGaussianDeviation:
         z0 = 0.5 * np.sin(2 * np.pi * space64.centers)
         state = gaussian_initial_state(space64, trait, np.ones(64), z0, 1.3)
         state.n *= rng.uniform(0.8, 1.2, size=state.n.shape)
+        moms = kinetic_moments(state)
         tracemalloc.start()
         try:
-            gaussian_deviation(state, 1.0)
+            gaussian_deviation(state, 1.0, moms.N, moms.Z)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

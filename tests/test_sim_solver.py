@@ -100,7 +100,7 @@ class TestKineticMoments:
     def test_scaling_homogeneity(self, small_grids):
         space, trait = small_grids
         state = gaussian_initial_state(space, trait, np.ones(16), np.zeros(16), 1.0)
-        scaled = state.copy()
+        scaled = KineticState(state.t, state.n.copy(), space, trait)
         scaled.n *= 3.0
         m0, m1 = kinetic_moments(state), kinetic_moments(scaled)
         assert np.abs(m1.N - 3.0 * m0.N).max() <= 1e-12
@@ -140,7 +140,7 @@ class TestSubsteps:
         params = SimParams(A=1.0, gamma=50.0, dt=2e-3, snapshot_dt=0.1)
         ops = _Operators(space, trait, params, CONST_ENV)
         before = state.n.sum(axis=1) * trait.spacing
-        out = _reproduction_substep(state.n, state, params, ops, RunDiagnostics())
+        out = _reproduction_substep(state.n, ops, 0.0, RunDiagnostics())
         after = out.sum(axis=1) * trait.spacing
         assert np.abs(after - before).max() <= 1e-12
 
@@ -149,9 +149,10 @@ class TestSubsteps:
         state = gaussian_initial_state(space, trait, np.ones(16), np.zeros(16), 1.0)
         params = SimParams(A=1.0, gamma=8.0, dt=2e-3, snapshot_dt=0.1)
         ops = _Operators(space, trait, params, CONST_ENV)
-        for _ in range(10):
-            state = sim_step(state, params, ops, RunDiagnostics())
-            assert state.n.min() >= 0.0
+        n = state.n
+        for k in range(10):
+            n = sim_step(n, ops, k * params.dt, RunDiagnostics())
+            assert n.min() >= 0.0
 
     def test_negative_density_detected(self, small_grids):
         space, trait = small_grids
@@ -160,7 +161,7 @@ class TestSubsteps:
         params = SimParams(A=1.0, gamma=8.0, dt=2e-3, snapshot_dt=0.1)
         ops = _Operators(space, trait, params, CONST_ENV)
         with pytest.raises(SimulationError, match="negative density"):
-            sim_step(state, params, ops, RunDiagnostics())
+            sim_step(state.n, ops, 0.0, RunDiagnostics())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_density_detected(self, bad):
@@ -188,7 +189,7 @@ class TestSubsteps:
         params = SimParams(A=1.0, gamma=8.0, dt=2e-3, snapshot_dt=0.1)
         ops = _Operators(space, trait, params, CONST_ENV)
         with pytest.raises(SimulationError, match="floor"):
-            sim_step(state, params, ops, RunDiagnostics())
+            sim_step(state.n, ops, 0.0, RunDiagnostics())
 
 
 class TestReactionFactorization:
@@ -216,8 +217,7 @@ class TestReactionFactorization:
             y_opt = env.evaluate(t + 0.5 * params.dt, x)
             r = (1.0 + 0.5 * params.A - N)[:, None] - 0.5 * (y[None, :] - y_opt[:, None]) ** 2
             literal = literal * np.exp(params.dt * r)
-            step_state = KineticState(t, factored, space, trait)
-            out = _reaction_substep(factored, step_state, params, ops, RunDiagnostics())
+            out = _reaction_substep(factored, ops, t, RunDiagnostics())
             assert out is factored
             assert np.abs(factored / literal - 1.0).max() <= 1e-13, k
 
@@ -281,6 +281,24 @@ class TestRunSim:
         state = gaussian_initial_state(space, trait, np.ones(16), np.zeros(16), 1.0)
         run_sim(state, SimParams(A=1.0, gamma=8.0, dt=2e-3, snapshot_dt=0.01), CONST_ENV, 0.02)
         assert counts == {"sim_step": 10, "apply_to_profiles": 10}
+
+    def test_one_kinetic_state_per_snapshot(self, small_grids, monkeypatch):
+        # The density is stepped as a bare array: a run builds a KineticState
+        # for each snapshot and for nothing else.
+        built = []
+
+        class CountingState(KineticState):
+            def __post_init__(self):
+                built.append(self.t)
+                super().__post_init__()
+
+        space, trait = small_grids
+        state = gaussian_initial_state(space, trait, np.ones(16), np.zeros(16), 1.0)
+        monkeypatch.setattr(simkbm.sim_solver, "KineticState", CountingState)
+        params = SimParams(A=1.0, gamma=8.0, dt=2e-3, snapshot_dt=0.01)
+        traj = run_sim(state, params, CONST_ENV, 0.02)
+        assert len(traj.snapshots) == 3
+        assert built == list(traj.times)
 
     def test_splitting_self_convergence_first_order(self, space64):
         # Halving dt should roughly halve the final-field change.
