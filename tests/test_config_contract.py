@@ -127,23 +127,25 @@ def _run(workdir, command, config_path):
 # Bounds that clear Z0 by 4.5 sqrt(V0) hold the initial columns but not the
 # reference Gaussian of variance A = 1 there: exit 2 wherever gauss_dev is computed.
 _SHORT_BOUNDS = {"space_points": 16, "trait_points": 64, "t_end": 0.02, "trait_bounds": [-8.0, 8.0]}
-_OFF_CENTER = {"Z0": {"kind": "constant", "value": 3.5}}
-# Grids on which the Gaussian of variance A at the operator suite's
-# fixed-point centers is short of mass; check-operator exited 3 on them.
-_NARROW_BOUNDS = {"space_points": 16, "trait_points": 64, "t_end": 0.2, "trait_bounds": [-6.63, 4.27]}
+_OFF_CENTER = {"initial": {"Z0": {"kind": "constant", "value": 3.5}}}
+# A grid on which the Gaussian of variance A at the operator suite's
+# fixed-point centers is short of mass (check-operator exited 3 there), and
+# a V0 small enough for the initial columns to fit it.
+_NARROW_BOUNDS = {**_SHORT_BOUNDS, "t_end": 0.2, "trait_bounds": [-6.63, 4.27]}
+_SMALL_V0 = {"initial": {"V0": 0.5}}
 
 
 @settings(max_examples=25, derandomize=True, deadline=None, database=None)
 @given(documents())
-@example(doc={"physical": {"A": 1.0, "gamma": 1.0, "initial": _OFF_CENTER}, "numerical": _SHORT_BOUNDS})
+@example(doc={"physical": {"A": 1.0, "gamma": 1.0, **_OFF_CENTER}, "numerical": _SHORT_BOUNDS})
 @example(
     doc={
-        "physical": {"A": 1.0, "gamma_list": [1.0, 2.0, 4.0], "initial": _OFF_CENTER},
+        "physical": {"A": 1.0, "gamma_list": [1.0, 2.0, 4.0], **_OFF_CENTER},
         "numerical": _SHORT_BOUNDS,
     }
 )
-@example(doc={"physical": {"A": 2.24, "gamma": 8.0, "initial": {"V0": 0.5}}, "numerical": _NARROW_BOUNDS})
-@example(doc={"physical": {"A": 0.855, "gamma": 8.0, "initial": {"V0": 0.5}}, "numerical": _NARROW_BOUNDS})
+@example(doc={"physical": {"A": 2.24, "gamma": 8.0, **_SMALL_V0}, "numerical": _NARROW_BOUNDS})
+@example(doc={"physical": {"A": 0.855, "gamma": 8.0, **_SMALL_V0}, "numerical": _NARROW_BOUNDS})
 # A far optimal trait (80 million steps) and a tiny dt (a billion steps): exit 1.
 @example(
     doc={
