@@ -3,11 +3,10 @@
 Feeds the first N documents of a derandomized run of the
 `test_config_contract.documents` strategy through all five commands and
 prints, per command, how many documents ended with each exit code, and
-every run whose exit code the contract test would not allow.  With
---show CODE it also prints, as JSON, each document on which check-operator
-exits with that code.  The file is not collected by pytest.
+every run whose exit code the contract test would not allow.  The file
+is not collected by pytest.
 
-Usage: PYTHONPATH=src python tests/contract_census.py [N] [--show CODE]
+Usage: PYTHONPATH=src python tests/contract_census.py [N]
 
 Hypothesis draws some values from the literal constants of the loaded
 modules, so the documents change with edits to the package and the tests.
@@ -45,14 +44,12 @@ def derandomized_documents(count: int) -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("count", nargs="?", type=int, default=200)
-    parser.add_argument("--show", type=int, help="print the documents check-operator ends with")
     args = parser.parse_args(argv)
 
     docs = derandomized_documents(args.count)
     table = {command: collections.Counter() for command in COMMANDS}
     accepted = 0
     outside = []
-    shown = []
     with tempfile.TemporaryDirectory() as workdir:
         for i, doc in enumerate(docs):
             try:
@@ -69,8 +66,6 @@ def main(argv=None) -> int:
                 allowed = {1} if config is None else _allowed_exits(config, command)
                 if rc not in allowed:
                     outside.append((i, command, rc, err.strip()))
-                if command == "check-operator" and rc == args.show:
-                    shown.append(doc)
 
     codes = sorted({rc for counts in table.values() for rc in counts})
     print(f"{len(docs)} documents, {accepted} accepted by parse_config")
@@ -79,8 +74,6 @@ def main(argv=None) -> int:
         print(f"{command:<16}" + "".join(f"{counts[rc]:>9}" for rc in codes))
     for i, command, rc, err in outside:
         print(f"document {i}: {command} exits {rc}, outside the contract: {err}")
-    for doc in shown:
-        print(json.dumps(doc, sort_keys=True))
     return 1 if outside else 0
 
 
