@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 configuration error, 2 runtime invariant violation,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -17,7 +18,7 @@ import numpy as np
 from .config import ConfigError, RunConfig, parse_config
 from .diagnostics import gaussian_deviation
 from .experiments import run_compare, run_gamma_sweep
-from .kbm_solver import MacroState, run_kbm
+from .kbm_solver import init_macro, run_kbm
 from .output import FORMAT_VERSION, ensure_dir, write_csv, write_json, write_snapshot
 from .property_checks import run_all
 from .sim_solver import SimulationError, init_state, run_sim
@@ -74,190 +75,116 @@ def _load_config(args) -> RunConfig:
     return parse_config(parsed)
 
 
-def _series_from_trajectory(config, traj, kind):
-    if kind == "sim":
-        header = [
-            "t", "mass", "N_min", "N_max", "Z_min", "Z_max", "v_max", "gauss_dev", "mass_leak_rate"
-        ]
-        h_x = traj.snapshots[0].space.spacing
-        mass = np.array([s.n.sum() * s.trait.spacing * h_x for s in traj.snapshots])
-        cols = [
-            traj.times,
-            mass,
-            traj.N.min(axis=1),
-            traj.N.max(axis=1),
-            traj.Z.min(axis=1),
-            traj.Z.max(axis=1),
-            traj.V.max(axis=1),
-            np.array(
-                [
-                    gaussian_deviation(s, config.A, N, Z)
-                    for s, N, Z in zip(traj.snapshots, traj.N, traj.Z)
-                ]
-            ),
-            traj.leak_rate,
-        ]
-    else:
-        header = ["t", "N_min", "N_max", "Z_min", "Z_max"]
-        cols = [
-            traj.times,
-            traj.N.min(axis=1),
-            traj.N.max(axis=1),
-            traj.Z.min(axis=1),
-            traj.Z.max(axis=1),
-        ]
-    return header, cols
+def _summary(command, doc, **fields):
+    """A command's summary document: its name, the format version and the config echo."""
+    return {"command": command, "format_version": FORMAT_VERSION, "config": doc, **fields}
 
 
-def _cmd_simulate_sim(config: RunConfig) -> int:
-    params = config.sim_params()
-    state0 = init_state(config)
-    traj = run_sim(state0, params, config.env, config.t_end)
-    # The series can still raise (gauss_dev), so it comes before any output.
-    header, cols = _series_from_trajectory(config, traj, "sim")
+def _write_run(config, kind, times, fields, meta, header, cols, **summary):
+    """Snapshots, series and summary of a simulate command, written only once the
+    run and its series have succeeded."""
     out = ensure_dir(config.out_dir)
     snap_dir = ensure_dir(os.path.join(out, "snapshots"))
     doc = config.to_dict()
-    for idx, state in enumerate(traj.snapshots):
-        meta = {
-            "space": {"points": state.space.points_per_dim, "period": state.space.period},
-            "trait": {
-                "y_min": state.trait.y_min,
-                "y_max": state.trait.y_max,
-                "points": state.trait.points,
-            },
-        }
-        write_snapshot(
-            os.path.join(snap_dir, f"sim_{idx:06d}.snap"),
-            "sim",
-            state.t,
-            state.n,
-            meta,
-            doc,
-            text=config.text,
-        )
-    write_csv(os.path.join(out, "sim_series.csv"), header, cols)
-    write_json(
-        os.path.join(out, "sim_summary.json"),
-        {
-            "command": "simulate-sim",
-            "format_version": FORMAT_VERSION,
-            "config": doc,
-            "snapshots": len(traj.snapshots),
-            "diagnostics": {
-                "max_diffusion_mass_error": traj.diagnostics.max_diffusion_mass_error,
-                "max_boundary_leak_rate": traj.diagnostics.max_boundary_leak_rate,
-                "min_density_seen": traj.diagnostics.min_density_seen,
-                "positivity_clips": traj.diagnostics.positivity_clips,
-            },
-        },
-    )
+    for idx, (t, field) in enumerate(zip(times, fields)):
+        path = os.path.join(snap_dir, f"{kind}_{idx:06d}.snap")
+        write_snapshot(path, kind, t, field, meta, doc, text=config.text)
+    write_csv(os.path.join(out, f"{kind}_series.csv"), header, cols)
+    summary = _summary(f"simulate-{kind}", doc, snapshots=len(times), **summary)
+    write_json(os.path.join(out, f"{kind}_summary.json"), summary)
+
+
+def _space_meta(space):
+    return {"points": space.points_per_dim, "period": space.period}
+
+
+def _cmd_simulate_sim(config: RunConfig) -> int:
+    params = config.sim_params()  # exit 1 without a single gamma, before init_state can exit 2
+    traj = run_sim(init_state(config), params, config.env, config.t_end)
+    snaps = traj.snapshots
+    space, trait = snaps[0].space, snaps[0].trait
+    header = [
+        "t", "mass", "N_min", "N_max", "Z_min", "Z_max", "v_max", "gauss_dev", "mass_leak_rate"
+    ]
+    cols = [
+        traj.times,
+        np.array([s.n.sum() * trait.spacing * space.spacing for s in snaps]),
+        traj.N.min(axis=1),
+        traj.N.max(axis=1),
+        traj.Z.min(axis=1),
+        traj.Z.max(axis=1),
+        traj.V.max(axis=1),
+        np.array([gaussian_deviation(s, config.A, N, Z) for s, N, Z in zip(snaps, traj.N, traj.Z)]),
+        traj.leak_rate,
+    ]
+    meta = {
+        "space": _space_meta(space),
+        "trait": {"y_min": trait.y_min, "y_max": trait.y_max, "points": trait.points},
+    }
+    diagnostics = dataclasses.asdict(traj.diagnostics)
+    fields = (s.n for s in snaps)
+    _write_run(config, "sim", traj.times, fields, meta, header, cols, diagnostics=diagnostics)
     return 0
 
 
 def _cmd_simulate_kbm(config: RunConfig) -> int:
-    out = ensure_dir(config.out_dir)
-    snap_dir = ensure_dir(os.path.join(out, "snapshots"))
-    doc = config.to_dict()
-    space = config.space_grid()
-    x = space.centers
-    n0 = config.n0.evaluate(0.0, x)
-    state0 = MacroState(0.0, n0, n0 * config.z0.evaluate(0.0, x), space)
-    traj = run_kbm(
-        state0, config.env, config.A, config.dt, config.t_end, config.snapshot_dt
-    )
-    meta = {
-        "space": {"points": space.points_per_dim, "period": space.period},
-        "fields": ["N", "Y", "Z"],
-    }
-    Z = traj.Z
-    for idx, t in enumerate(traj.times):
-        write_snapshot(
-            os.path.join(snap_dir, f"kbm_{idx:06d}.snap"),
-            "kbm",
-            t,
-            np.stack((traj.N[idx], traj.Y[idx], Z[idx])),
-            meta,
-            doc,
-            text=config.text,
-        )
-    header, cols = _series_from_trajectory(config, traj, "kbm")
-    write_csv(os.path.join(out, "kbm_series.csv"), header, cols)
-    write_json(
-        os.path.join(out, "kbm_summary.json"),
-        {
-            "command": "simulate-kbm",
-            "format_version": FORMAT_VERSION,
-            "config": doc,
-            "snapshots": len(traj.times),
-        },
-    )
+    state0 = init_macro(config)
+    traj = run_kbm(state0, config.env, config.A, config.dt, config.t_end, config.snapshot_dt)
+    N, Z = traj.N, traj.Z
+    header = ["t", "N_min", "N_max", "Z_min", "Z_max"]
+    cols = [traj.times, N.min(axis=1), N.max(axis=1), Z.min(axis=1), Z.max(axis=1)]
+    meta = {"space": _space_meta(state0.space), "fields": ["N", "Y", "Z"]}
+    fields = (np.stack(rows) for rows in zip(N, traj.Y, Z))
+    _write_run(config, "kbm", traj.times, fields, meta, header, cols)
     return 0
 
 
-def _write_compare(out_dir, config, result) -> None:
+def _write_compare(out_dir, doc, result) -> None:
     header, cols = result.series_columns()
     write_csv(os.path.join(out_dir, "compare_series.csv"), header, cols)
-    write_json(
-        os.path.join(out_dir, "compare_summary.json"),
-        {
-            "command": "compare",
-            "format_version": FORMAT_VERSION,
-            "config": config.to_dict(),
-            "gamma": result.gamma,
-            "t_burn": result.t_burn,
-            "sups": result.sups,
-            "holder": result.holder,
-        },
-    )
+    fields = {k: getattr(result, k) for k in ("gamma", "t_burn", "sups", "holder")}
+    write_json(os.path.join(out_dir, "compare_summary.json"), _summary("compare", doc, **fields))
 
 
 def _cmd_compare(config: RunConfig) -> int:
     result = run_compare(config)
-    _write_compare(ensure_dir(config.out_dir), config, result)
+    _write_compare(ensure_dir(config.out_dir), config.to_dict(), result)
     return 0
 
 
 def _cmd_gamma_sweep(config: RunConfig, jobs: int) -> int:
     report, results = run_gamma_sweep(config, jobs=jobs)
     out = ensure_dir(config.out_dir)
+    doc = config.to_dict()
     for gamma, result in sorted(results.items()):
-        sub = ensure_dir(os.path.join(out, f"gamma_{gamma:g}"))
-        _write_compare(sub, config, result)
+        _write_compare(ensure_dir(os.path.join(out, f"gamma_{gamma:g}")), doc, result)
     header = ["gamma"] + list(report.errors)
     cols = [np.asarray(report.gammas)] + [np.asarray(report.errors[f]) for f in report.errors]
     write_csv(os.path.join(out, "sweep.csv"), header, cols)
-    write_json(
-        os.path.join(out, "sweep_summary.json"),
-        {
-            "command": "gamma-sweep",
-            "format_version": FORMAT_VERSION,
-            "config": config.to_dict(),
-            "gammas": report.gammas,
-            "errors": report.errors,
-            "theta_hat": report.theta_hat,
-            "c_hat": report.c_hat,
-            "r2": report.r2,
-        },
-    )
+    fields = dataclasses.asdict(report)
+    write_json(os.path.join(out, "sweep_summary.json"), _summary("gamma-sweep", doc, **fields))
     return 0
 
 
 def _cmd_check_operator(config: RunConfig) -> int:
-    out = ensure_dir(config.out_dir)
     checks = run_all(config.A, config.trait_grid(), config.seed)
-    report = {
-        "command": "check-operator",
-        "format_version": FORMAT_VERSION,
-        "config": config.to_dict(),
-        "checks": [c.to_dict() for c in checks],
-        "all_passed": all(c.passed for c in checks),
-    }
-    write_json(os.path.join(out, "operator_report.json"), report)
+    passed = all(c.passed for c in checks)
+    report = _summary(
+        "check-operator", config.to_dict(), checks=[c.to_dict() for c in checks], all_passed=passed
+    )
+    write_json(os.path.join(ensure_dir(config.out_dir), "operator_report.json"), report)
     for c in checks:
         status = "pass" if c.passed else "FAIL"
         print(f"{status:4s}  {c.name}: worst {c.worst:.3e} vs tolerance {c.tolerance:.3e}")
-    return 0 if report["all_passed"] else 3
+    return 0 if passed else 3
+
+
+_COMMANDS = {
+    "simulate-sim": _cmd_simulate_sim,
+    "simulate-kbm": _cmd_simulate_kbm,
+    "compare": _cmd_compare,
+    "check-operator": _cmd_check_operator,
+}
 
 
 def _format_warning(message, category, filename, lineno, line=None):
@@ -272,17 +199,9 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         config = _load_config(args)
-        if args.command == "simulate-sim":
-            return _cmd_simulate_sim(config)
-        if args.command == "simulate-kbm":
-            return _cmd_simulate_kbm(config)
-        if args.command == "compare":
-            return _cmd_compare(config)
         if args.command == "gamma-sweep":
             return _cmd_gamma_sweep(config, jobs=max(1, args.jobs))
-        if args.command == "check-operator":
-            return _cmd_check_operator(config)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -18,10 +18,10 @@ from .measures import (
     GridMeasure,
     batch_rows,
     cdf_rows,
-    gaussian_on_grid,
+    gaussian_rows,
     wasserstein_rows,
 )
-from .sim_solver import KineticState, SimulationError
+from .sim_solver import KineticState, SimulationError, require_reference_mass
 
 
 @dataclasses.dataclass
@@ -63,13 +63,12 @@ def gaussian_deviation(state: KineticState, A: float, N: np.ndarray, Z: np.ndarr
         raise ValueError(f"variance must be positive, got {A}")
     trait = state.trait
     h = trait.spacing
-    y = trait.centers
     rows = batch_rows(trait.points)
     worst = 0.0
     for lo in range(0, len(N), rows):
         cols = slice(lo, lo + rows)
         profile = state.n[cols] / N[cols, None]
-        target = np.exp(-((y - Z[cols, None]) ** 2) / (2.0 * A)) / np.sqrt(2.0 * np.pi * A)
+        target = gaussian_rows(Z[cols], A, trait)
         _check_columns(state, A, profile, target, Z[cols])
         dist = wasserstein_rows(trait, cdf_rows(profile, h), cdf_rows(target, h), (2,))[0]
         # max(worst, nan) keeps worst: a NaN column must not drop out silently.
@@ -97,13 +96,7 @@ def _check_columns(state, A, profile, target, Z):
     for i in np.flatnonzero(bad | short | near):
         if bad[i]:
             GridMeasure(trait, profile[i]).require_probability()
-        ref = gaussian_on_grid(Z[i], A, trait)
-        if abs(ref.mass - 1.0) > PROBABILITY_TOL:
-            raise SimulationError(
-                f"the reference Gaussian of variance A at Z = {Z[i]:.6g} holds mass "
-                f"{ref.mass:.12f} on the trait grid: widen numerical.trait_bounds",
-                {"t": state.t, "mass": ref.mass},
-            )
+        require_reference_mass(trait, A, Z[i], state.t)
 
 
 def _uniform_cadence(times: np.ndarray) -> float:

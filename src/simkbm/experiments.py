@@ -12,7 +12,7 @@ import dataclasses
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, parse_config
+from .config import ConfigError, RunConfig
 from .diagnostics import (
     burn_in_time,
     fit_power_law,
@@ -21,7 +21,7 @@ from .diagnostics import (
     kbm_residuals,
     SweepReport,
 )
-from .kbm_solver import MacroState, run_kbm
+from .kbm_solver import init_macro, run_kbm
 from .sim_solver import init_state, plan_steps, run_sim
 
 
@@ -48,6 +48,7 @@ class CompareResult:
 
 
 def _windowed_sup(times, series, t_start):
+    """Supremum from t_start on; over the whole series when the horizon ends before it."""
     mask = times >= t_start - 1e-12
     return float(np.max(series[mask])) if mask.any() else float(np.max(series))
 
@@ -68,15 +69,11 @@ def run_compare(config: RunConfig, gamma: float | None = None) -> CompareResult:
     params = config.sim_params(gamma)
     gamma = params.gamma
     env = config.env
-    space = config.space_grid()
-    x = space.centers
 
     state0 = init_state(config)
+    space = state0.space
     sim = run_sim(state0, params, env, config.t_end)
-
-    n0 = config.n0.evaluate(0.0, x)
-    macro0 = MacroState(0.0, n0, n0 * config.z0.evaluate(0.0, x), space)
-    kbm = run_kbm(macro0, env, config.A, config.dt, config.t_end, config.snapshot_dt)
+    kbm = run_kbm(init_macro(config), env, config.A, config.dt, config.t_end, config.snapshot_dt)
 
     if len(sim.times) != len(kbm.times) or np.max(np.abs(sim.times - kbm.times)) > 1e-9:
         raise RuntimeError("kinetic and macroscopic snapshot grids disagree")
@@ -91,12 +88,6 @@ def run_compare(config: RunConfig, gamma: float | None = None) -> CompareResult:
 
     t_burn = burn_in_time(gamma, config.dt)
     resid = kbm_residuals(sim.times, sim.N, sim.Z, space, env, config.A)
-    burn_mask = resid.times >= t_burn - 1e-12
-    if not burn_mask.any():
-        # Horizon shorter than the burn-in: report the full interior window.
-        burn_mask = np.ones_like(burn_mask)
-    resid_N = float(np.abs(resid.phi_N[burn_mask]).max())
-    resid_Z = float(np.abs(resid.phi_Z[burn_mask]).max())
 
     sups = {
         "err_N": _windowed_sup(sim.times, err_N, t_burn),
@@ -106,8 +97,8 @@ def run_compare(config: RunConfig, gamma: float | None = None) -> CompareResult:
         "err_Z_full": float(err_Z.max()),
         "gauss_dev_full": float(gauss.max()),
         "v_max": float(v_max.max()),
-        "resid_N": resid_N,
-        "resid_Z": resid_Z,
+        "resid_N": _windowed_sup(resid.times, np.abs(resid.phi_N), t_burn),
+        "resid_Z": _windowed_sup(resid.times, np.abs(resid.phi_Z), t_burn),
         "mass_leak_rate": sim.diagnostics.max_boundary_leak_rate,
         "diffusion_mass_error": sim.diagnostics.max_diffusion_mass_error,
         "min_density": sim.diagnostics.min_density_seen,
@@ -133,8 +124,8 @@ def run_compare(config: RunConfig, gamma: float | None = None) -> CompareResult:
 
 
 def _compare_worker(args):
-    config_doc, gamma = args
-    return gamma, run_compare(parse_config(config_doc), gamma=gamma)
+    config, gamma = args
+    return gamma, run_compare(config, gamma=gamma)
 
 
 def run_gamma_sweep(config: RunConfig, jobs: int = 1):
@@ -144,10 +135,9 @@ def run_gamma_sweep(config: RunConfig, jobs: int = 1):
     gammas = list(config.gamma_list)
     results = {}
     if jobs > 1:
-        doc = config.to_dict()
         workers = min(jobs, len(gammas))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            for gamma, result in pool.map(_compare_worker, [(doc, g) for g in gammas]):
+            for gamma, result in pool.map(_compare_worker, [(config, g) for g in gammas]):
                 results[gamma] = result
     else:
         for g in gammas:

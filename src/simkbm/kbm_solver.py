@@ -50,6 +50,14 @@ class MacroState:
         return self.Y / self.N
 
 
+def init_macro(config) -> MacroState:
+    """Initial macroscopic state from a run configuration: N0 and Y0 = N0 Z0."""
+    space = config.space_grid()
+    x = space.centers
+    n0 = config.n0.evaluate(0.0, x)
+    return MacroState(0.0, n0, n0 * config.z0.evaluate(0.0, x), space)
+
+
 def _reaction(U, y_opt, A):
     N, Y = U
     mismatch = Y / N - y_opt

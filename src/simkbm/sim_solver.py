@@ -24,6 +24,7 @@ from .diffusion import PeriodicHeatCN
 from .environment import Environment
 from .grids import TorusGrid, TraitGrid
 from .infinitesimal import ReproductionKernel
+from .measures import PROBABILITY_TOL, gaussian_on_grid, gaussian_rows
 
 N_FLOOR = 1e-12
 INIT_MARGIN_SIGMAS = 4.0
@@ -139,14 +140,38 @@ def gaussian_initial_state(
     return KineticState(t0, N0[:, None] * prof, space, trait)
 
 
+def require_reference_mass(trait: TraitGrid, A: float, z: float, t: float) -> None:
+    """Raise SimulationError when the Gaussian of variance A at mean z, as
+    gaussian_on_grid samples it (with its warning near a grid end), misses
+    mass 1 on the trait grid by more than PROBABILITY_TOL: no gauss_dev
+    can be measured against it."""
+    ref = gaussian_on_grid(z, A, trait)
+    if abs(ref.mass - 1.0) > PROBABILITY_TOL:
+        raise SimulationError(
+            f"the reference Gaussian of variance A at Z = {z:.6g} holds mass "
+            f"{ref.mass:.12f} on the trait grid: widen numerical.trait_bounds",
+            {"t": t, "mass": ref.mass},
+        )
+
+
 def init_state(config) -> KineticState:
-    """Initial kinetic state from a run configuration (see config.RunConfig)."""
+    """Initial kinetic state from a run configuration (see config.RunConfig).
+
+    Raises, before any step, the SimulationError that gaussian_deviation
+    raises at t = 0 when the reference Gaussian at a column's mean trait
+    is short of mass."""
     space = config.space_grid()
     trait = config.trait_grid()
     x = space.centers
-    return gaussian_initial_state(
+    state = gaussian_initial_state(
         space, trait, config.n0.evaluate(0.0, x), config.z0.evaluate(0.0, x), config.v0
     )
+    Z = kinetic_moments(state).Z
+    mass = gaussian_rows(Z, config.A, trait).sum(axis=1) * trait.spacing
+    short = np.flatnonzero(~(np.abs(mass - 1.0) <= PROBABILITY_TOL))
+    if len(short):
+        require_reference_mass(trait, config.A, Z[short[0]], state.t)
+    return state
 
 
 def max_stable_dt(

@@ -5,7 +5,8 @@ one-line message.  A document it accepts makes check-operator pass (exit 0)
 and every other command finish with exit 0 or stop with exit 2 and a
 one-line reason; a command exits 1 only when the document lacks what that
 command needs (a single gamma, three or more gammas for a sweep, three or
-more snapshots).  No command raises.  `contract_census.py` runs more of the
+more snapshots).  A command that exits 1 or 2 writes nothing.  No command
+raises.  `contract_census.py` runs more of the
 strategy's documents and prints the exit codes.
 
 Hypothesis draws some values from the literal constants of the loaded
@@ -170,3 +171,4 @@ def test_every_command_honours_the_exit_contract(tmp_path_factory, doc):
         assert rc in allowed, (command, rc, err)
         if rc in (1, 2):
             assert err.count("\n") == 1, (command, err)
+            assert not os.path.exists(os.path.join(workdir, command)), (command, rc)
