@@ -12,7 +12,6 @@ from .measures import (
     MomentSummary,
     gaussian_on_grid,
     moments,
-    quantile,
     wasserstein,
     wasserstein_oracle,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "MomentSummary",
     "gaussian_on_grid",
     "moments",
-    "quantile",
     "wasserstein",
     "wasserstein_oracle",
     "ReproductionKernel",

@@ -192,8 +192,7 @@ def _format_warning(message, category, filename, lineno, line=None):
 
 
 def main(argv=None) -> int:
-    # One stderr line per warning, with no source echo; forked sweep workers
-    # inherit the format.
+    # One stderr line per warning, with no source echo.
     default_format = warnings.formatwarning
     warnings.formatwarning = _format_warning
     try:

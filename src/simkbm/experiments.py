@@ -8,7 +8,9 @@ processes and are aggregated keyed by gamma.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import dataclasses
+import warnings
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from .diagnostics import (
     SweepReport,
 )
 from .kbm_solver import init_macro, run_kbm
-from .sim_solver import init_state, plan_steps, run_sim
+from .sim_solver import SimulationError, init_state, plan_steps, run_sim
 
 
 @dataclasses.dataclass
@@ -124,24 +126,43 @@ def run_compare(config: RunConfig, gamma: float | None = None) -> CompareResult:
 
 
 def _compare_worker(args):
+    """One sweep member: gamma, CompareResult and the warnings it recorded,
+    which a SimulationError carries as its `warnings`."""
     config, gamma = args
-    return gamma, run_compare(config, gamma=gamma)
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            return gamma, run_compare(config, gamma=gamma), caught
+        except SimulationError as exc:
+            exc.warnings = caught
+            raise
 
 
 def run_gamma_sweep(config: RunConfig, jobs: int = 1):
-    """Per-gamma compare runs aggregated into a SweepReport with power-law fits."""
+    """Per-gamma compare runs aggregated into a SweepReport with power-law fits.
+
+    Pool workers have warning registries of their own, so the members'
+    warnings are shown here, through one registry, in gamma order up to the
+    first member that raises: stderr does not depend on jobs."""
     if config.gamma_list is None or len(config.gamma_list) < 3:
         raise ConfigError("gamma-sweep needs physical.gamma_list with >= 3 values")
     gammas = list(config.gamma_list)
-    results = {}
-    if jobs > 1:
-        workers = min(jobs, len(gammas))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            for gamma, result in pool.map(_compare_worker, [(config, g) for g in gammas]):
+    results, caught = {}, []
+    with contextlib.ExitStack() as stack:
+        run = map
+        if jobs > 1:
+            pool = concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(gammas)))
+            run = stack.enter_context(pool).map
+        try:
+            for gamma, result, recorded in run(_compare_worker, [(config, g) for g in gammas]):
                 results[gamma] = result
-    else:
-        for g in gammas:
-            results[g] = run_compare(config, gamma=g)
+                caught += recorded
+        except SimulationError as exc:
+            caught += exc.warnings
+            raise
+        finally:
+            shown = {}
+            for w in caught:
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, registry=shown)
     errors = {
         "gauss_dev_sup": [results[g].sups["gauss_dev"] for g in gammas],
         "macro_err_N": [results[g].sups["err_N"] for g in gammas],

@@ -1,10 +1,10 @@
-"""Probability densities on a trait grid: moments, quantiles, exact 1-D Wasserstein distances.
+"""Probability densities on a trait grid: moments and exact 1-D Wasserstein distances.
 
 Densities are piecewise constant per cell, so cumulative distribution
 functions are piecewise linear and the quantile coupling behind the 1-D
-Wasserstein distance can be integrated segment by segment in closed form.
-A brute-force discrete-transport oracle (north-west-corner rule on sorted
-atoms) provides an independent cross-check.
+Wasserstein distance can be integrated segment by segment in closed form
+(wasserstein_rows, for a batch of pairs at once).  A brute-force discrete-
+transport oracle (north-west-corner rule on sorted atoms) cross-checks it.
 """
 
 from __future__ import annotations
@@ -101,9 +101,7 @@ def gaussian_on_grid(mean: float, variance: float, grid: TraitGrid) -> GridMeasu
             RuntimeWarning,
             stacklevel=2,
         )
-    y = grid.centers
-    dens = np.exp(-((y - mean) ** 2) / (2.0 * variance)) / np.sqrt(2.0 * np.pi * variance)
-    return GridMeasure(grid, dens)
+    return GridMeasure(grid, gaussian_rows(np.array([mean]), variance, grid)[0])
 
 
 def gaussian_rows(means: np.ndarray, variance: float, grid: TraitGrid) -> np.ndarray:
@@ -135,92 +133,17 @@ def moment_rows(grid: TraitGrid, density: np.ndarray) -> tuple:
     return mass, mean, variance, fourth
 
 
-def _cdf_values(mu: GridMeasure) -> np.ndarray:
-    """Normalized CDF at the cell edges: length points+1, starts at 0, ends at 1."""
-    cum = np.concatenate(([0.0], np.cumsum(mu.cell_masses)))
-    cum /= cum[-1]
-    cum[-1] = 1.0
-    return cum
-
-
-def _quantile_values(cum, edges, spacing, u):
-    """Generalized inverse of the piecewise-linear CDF at interior levels u.
-
-    The share of the cell's mass below u comes first and the spacing last:
-    spacing / cell_mass overflows when a cell's mass is subnormal.
-    """
-    j = np.searchsorted(cum, u, side="left") - 1
-    cell_mass = cum[j + 1] - cum[j]
-    return edges[j] + (u - cum[j]) / cell_mass * spacing
-
-
-def quantile(mu: GridMeasure, u):
-    """Quantile(s) of a normalized grid measure at levels u in (0, 1)."""
-    mu.require_probability()
-    u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
-        raise ValueError("quantile levels must lie strictly inside (0, 1)")
-    cum = _cdf_values(mu)
-    vals = _quantile_values(cum, mu.grid.edges, mu.grid.spacing, u_arr)
-    return float(vals) if np.isscalar(u) else vals
-
-
-def _segment_lines(mu: GridMeasure, cum, u_lo, u_hi):
-    """Affine law of the quantile on the open segments (u_lo, u_hi); cum is mu's CDF.
-
-    Each segment lies between consecutive merged breakpoints, so its cell
-    is the last one starting at or below u_lo: segments that start or end
-    exactly at a CDF breakpoint pick up the one-sided limit rather than an
-    arbitrary value at the jump.  (A midpoint lookup fails on a segment one
-    ulp wide, whose midpoint rounds to u_lo.)  As in _quantile_values, the
-    mass share is formed before the spacing multiplies it.
-    """
-    edges = mu.grid.edges
-    h = mu.grid.spacing
-    j = np.searchsorted(cum, u_lo, side="right") - 1
-    c0 = cum[j]
-    cell_mass = cum[j + 1] - c0
-    q_lo = edges[j] + (u_lo - c0) / cell_mass * h
-    q_hi = edges[j] + (u_hi - c0) / cell_mass * h
-    return q_lo, q_hi
-
-
 def wasserstein(mu: GridMeasure, nu: GridMeasure, p: int) -> float:
-    """Exact p-Wasserstein distance between two normalized grid measures.
-
-    Computed as the L^p norm of the difference of quantile functions (the
-    monotone coupling, optimal in 1-D for convex costs).  Both CDFs are
-    piecewise linear, so after merging their breakpoints the integrand is
-    piecewise affine and each segment integral has a closed form: no
-    sampling, no tolerance knob.
-    """
+    """Exact p-Wasserstein distance between two normalized measures on one
+    grid: the one-row case of wasserstein_rows."""
     if p not in WASSERSTEIN_ORDERS:
         raise ValueError(f"p must be one of {WASSERSTEIN_ORDERS}, got {p}")
     mu.require_probability()
     nu.require_probability()
-
-    cum_mu, cum_nu = _cdf_values(mu), _cdf_values(nu)
-    breaks = np.unique(np.concatenate((cum_mu, cum_nu)))
-    u_lo, u_hi = breaks[:-1], breaks[1:]
-    f_lo, f_hi = _segment_lines(mu, cum_mu, u_lo, u_hi)
-    g_lo, g_hi = _segment_lines(nu, cum_nu, u_lo, u_hi)
-    a = f_lo - g_lo
-    b = f_hi - g_hi
-    w = u_hi - u_lo
-
-    if p == 1:
-        both = np.abs(a) + np.abs(b)
-        same_sign = a * b >= 0
-        # Sign change inside the segment: two triangles around the zero of the
-        # affine difference; 'both' is nonzero there since a, b are not both 0.
-        safe = np.where(both > 0, both, 1.0)
-        seg = np.where(same_sign, 0.5 * w * both, 0.5 * w * (a * a + b * b) / safe)
-    elif p == 2:
-        seg = w * (a * a + a * b + b * b) / 3.0
-    else:
-        seg = w * (a**4 + a**3 * b + a**2 * b**2 + a * b**3 + b**4) / 5.0
-    total = float(seg.sum())
-    return total ** (1.0 / p)
+    if mu.grid != nu.grid:
+        raise ValueError(f"measures lie on two trait grids: {mu.grid} and {nu.grid}")
+    cum = cdf_rows(np.stack((mu.density, nu.density)), mu.grid.spacing)
+    return float(wasserstein_rows(mu.grid, cum[:1], cum[1:], (p,))[0, 0])
 
 
 # Cells per batch of wasserstein_rows.  Every temporary of a batch holds
@@ -234,8 +157,8 @@ def batch_rows(points: int) -> int:
 
 
 def cdf_rows(density: np.ndarray, spacing: float) -> np.ndarray:
-    """Normalized CDFs at the cell edges, one row per density row, as
-    _cdf_values builds them for one measure."""
+    """Normalized CDFs at the cell edges, one row per density row: each row
+    has points + 1 entries, starts at 0 and ends at exactly 1."""
     cum = np.zeros((len(density), density.shape[1] + 1))
     np.cumsum(density * spacing, axis=1, out=cum[:, 1:])
     cum /= cum[:, -1:].copy()
@@ -247,7 +170,8 @@ def wasserstein_rows(grid: TraitGrid, cum_mu: np.ndarray, cum_nu: np.ndarray, or
     """W_p between the grid measures of matching CDF rows, one row of the
     result per order p in `orders`.
 
-    The batched form of wasserstein, with its segment arithmetic for each p.
+    The monotone coupling is optimal in 1-D, so W_p is the L^p norm of the
+    difference of quantile functions, affine between merged breakpoints.
     Rows are taken batch_rows(grid.points) at a time.  Per batch, one stable
     argsort per row merges the breakpoints of the two CDFs and serves every
     order; a running count of mu's breakpoints then names the cell of either
@@ -295,6 +219,7 @@ def _merged_rows(grid, cum_mu, cum_nu, orders):
         if p == 1:
             w = u_hi - u_lo
             both = np.abs(a) + np.abs(b)
+            # A sign change inside the segment leaves two triangles; both > 0 there.
             safe = np.where(both > 0, both, 1.0)
             seg = np.where(a * b >= 0, 0.5 * w * both, 0.5 * w * (a * a + b * b) / safe)
             dist.append(np.add.reduceat(seg, starts))
@@ -302,8 +227,8 @@ def _merged_rows(grid, cum_mu, cum_nu, orders):
             seg = (u_hi - u_lo) * (a * a + a * b + b * b) / 3.0
             dist.append(np.sqrt(np.add.reduceat(seg, starts)))
         else:
-            # wasserstein's polynomial, from products instead of powers
-            # (ten times cheaper, within a few ulps).
+            # w (a^4 + a^3 b + a^2 b^2 + a b^3 + b^4) / 5, from products
+            # instead of powers (ten times cheaper, within a few ulps).
             a2, ab, b2 = a * a, a * b, b * b
             seg = (u_hi - u_lo) * (a2 * a2 + a2 * ab + ab * ab + ab * b2 + b2 * b2) / 5.0
             dist.append(np.add.reduceat(seg, starts) ** 0.25)
@@ -312,7 +237,8 @@ def _merged_rows(grid, cum_mu, cum_nu, orders):
 
 def _quantile_lines(cum, j, u_lo, u_hi, edges, h):
     """The quantile at both ends of each segment, read off its cell j, with
-    the mass share formed first (_quantile_values)."""
+    the mass share formed first: spacing / cell_mass overflows when a cell's
+    mass is subnormal."""
     c0 = cum.take(j)
     cell_mass = cum.take(j + 1) - c0
     e = edges.take(j)

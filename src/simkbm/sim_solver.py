@@ -133,11 +133,7 @@ def gaussian_initial_state(
             RuntimeWarning,
             stacklevel=2,
         )
-    y = trait.centers
-    prof = np.exp(-((y[None, :] - Z0[:, None]) ** 2) / (2.0 * V0)) / math.sqrt(
-        2.0 * math.pi * V0
-    )
-    return KineticState(t0, N0[:, None] * prof, space, trait)
+    return KineticState(t0, N0[:, None] * gaussian_rows(Z0, V0, trait), space, trait)
 
 
 def require_reference_mass(trait: TraitGrid, A: float, z: float, t: float) -> None:

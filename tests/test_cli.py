@@ -299,6 +299,12 @@ class TestExitCodes:
         assert lines[-1].startswith("runtime invariant violation"), proc.stderr
         assert all(line.startswith("warning: ") for line in lines[:-1]), proc.stderr
 
+    def test_sweep_stderr_does_not_depend_on_jobs(self, tmp_path):
+        # Each pool worker has a warning registry of its own.
+        cfg = write_config(tmp_path, SHORT_REFERENCE_SWEEP)
+        args = ("gamma-sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs")
+        assert run_cli_fresh(*args, "1").stderr == run_cli_fresh(*args, "2").stderr
+
 
 class TestRejectedAtParse:
     COMMANDS = ("simulate-sim", "simulate-kbm", "compare", "gamma-sweep", "check-operator")

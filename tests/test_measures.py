@@ -5,19 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_transport
 import simkbm.measures as measures
 from simkbm import (
     GridMeasure,
     TraitGrid,
     gaussian_on_grid,
     moments,
-    quantile,
     wasserstein,
     wasserstein_oracle,
 )
 from simkbm.property_checks import random_mixture
-
-PHI_OF_ONE = 0.8413447460685429  # standard normal CDF at 1
 
 
 def atom_measure(grid, index):
@@ -90,28 +88,6 @@ class TestMoments:
         assert m.variance == pytest.approx(5.0, abs=1e-6)
 
 
-class TestQuantile:
-    def test_median_of_symmetric(self, trait512):
-        mu = gaussian_on_grid(0.5, 1.0, trait512)
-        assert quantile(mu, 0.5) == pytest.approx(0.5, abs=trait512.spacing)
-
-    def test_standard_normal_at_one_sigma(self, trait512):
-        mu = gaussian_on_grid(0.0, 1.0, trait512)
-        assert quantile(mu, PHI_OF_ONE) == pytest.approx(1.0, abs=2 * trait512.spacing)
-
-    def test_monotone(self, trait512, rng):
-        mu = random_mixture(rng, trait512)
-        u = np.sort(rng.uniform(0.01, 0.99, size=200))
-        q = quantile(mu, u)
-        assert np.all(np.diff(q) >= -1e-14)
-
-    @pytest.mark.parametrize("u", [0.0, 1.0, -0.2, 1.7])
-    def test_rejects_bad_levels(self, trait512, u):
-        mu = gaussian_on_grid(0.0, 1.0, trait512)
-        with pytest.raises(ValueError, match="strictly inside"):
-            quantile(mu, u)
-
-
 class TestWasserstein:
     @pytest.mark.parametrize("p", [1, 2, 4])
     def test_two_atoms(self, p):
@@ -163,7 +139,6 @@ class TestWasserstein:
         d = wasserstein(mu, nu, p)
         assert np.isfinite(d) and d == pytest.approx(wasserstein(nu, mu, p), rel=1e-14)
         assert d == pytest.approx(wasserstein_oracle(mu, nu, p), abs=g.spacing)
-        assert g.edges[20] <= quantile(mu, 1e-320) <= g.edges[21]
 
     def test_one_ulp_segment_takes_the_cell_it_lies_in(self):
         # Breakpoints 1 - 2^-52 and 1 - 2^-53 are adjacent doubles: the
@@ -172,7 +147,7 @@ class TestWasserstein:
         g = TraitGrid(-8.0, 8.0, 16)
         cum = np.array([0.0, 0.5, 0.9999999999999998, 0.9999999999999999] + [1.0] * 13)
         mu = gaussian_on_grid(0.0, 1.0, g)  # only its grid is read
-        q_lo, q_hi = measures._segment_lines(mu, cum, cum[2:3], cum[3:4])
+        q_lo, q_hi = reference_transport._segment_lines(mu, cum, cum[2:3], cum[3:4])
         assert q_lo[0] == pytest.approx(g.edges[2], abs=1e-12)
         assert q_hi[0] == pytest.approx(g.edges[3], abs=1e-12)
 
@@ -182,21 +157,11 @@ class TestWasserstein:
         with pytest.raises(ValueError, match="not normalized"):
             wasserstein(mu, nu, 2)
 
-    def test_builds_each_cdf_once(self, trait512, monkeypatch):
-        calls = []
-        cdf_values = measures._cdf_values
-        monkeypatch.setattr(measures, "_cdf_values", lambda mu: calls.append(mu) or cdf_values(mu))
-        mu = gaussian_on_grid(0.0, 1.0, trait512)
-        nu = gaussian_on_grid(1.0, 1.0, trait512)
-        wasserstein(mu, nu, 2)
-        assert len(calls) == 2 and calls[0] is mu and calls[1] is nu
-
-    def test_different_grids(self):
-        g1 = TraitGrid(-8.0, 8.0, 512)
-        g2 = TraitGrid(-7.0, 9.0, 384)
-        mu = gaussian_on_grid(0.0, 1.0, g1)
-        nu = gaussian_on_grid(2.0, 1.0, g2)
-        assert wasserstein(mu, nu, 2) == pytest.approx(2.0, abs=1e-4)
+    def test_rejects_two_grids(self):
+        mu = gaussian_on_grid(0.0, 1.0, TraitGrid(-8.0, 8.0, 512))
+        nu = gaussian_on_grid(2.0, 1.0, TraitGrid(-7.0, 9.0, 384))
+        with pytest.raises(ValueError, match="two trait grids"):
+            wasserstein(mu, nu, 2)
 
 
 # Cell weights: zeros, subnormals, and values so small next to the rest that
@@ -236,8 +201,18 @@ class TestWassersteinRows:
         for i in range(len(mu)):
             pair = GridMeasure(grid, mu[i]), GridMeasure(grid, nu[i])
             for k, p in enumerate((1, 2, 4)):
-                want = wasserstein(*pair, p)
+                want = reference_transport.wasserstein(*pair, p)
                 assert abs(got[k, i] - want) <= 1e-12 * want, (i, p)
+
+    def test_one_ulp_merged_segment(self):
+        # Breakpoints 1 - 2^-52 (mu) and 1 - 2^-53 (nu) are adjacent doubles.
+        # Between them mu's quantile crosses half of cell 2 and nu's sits at
+        # its lower edge, and on the last segment the roles swap: each adds
+        # 2^-53 (h/2)^2 / 3 to W2^2, far more than the rest of the CDFs.
+        g = TraitGrid(-8.0, 8.0, 16)
+        cum_mu, cum_nu = (np.array([[0.0, 0.5, 1.0 - e] + [1.0] * 14]) for e in (2**-52, 2**-53))
+        got = measures.wasserstein_rows(g, cum_mu, cum_nu, (2,))[0, 0]
+        assert got == pytest.approx(np.sqrt(2.0**-52 / 12) * g.spacing, rel=1e-9)
 
     def test_rejects_bad_order(self, trait256):
         cum = measures.cdf_rows(gaussian_on_grid(0.0, 1.0, trait256).density[None], 1.0)
