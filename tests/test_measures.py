@@ -17,11 +17,23 @@ from simkbm import (
 )
 from simkbm.property_checks import random_mixture
 
+PHI_OF_ONE = 0.8413447460685429  # standard normal CDF at 1
+
 
 def atom_measure(grid, index):
     dens = np.zeros(grid.points)
     dens[index] = 1.0 / grid.spacing
     return GridMeasure(grid, dens)
+
+
+def quantile_at(mu, u):
+    """mu's quantile at the levels u, read off the cells that wasserstein_rows
+    would give segments starting at u."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    cum = measures.cdf_rows(mu.density[None], mu.grid.spacing)[0]
+    j = np.searchsorted(cum, u, side="right") - 1
+    q, _ = measures._quantile_lines(cum, j, u, u, mu.grid.edges, mu.grid.spacing)
+    return q
 
 
 def integer_grid():
@@ -67,6 +79,12 @@ class TestGaussianOnGrid:
         with pytest.raises(ValueError, match="variance"):
             gaussian_on_grid(0.0, 0.0, trait512)
 
+    @pytest.mark.parametrize("mean, variance", [(0.0, 1.0), (-1.3, 0.37), (2.0, 0.8)])
+    def test_samples_the_closed_form(self, trait512, mean, variance):
+        y = trait512.centers
+        want = np.exp(-((y - mean) ** 2) / (2.0 * variance)) / np.sqrt(2.0 * np.pi * variance)
+        assert np.array_equal(gaussian_on_grid(mean, variance, trait512).density, want)
+
 
 class TestMoments:
     def test_shifted_gaussian(self, trait512):
@@ -86,6 +104,22 @@ class TestMoments:
         m = moments(GridMeasure(trait512, dens))
         assert m.mean == pytest.approx(0.0, abs=1e-7)
         assert m.variance == pytest.approx(5.0, abs=1e-6)
+
+
+class TestQuantile:
+    def test_median_of_symmetric(self, trait512):
+        mu = gaussian_on_grid(0.5, 1.0, trait512)
+        assert quantile_at(mu, 0.5)[0] == pytest.approx(0.5, abs=trait512.spacing)
+
+    def test_standard_normal_at_one_sigma(self, trait512):
+        mu = gaussian_on_grid(0.0, 1.0, trait512)
+        assert quantile_at(mu, PHI_OF_ONE)[0] == pytest.approx(1.0, abs=2 * trait512.spacing)
+
+    def test_monotone(self, trait512, rng):
+        mu = random_mixture(rng, trait512)
+        u = np.sort(rng.uniform(0.01, 0.99, size=200))
+        q = quantile_at(mu, u)
+        assert np.all(np.diff(q) >= -1e-14)
 
 
 class TestWasserstein:
@@ -156,6 +190,23 @@ class TestWasserstein:
         nu = GridMeasure(trait512, 2.0 * mu.density)
         with pytest.raises(ValueError, match="not normalized"):
             wasserstein(mu, nu, 2)
+
+    def test_builds_each_cdf_once(self, trait512, monkeypatch):
+        cdf_calls, rows_calls = [], []
+        cdf_rows, wasserstein_rows = measures.cdf_rows, measures.wasserstein_rows
+        monkeypatch.setattr(
+            measures, "cdf_rows", lambda d, h: cdf_calls.append(d.copy()) or cdf_rows(d, h)
+        )
+        monkeypatch.setattr(
+            measures,
+            "wasserstein_rows",
+            lambda *a: rows_calls.append(a) or wasserstein_rows(*a),
+        )
+        mu = gaussian_on_grid(0.0, 1.0, trait512)
+        nu = gaussian_on_grid(1.0, 1.0, trait512)
+        wasserstein(mu, nu, 2)
+        assert len(cdf_calls) == 1 and len(rows_calls) == 1
+        assert np.array_equal(cdf_calls[0], np.stack((mu.density, nu.density)))
 
     def test_rejects_two_grids(self):
         mu = gaussian_on_grid(0.0, 1.0, TraitGrid(-8.0, 8.0, 512))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from reference_ode import homogeneous_reference
@@ -81,6 +83,17 @@ class TestInitialState:
         space, trait = small_grids
         with pytest.warns(RuntimeWarning, match="standard deviations"):
             gaussian_initial_state(space, trait, np.ones(16), np.full(16, 3.0), 1.0)
+
+    def test_columns_sample_the_closed_form(self, space64):
+        trait = TraitGrid(-8.5, 8.5, 512)
+        n0 = 1.0 + 0.2 * np.cos(2 * np.pi * space64.centers)
+        z0 = 0.5 * np.sin(2 * np.pi * space64.centers)
+        y = trait.centers
+        prof = np.exp(-((y[None, :] - z0[:, None]) ** 2) / (2.0 * 0.8)) / math.sqrt(
+            2.0 * math.pi * 0.8
+        )
+        state = gaussian_initial_state(space64, trait, n0, z0, 0.8)
+        assert np.array_equal(state.n, n0[:, None] * prof)
 
     def test_sinusoidal_mean_recovered(self, space64):
         trait = TraitGrid(-8.5, 8.5, 512)
