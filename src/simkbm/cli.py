@@ -72,7 +72,16 @@ def _load_config(args) -> RunConfig:
         # A section that is not an object is left for parse_config to reject.
         if isinstance(section, dict):
             parsed[name] = {**section, **{k: v for k, v in values.items() if v is not None}}
-    return parse_config(parsed)
+    config = parse_config(parsed)
+    # Reject, before any work, an output directory that names a file or lies
+    # under one: with a trailing separator, stat fails on both.
+    try:
+        os.stat(os.path.join(config.out_dir, ""))
+    except FileNotFoundError:
+        pass
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {config.out_dir}: {exc.strerror}") from exc
+    return config
 
 
 def _summary(command, doc, **fields):

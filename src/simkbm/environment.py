@@ -65,8 +65,3 @@ class Environment:
             lo += min(0.0, self.rate * t_end)
             hi += max(0.0, self.rate * t_end)
         return lo, hi
-
-    def space_slope_bound(self) -> float:
-        if self._has_wave():
-            return abs(self.amplitude) * 2.0 * np.pi * self.wavenumber / self.period
-        return 0.0

@@ -62,10 +62,10 @@ class ReproductionKernel:
         self.A = float(A)
         self.grid = grid
         m = grid.points
-        self.table, self.mass_defect = segregation_kernel(self.A, grid)
-        if not self.mass_defect <= KERNEL_MASS_DEFECT_TOL:
+        self.table, mass_defect = segregation_kernel(self.A, grid)
+        if not mass_defect <= KERNEL_MASS_DEFECT_TOL:
             warnings.warn(
-                f"segregation kernel mass defect {self.mass_defect:.3e} on this grid; "
+                f"segregation kernel mass defect {mass_defect:.3e} on this grid; "
                 "the trait spacing must be below about 0.9*sqrt(A/2) and the interval "
                 "at least about 7*sqrt(A/2) wide",
                 RuntimeWarning,

@@ -33,15 +33,8 @@ class GridMeasure:
             raise ValueError(
                 f"density shape {dens.shape} does not match grid with {self.grid.points} cells"
             )
-        if not np.all(np.isfinite(dens)):
-            raise ValueError("density contains non-finite entries")
-        if np.any(dens < 0):
-            raise ValueError(f"density must be nonnegative (min = {dens.min():.3e})")
         object.__setattr__(self, "density", dens)
-        mass = self.grid.integrate(dens)
-        if not mass > 0:
-            raise ValueError("density must carry positive mass")
-        object.__setattr__(self, "_mass", mass)
+        object.__setattr__(self, "_mass", float(require_rows(self.grid, dens[None])[0]))
 
     @property
     def mass(self) -> float:
@@ -51,14 +44,34 @@ class GridMeasure:
     def cell_masses(self) -> np.ndarray:
         return self.density * self.grid.spacing
 
-    def require_probability(self, tol: float = PROBABILITY_TOL):
+    def require_probability(self):
         """Reject inputs that are not unit mass instead of renormalizing them;
         a silent rescale here would hide mass bugs upstream."""
-        if abs(self.mass - 1.0) > tol:
+        require_rows(self.grid, self.density[None], probability=True)
+
+
+def require_rows(grid: TraitGrid, rows: np.ndarray, probability: bool = False) -> np.ndarray:
+    """Masses of the grid measures of density rows, one per row; raises the
+    error of the first row that GridMeasure (or, with `probability`,
+    require_probability) rejects.  A non-finite entry leaves a non-finite
+    mass or a negative entry, so only the rows flagged here are checked."""
+    mass = grid.spacing * rows.sum(axis=1)
+    flagged = (rows < 0).any(axis=1) | ~np.isfinite(mass) | ~(mass > 0)
+    if probability:
+        flagged |= ~(np.abs(mass - 1.0) <= PROBABILITY_TOL)
+    for i in np.flatnonzero(flagged):
+        if not np.isfinite(rows[i]).all():
+            raise ValueError("density contains non-finite entries")
+        if (rows[i] < 0).any():
+            raise ValueError(f"density must be nonnegative (min = {rows[i].min():.3e})")
+        if not mass[i] > 0:
+            raise ValueError("density must carry positive mass")
+        if probability and abs(mass[i] - 1.0) > PROBABILITY_TOL:
             raise ValueError(
-                f"measure is not normalized: mass = {self.mass:.12f} "
-                f"(|mass - 1| > {tol:g})"
+                f"measure is not normalized: mass = {mass[i]:.12f} "
+                f"(|mass - 1| > {PROBABILITY_TOL:g})"
             )
+    return mass
 
 
 @dataclasses.dataclass(frozen=True)

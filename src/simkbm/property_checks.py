@@ -14,11 +14,12 @@ import numpy as np
 from .grids import TraitGrid
 from .infinitesimal import W2_CONTRACTION, W4_CONTRACTION, ReproductionKernel, apply_T_oracle
 from .measures import (
-    PROBABILITY_TOL,
+    WASSERSTEIN_ORDERS,
     GridMeasure,
     cdf_rows,
     gaussian_on_grid,
     moment_rows,
+    require_rows,
     wasserstein_oracle,
     wasserstein_rows,
 )
@@ -51,6 +52,12 @@ class CheckResult:
 # sqrt(0.6) leave every component's tail about 7 sigma inside such a grid,
 # so T pushes no measurable mass over its ends.
 DRAW_REACH = 7.5
+# Sample sizes: components of a random mixture (at most), measures per
+# moment and positivity check, pairs per Tanaka and transport-oracle check.
+MAX_COMPONENTS = 3
+MOMENT_MEASURES = 50
+POSITIVITY_MEASURES = 20
+PAIRS = 100
 
 
 def draw_frame(grid: TraitGrid) -> tuple:
@@ -78,12 +85,11 @@ def random_mixture(
     target_mean: float | None = None,
     mean_span: float = 0.8,
     var_range=(0.2, 0.6),
-    max_components: int = 3,
 ) -> GridMeasure:
     """Random Gaussian mixture, exactly normalized on the grid: the one-row
     case of random_mixtures."""
     targets = None if target_mean is None else (target_mean,)
-    dens = random_mixtures(rng, grid, 1, targets, mean_span, var_range, max_components)
+    dens = random_mixtures(rng, grid, 1, targets, mean_span, var_range)
     return GridMeasure(grid, dens[0])
 
 
@@ -94,7 +100,6 @@ def random_mixtures(
     target_means=None,
     mean_span: float = 0.8,
     var_range=(0.2, 0.6),
-    max_components: int = 3,
 ) -> np.ndarray:
     """`count` random Gaussian mixtures, one density per row, each exactly
     normalized on the grid.
@@ -108,11 +113,11 @@ def random_mixtures(
     center, scale = draw_frame(grid)
     targets = None if target_means is None else iter(target_means)
     # Weights, means and variances; padding components have zero weight.
-    components = np.zeros((3, count, max_components))
+    components = np.zeros((3, count, MAX_COMPONENTS))
     components[2] = 1.0
     for i in range(count):
         target = None if targets is None else next(targets)
-        k = int(rng.integers(1, max_components + 1))
+        k = int(rng.integers(1, MAX_COMPONENTS + 1))
         weights = rng.dirichlet(np.ones(k))
         means = center + rng.uniform(-mean_span * scale, mean_span * scale, size=k)
         variances = rng.uniform(var_range[0] * scale**2, var_range[1] * scale**2, size=k)
@@ -126,78 +131,59 @@ def random_mixtures(
     for w, m, v in zip(*(c.T[:, :, None] for c in components)):
         dens += w * np.exp(-((y - m) ** 2) / (2.0 * v)) / np.sqrt(2.0 * np.pi * v)
     dens /= grid.spacing * dens.sum(axis=1)[:, None]
-    _require_rows(grid, dens)
+    require_rows(grid, dens)
     return dens
-
-
-def _require_rows(grid, rows, probability=False) -> np.ndarray:
-    """Masses of the grid measures of the rows, one density per row.
-
-    Raises the error that GridMeasure (and, with `probability`,
-    require_probability) gives the first row it rejects: only rows a cheap
-    test flags are rebuilt one at a time.
-    """
-    mass = grid.spacing * rows.sum(axis=1)
-    bad = (rows < 0).any(axis=1) | ~np.isfinite(mass) | ~(mass > 0)
-    if probability:
-        bad |= ~(np.abs(mass - 1.0) <= PROBABILITY_TOL)
-    for i in np.flatnonzero(bad):
-        mu = GridMeasure(grid, rows[i])
-        if probability:
-            mu.require_probability()
-    return mass
 
 
 def _apply_T(kernel, rows):
     """apply_T_fast on every row at once: rows must be probability
     densities, and every output row a grid measure.  Returns the outputs
     and their masses."""
-    _require_rows(kernel.grid, rows, probability=True)
+    require_rows(kernel.grid, rows, probability=True)
     out = kernel.apply_to_profiles(rows)
-    return out, _require_rows(kernel.grid, out)
+    return out, require_rows(kernel.grid, out)
 
 
-def check_mass_conservation(kernel, rng, n_measures=50, tol=1e-8) -> CheckResult:
-    mu = random_mixtures(rng, kernel.grid, n_measures)
+def check_mass_conservation(kernel, rng) -> CheckResult:
+    tol = 1e-8
+    mu = random_mixtures(rng, kernel.grid, MOMENT_MEASURES)
     _, out_mass = _apply_T(kernel, mu)
     gap = np.abs(out_mass - kernel.grid.spacing * mu.sum(axis=1))
     worst = float(np.max(gap, initial=0.0))
     return CheckResult(
         "mass_conservation", worst <= tol, worst, tol,
-        f"max |mass(T mu) - mass(mu)| over {n_measures} random measures",
+        f"max |mass(T mu) - mass(mu)| over {MOMENT_MEASURES} random measures",
     )
 
 
-def check_mean_conservation(kernel, rng, n_measures=50, tol=1e-8) -> CheckResult:
-    mu = random_mixtures(rng, kernel.grid, n_measures)
+def check_mean_conservation(kernel, rng) -> CheckResult:
+    tol = 1e-8
+    mu = random_mixtures(rng, kernel.grid, MOMENT_MEASURES)
     out, _ = _apply_T(kernel, mu)
     gap = np.abs(moment_rows(kernel.grid, out)[1] - moment_rows(kernel.grid, mu)[1])
     worst = float(np.max(gap, initial=0.0))
     return CheckResult(
         "mean_conservation", worst <= tol, worst, tol,
-        f"max |mean(T mu) - mean(mu)| over {n_measures} random measures",
+        f"max |mean(T mu) - mean(mu)| over {MOMENT_MEASURES} random measures",
     )
 
 
-def check_variance_map(kernel, rng, n_measures=50, tol=1e-6) -> CheckResult:
-    mu = random_mixtures(rng, kernel.grid, n_measures)
+def check_variance_map(kernel, rng) -> CheckResult:
+    tol = 1e-6
+    mu = random_mixtures(rng, kernel.grid, MOMENT_MEASURES)
     out, _ = _apply_T(kernel, mu)
     expected = 0.5 * moment_rows(kernel.grid, mu)[2] + 0.5 * kernel.A
     worst = float(np.max(np.abs(moment_rows(kernel.grid, out)[2] - expected), initial=0.0))
     return CheckResult(
         "variance_map", worst <= tol, worst, tol,
-        f"max |Var(T mu) - Var(mu)/2 - A/2| over {n_measures} random measures",
+        f"max |Var(T mu) - Var(mu)/2 - A/2| over {MOMENT_MEASURES} random measures",
     )
 
 
-def check_gaussian_fixed_point(kernel, centers=(-1.0, 0.0, 1.0), tol=1e-6) -> CheckResult:
+def check_gaussian_fixed_point(kernel, centers=(-1.0, 0.0, 1.0)) -> CheckResult:
     """T fixes the Gaussian of variance A: L1 distance of T(G) from G."""
-    rows = []
-    for z in centers:
-        g = gaussian_on_grid(z, kernel.A, kernel.grid)
-        g.require_probability()
-        rows.append(g.density)
-    g = np.array(rows)
+    tol = 1e-6
+    g = np.array([gaussian_on_grid(z, kernel.A, kernel.grid).density for z in centers])
     out, _ = _apply_T(kernel, g)
     l1 = kernel.grid.spacing * np.abs(out - g).sum(axis=1)
     worst = float(np.max(l1, initial=0.0))
@@ -207,39 +193,39 @@ def check_gaussian_fixed_point(kernel, centers=(-1.0, 0.0, 1.0), tol=1e-6) -> Ch
     )
 
 
-def check_positivity(kernel, rng, n_measures=20) -> CheckResult:
-    out, _ = _apply_T(kernel, random_mixtures(rng, kernel.grid, n_measures))
+def check_positivity(kernel, rng) -> CheckResult:
+    out, _ = _apply_T(kernel, random_mixtures(rng, kernel.grid, POSITIVITY_MEASURES))
     worst = float(np.min(out, initial=0.0))
     return CheckResult(
         "positivity", worst >= 0.0, worst, 0.0,
-        f"min entry of T mu over {n_measures} random measures",
+        f"min entry of T mu over {POSITIVITY_MEASURES} random measures",
     )
 
 
-def check_tanaka(kernel, rng, p, n_pairs=100, slack=1e-4) -> CheckResult:
-    bound = {2: W2_CONTRACTION, 4: W4_CONTRACTION}[p]
+def check_tanaka(kernel, rng, p) -> CheckResult:
+    bound, slack = {2: W2_CONTRACTION, 4: W4_CONTRACTION}[p], 1e-4
     grid = kernel.grid
     center, scale = draw_frame(grid)
 
     def pair_means():
         # Drawn lazily: each pair's mean comes just before its first mixture.
-        for _ in range(n_pairs):
+        for _ in range(PAIRS):
             mean = center + float(rng.uniform(-0.5 * scale, 0.5 * scale))
             yield mean
             yield mean
 
     # Rows 2i and 2i + 1 hold pair i.
-    both = random_mixtures(rng, grid, 2 * n_pairs, pair_means())
+    both = random_mixtures(rng, grid, 2 * PAIRS, pair_means())
     d = _pair_distances(grid, both, (p,))[0]
     out, _ = _apply_T(kernel, both)
     # Pairs closer than 1e-12 are skipped, their images unchecked.
     keep = np.flatnonzero(d >= 1e-12)
-    images = out.reshape(n_pairs, 2, -1)[keep].reshape(2 * len(keep), -1)
+    images = out.reshape(PAIRS, 2, -1)[keep].reshape(2 * len(keep), -1)
     ratio = _pair_distances(grid, images, (p,))[0] / d[keep]
     worst = float(np.max(ratio, initial=0.0))
     return CheckResult(
         f"tanaka_w{p}", worst <= bound + slack, worst, bound + slack,
-        f"max W{p} contraction ratio over {n_pairs} random equal-mean pairs "
+        f"max W{p} contraction ratio over {PAIRS} random equal-mean pairs "
         f"(bound {bound:.6f})",
     )
 
@@ -247,13 +233,13 @@ def check_tanaka(kernel, rng, p, n_pairs=100, slack=1e-4) -> CheckResult:
 def _pair_distances(grid, rows, orders):
     """W_p between rows 2i and 2i + 1, one result row per order.  As for
     wasserstein, every row must be a probability density."""
-    _require_rows(grid, rows, probability=True)
+    require_rows(grid, rows, probability=True)
     cum = cdf_rows(rows, grid.spacing)
     return wasserstein_rows(grid, cum[0::2], cum[1::2], orders)
 
 
-def check_oracle_agreement(kernel, rng, n_measures=10, tol=1e-6) -> CheckResult:
-    grid = kernel.grid
+def check_oracle_agreement(kernel, rng, n_measures=10) -> CheckResult:
+    grid, tol = kernel.grid, 1e-6
     mu = random_mixtures(rng, grid, n_measures)
     fast, _ = _apply_T(kernel, mu)
     slow = np.array([apply_T_oracle(GridMeasure(grid, row), kernel).density for row in mu])
@@ -264,18 +250,18 @@ def check_oracle_agreement(kernel, rng, n_measures=10, tol=1e-6) -> CheckResult:
     )
 
 
-def check_wasserstein_oracle_agreement(grid, rng, n_pairs=100, p_values=(1, 2, 4)) -> CheckResult:
+def check_wasserstein_oracle_agreement(grid, rng) -> CheckResult:
     tol = max(1e-6, 2.0 * grid.spacing)
-    both = random_mixtures(rng, grid, 2 * n_pairs)
-    fast = _pair_distances(grid, both, p_values)
+    both = random_mixtures(rng, grid, 2 * PAIRS)
+    fast = _pair_distances(grid, both, WASSERSTEIN_ORDERS)
     worst = 0.0
-    for i in range(n_pairs):
+    for i in range(PAIRS):
         mu, nu = GridMeasure(grid, both[2 * i]), GridMeasure(grid, both[2 * i + 1])
-        for k, p in enumerate(p_values):
+        for k, p in enumerate(WASSERSTEIN_ORDERS):
             worst = max(worst, abs(fast[k, i] - wasserstein_oracle(mu, nu, p)))
     return CheckResult(
         "wasserstein_oracle_agreement", worst <= tol, worst, tol,
-        f"max |quantile - transport oracle| over {n_pairs} random pairs, p in {p_values}",
+        f"max |quantile - transport oracle| over {PAIRS} random pairs, p in {WASSERSTEIN_ORDERS}",
     )
 
 

@@ -108,9 +108,8 @@ def gaussian_initial_state(
     N0: np.ndarray,
     Z0: np.ndarray,
     V0: float,
-    t0: float = 0.0,
 ) -> KineticState:
-    """Columns N0(x) * Gaussian(V0, centered at Z0(x)) sampled on the grids."""
+    """Columns N0(x) * Gaussian(V0, centered at Z0(x)) sampled on the grids, at t = 0."""
     N0 = np.asarray(N0, dtype=float)
     Z0 = np.asarray(Z0, dtype=float)
     if not V0 > 0:
@@ -133,7 +132,7 @@ def gaussian_initial_state(
             RuntimeWarning,
             stacklevel=2,
         )
-    return KineticState(t0, N0[:, None] * gaussian_rows(Z0, V0, trait), space, trait)
+    return KineticState(0.0, N0[:, None] * gaussian_rows(Z0, V0, trait), space, trait)
 
 
 def require_reference_mass(trait: TraitGrid, A: float, z: float, t: float) -> None:

@@ -30,7 +30,7 @@ def homogeneous_reference(
     rtol: float = 1e-11,
     atol: float = 1e-12,
 ) -> HomogeneousReference:
-    if env.space_slope_bound() != 0.0:
+    if env.kind in ("sinusoidal_in_x", "sinusoidal_plus_drift"):
         raise ValueError("homogeneous reference needs an x-independent environment")
     if not (N0 > 0 and A > 0 and t_end > 0):
         raise ValueError("N0, A and t_end must be positive")

@@ -131,7 +131,7 @@ def test_criterion_4_oracle_equivalence():
     grid = TraitGrid(-8.0, 8.0, 512)
     rng = np.random.default_rng(27182)
     reproduction = check_oracle_agreement(ReproductionKernel(1.0, grid), rng, n_measures=50)
-    transport = check_wasserstein_oracle_agreement(grid, rng, n_pairs=100)
+    transport = check_wasserstein_oracle_agreement(grid, rng)
     ok = reproduction.passed and transport.passed
     assert report(
         4,

@@ -217,6 +217,28 @@ class TestExitCodes:
     def test_missing_config_file_is_exit_one(self, tmp_path):
         assert run_cli("compare", "--config", str(tmp_path / "nope.json")) == 1
 
+    @pytest.mark.parametrize(
+        "command", ["simulate-sim", "simulate-kbm", "compare", "gamma-sweep", "check-operator"]
+    )
+    def test_output_path_at_or_under_a_file_is_exit_one(self, tmp_path, capsys, command):
+        doc = json.loads(json.dumps(SMALL_COMPARE))
+        if command == "gamma-sweep":
+            del doc["physical"]["gamma"]
+            doc["physical"]["gamma_list"] = [4.0, 8.0, 16.0]
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file\n")
+        for out in (str(blocker), str(blocker / "run")):
+            # Named by output.directory, then by --out over a usable directory.
+            for directory, flags in ((out, ()), (str(tmp_path / "unused"), ("--out", out))):
+                doc["output"]["directory"] = directory
+                cfg = write_config(tmp_path, doc)
+                rc = run_cli(command, "--config", cfg, *flags)
+                err = capsys.readouterr().err
+                assert rc == 1 and err.count("\n") == 1, (command, err)
+                assert f"{out}: Not a directory" in err, (command, err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "config.json"]
+        assert blocker.read_text() == "a file\n"
+
     def test_invariant_violation_is_exit_two(self, tmp_path, capsys):
         # Strong maladaptation with weak selection relief: the population
         # crosses the 1e-12 floor within the horizon.

@@ -147,6 +147,16 @@ class TestBatchedGaussianDeviation:
         assert len(record) == 1 and "Gaussian mean 4 " in str(record[0].message)
         assert err.value.report["t"] == 0.0
 
+    def test_profile_that_is_not_a_probability_density_raises(self, space64):
+        trait = TraitGrid(-8.5, 8.5, 512)
+        state = gaussian_initial_state(space64, trait, np.ones(64), np.zeros(64), 1.0)
+        moms = kinetic_moments(state)
+        with pytest.raises(ValueError, match="not normalized"):
+            gaussian_deviation(state, 1.0, 1.5 * moms.N, moms.Z)
+        state.n[37, 100] = -1e-9
+        with pytest.raises(ValueError, match="nonnegative"):
+            gaussian_deviation(state, 1.0, moms.N, moms.Z)
+
     def test_subnormal_cell_mass_gives_a_finite_distance(self):
         # A subnormal cell next to a full one: h / mass overflowed to inf and
         # the segment's quantile became 0 * inf = NaN.

@@ -15,7 +15,12 @@ from simkbm import (
     moments,
     wasserstein,
 )
-from simkbm.infinitesimal import FFT_BLOCK_SAMPLES, W2_CONTRACTION, W4_CONTRACTION
+from simkbm.infinitesimal import (
+    FFT_BLOCK_SAMPLES,
+    W2_CONTRACTION,
+    W4_CONTRACTION,
+    segregation_kernel,
+)
 from simkbm.property_checks import random_mixture
 
 
@@ -27,7 +32,7 @@ def kernel256(trait256):
 class TestKernel:
     def test_table_nonnegative_and_normalized(self, kernel256):
         assert np.all(kernel256.table >= 0)
-        assert kernel256.mass_defect <= 1e-10
+        assert segregation_kernel(1.0, kernel256.grid)[1] <= 1e-10
 
     def test_rejects_nonpositive_A(self, trait256):
         with pytest.raises(ValueError, match="A must be positive"):

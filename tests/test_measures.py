@@ -62,6 +62,37 @@ class TestGridMeasure:
             mu.require_probability()
 
 
+class TestRequireRows:
+    def test_raises_for_the_first_failing_row(self, trait256):
+        rows = np.full((4, 256), 1.0 / 16.0)
+        rows[1] *= 2.0
+        rows[2, 5] = -1.0
+        rows[3, 7], rows[3, 8] = np.nan, -1.0
+        with pytest.raises(ValueError, match="nonnegative"):
+            measures.require_rows(trait256, rows)
+        with pytest.raises(ValueError, match=r"not normalized: mass = 2\.0"):
+            measures.require_rows(trait256, rows, probability=True)
+        # A NaN row that is also negative fails the finiteness check first.
+        with pytest.raises(ValueError, match="density contains non-finite entries"):
+            measures.require_rows(trait256, rows[3:])
+        with pytest.raises(ValueError, match="density contains non-finite entries"):
+            GridMeasure(trait256, rows[3])
+
+    def test_a_finite_row_whose_mass_overflows_is_a_grid_measure(self, trait256):
+        rows = np.full((2, 256), 1e307)
+        with np.errstate(over="ignore"):
+            assert measures.require_rows(trait256, rows).tolist() == [np.inf, np.inf]
+            assert GridMeasure(trait256, rows[0]).mass == np.inf
+            with pytest.raises(ValueError, match="not normalized: mass = inf"):
+                measures.require_rows(trait256, rows, probability=True)
+
+    def test_masses_match_grid_measure_bit_for_bit(self, trait256, rng):
+        rows = rng.random((50, 256)) * 10.0 ** rng.uniform(-300.0, 300.0, size=(50, 1))
+        masses = measures.require_rows(trait256, rows).tolist()
+        assert masses == [GridMeasure(trait256, row).mass for row in rows]
+        assert masses == [trait256.integrate(row) for row in rows]
+
+
 class TestGaussianOnGrid:
     def test_unit_mass(self, trait512):
         assert abs(gaussian_on_grid(0.0, 1.0, trait512).mass - 1.0) <= 1e-10
