@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 import warnings
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, parse_config
+from .config import ConfigError, RunConfig, load_document, parse_config
 from .diagnostics import gaussian_deviation
 from .experiments import run_compare, run_gamma_sweep
 from .kbm_solver import init_macro, run_kbm
@@ -51,18 +50,52 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# The fixed-name files each command writes into the output directory.  The
+# simulate commands also write their snapshots into _SNAPSHOT_DIR, and
+# gamma-sweep writes compare's files into one _member_dir per gamma.
+_OUTPUT_FILES = {
+    "simulate-sim": ("sim_series.csv", "sim_summary.json"),
+    "simulate-kbm": ("kbm_series.csv", "kbm_summary.json"),
+    "compare": ("compare_series.csv", "compare_summary.json"),
+    "gamma-sweep": ("sweep.csv", "sweep_summary.json"),
+    "check-operator": ("operator_report.json",),
+}
+_SNAPSHOT_DIR = "snapshots"
+
+
+def _member_dir(gamma):
+    return f"gamma_{gamma:g}"
+
+
+def _check_layout(command, config):
+    """Reject, before any work, a directory `command` would write that names a
+    file or lies under one (with a trailing separator, stat fails on both),
+    and a file it would write that names a directory."""
+    dirs = (_SNAPSHOT_DIR,) if command.startswith("simulate-") else ()
+    files = _OUTPUT_FILES[command]
+    if command == "gamma-sweep":
+        dirs = tuple(_member_dir(g) for g in config.gamma_list or ())
+        files = tuple(os.path.join(d, f) for d in dirs for f in _OUTPUT_FILES["compare"]) + files
+    out = config.out_dir
+    for path in (out, *(os.path.join(out, d) for d in dirs)):
+        try:
+            os.stat(os.path.join(path, ""))
+        except FileNotFoundError:
+            pass
+        except OSError as exc:
+            raise ConfigError(f"cannot use output directory {path}: {exc.strerror}") from exc
+    for path in (os.path.join(out, f) for f in files):
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write output file {path}: it is a directory")
+
+
 def _load_config(args) -> RunConfig:
     try:
-        with open(args.config) as fh:
+        with open(args.config, "rb") as fh:
             doc = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    try:
-        parsed = json.loads(doc)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(parsed, dict):
-        raise ConfigError("config must be a JSON object")
+    parsed = load_document(doc)
     overrides = {
         "output": {"directory": args.out, "text": True if args.text else None},
         "numerical": {"seed": args.seed},
@@ -73,14 +106,7 @@ def _load_config(args) -> RunConfig:
         if isinstance(section, dict):
             parsed[name] = {**section, **{k: v for k, v in values.items() if v is not None}}
     config = parse_config(parsed)
-    # Reject, before any work, an output directory that names a file or lies
-    # under one: with a trailing separator, stat fails on both.
-    try:
-        os.stat(os.path.join(config.out_dir, ""))
-    except FileNotFoundError:
-        pass
-    except OSError as exc:
-        raise ConfigError(f"cannot use output directory {config.out_dir}: {exc.strerror}") from exc
+    _check_layout(args.command, config)
     return config
 
 
@@ -93,14 +119,15 @@ def _write_run(config, kind, times, fields, meta, header, cols, **summary):
     """Snapshots, series and summary of a simulate command, written only once the
     run and its series have succeeded."""
     out = ensure_dir(config.out_dir)
-    snap_dir = ensure_dir(os.path.join(out, "snapshots"))
+    snap_dir = ensure_dir(os.path.join(out, _SNAPSHOT_DIR))
     doc = config.to_dict()
     for idx, (t, field) in enumerate(zip(times, fields)):
         path = os.path.join(snap_dir, f"{kind}_{idx:06d}.snap")
         write_snapshot(path, kind, t, field, meta, doc, text=config.text)
-    write_csv(os.path.join(out, f"{kind}_series.csv"), header, cols)
+    series, summary_file = _OUTPUT_FILES[f"simulate-{kind}"]
+    write_csv(os.path.join(out, series), header, cols)
     summary = _summary(f"simulate-{kind}", doc, snapshots=len(times), **summary)
-    write_json(os.path.join(out, f"{kind}_summary.json"), summary)
+    write_json(os.path.join(out, summary_file), summary)
 
 
 def _space_meta(space):
@@ -150,9 +177,10 @@ def _cmd_simulate_kbm(config: RunConfig) -> int:
 
 def _write_compare(out_dir, doc, result) -> None:
     header, cols = result.series_columns()
-    write_csv(os.path.join(out_dir, "compare_series.csv"), header, cols)
+    series, summary = _OUTPUT_FILES["compare"]
+    write_csv(os.path.join(out_dir, series), header, cols)
     fields = {k: getattr(result, k) for k in ("gamma", "t_burn", "sups", "holder")}
-    write_json(os.path.join(out_dir, "compare_summary.json"), _summary("compare", doc, **fields))
+    write_json(os.path.join(out_dir, summary), _summary("compare", doc, **fields))
 
 
 def _cmd_compare(config: RunConfig) -> int:
@@ -166,12 +194,13 @@ def _cmd_gamma_sweep(config: RunConfig, jobs: int) -> int:
     out = ensure_dir(config.out_dir)
     doc = config.to_dict()
     for gamma, result in sorted(results.items()):
-        _write_compare(ensure_dir(os.path.join(out, f"gamma_{gamma:g}")), doc, result)
+        _write_compare(ensure_dir(os.path.join(out, _member_dir(gamma))), doc, result)
     header = ["gamma"] + list(report.errors)
     cols = [np.asarray(report.gammas)] + [np.asarray(report.errors[f]) for f in report.errors]
-    write_csv(os.path.join(out, "sweep.csv"), header, cols)
+    series, summary = _OUTPUT_FILES["gamma-sweep"]
+    write_csv(os.path.join(out, series), header, cols)
     fields = dataclasses.asdict(report)
-    write_json(os.path.join(out, "sweep_summary.json"), _summary("gamma-sweep", doc, **fields))
+    write_json(os.path.join(out, summary), _summary("gamma-sweep", doc, **fields))
     return 0
 
 
@@ -181,7 +210,7 @@ def _cmd_check_operator(config: RunConfig) -> int:
     report = _summary(
         "check-operator", config.to_dict(), checks=[c.to_dict() for c in checks], all_passed=passed
     )
-    write_json(os.path.join(ensure_dir(config.out_dir), "operator_report.json"), report)
+    write_json(os.path.join(ensure_dir(config.out_dir), _OUTPUT_FILES["check-operator"][0]), report)
     for c in checks:
         status = "pass" if c.passed else "FAIL"
         print(f"{status:4s}  {c.name}: worst {c.worst:.3e} vs tolerance {c.tolerance:.3e}")

@@ -10,14 +10,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import warnings
 
 import numpy as np
 
 from .environment import ENV_KINDS, Environment
 from .grids import TorusGrid, TraitGrid
 from .infinitesimal import KERNEL_MASS_DEFECT_TOL, segregation_kernel
-from .measures import PROBABILITY_TOL, gaussian_on_grid
+from .measures import PROBABILITY_TOL, gaussian_rows
 from .property_checks import fixed_point_centers
 from .sim_solver import INIT_MARGIN_SIGMAS, SimParams, max_stable_dt
 
@@ -209,17 +208,27 @@ def _auto_cadence(n_steps: int, target: int) -> int:
     return every
 
 
-def parse_config(source) -> RunConfig:
-    """Validate a JSON document (text or dict) into a RunConfig with defaults applied."""
+def load_document(source) -> dict:
+    """The JSON object of a config document given as text, UTF-8 bytes or
+    the decoded object; anything else is a ConfigError."""
     if isinstance(source, (str, bytes)):
         try:
-            doc = json.loads(source)
+            source = json.loads(source.decode("utf-8") if isinstance(source, bytes) else source)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    else:
-        doc = source
-    if not isinstance(doc, dict):
+        except RecursionError as exc:
+            raise ConfigError("config nests arrays or objects too deeply to decode") from exc
+    if not isinstance(source, dict):
         raise ConfigError("config must be a JSON object")
+    return source
+
+
+def parse_config(source) -> RunConfig:
+    """Validate a JSON document (text, bytes or dict; see load_document) into
+    a RunConfig with defaults applied."""
+    doc = load_document(source)
     _require_keys(doc, {"physical", "numerical", "output"}, "config")
 
     phys = doc.get("physical")
@@ -341,13 +350,13 @@ def parse_config(source) -> RunConfig:
         )
     # check-operator needs the Gaussian of variance A at its fixed-point
     # centers to be a probability measure on the grid.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        mass, z = min((gaussian_on_grid(c, A, trait).mass, c) for c in fixed_point_centers(trait))
-    if not mass >= 1.0 - PROBABILITY_TOL:
+    centers = np.array(fixed_point_centers(trait))
+    mass = gaussian_rows(centers, A, trait).sum(axis=1) * trait.spacing
+    i = int(np.argmin(mass))
+    if not mass[i] >= 1.0 - PROBABILITY_TOL:
         raise ConfigError(
-            f"the Gaussian of variance A at {z:.4g}, a fixed-point center of the operator "
-            f"suite, holds mass {mass:.12f} on this trait grid: widen numerical.trait_bounds"
+            f"the Gaussian of variance A at {centers[i]:.4g}, a fixed-point center of the operator "
+            f"suite, holds mass {mass[i]:.12f} on this trait grid: widen numerical.trait_bounds"
         )
     try:
         dt_cap = max_stable_dt(A, trait, env, n0_hi, t_end)

@@ -13,15 +13,8 @@ import numpy as np
 
 from .environment import Environment
 from .grids import TorusGrid
-from .measures import (
-    PROBABILITY_TOL,
-    batch_rows,
-    cdf_rows,
-    gaussian_rows,
-    require_rows,
-    wasserstein_rows,
-)
-from .sim_solver import KineticState, SimulationError, require_reference_mass
+from .measures import batch_rows, cdf_rows, require_rows, wasserstein_rows
+from .sim_solver import KineticState, SimulationError, reference_rows
 
 
 @dataclasses.dataclass
@@ -57,10 +50,10 @@ def gaussian_deviation(state: KineticState, A: float, N: np.ndarray, Z: np.ndarr
     bounds the profile and target arrays (a 64 x 512 snapshot peaks at
     0.69 MB, 1.67 MB in one piece); wasserstein_rows keeps its own batch
     loop for its other callers.  Per batch, measures.require_rows rejects
-    the first profile that is not a probability density; then, in column
-    order, each reference near a trait end warns and the first one short
-    of mass raises, through require_reference_mass.  A distance that is
-    not finite raises SimulationError.
+    the first profile that is not a probability density, then
+    sim_solver.reference_rows samples the references, warns for each one
+    near a trait end and raises at the first one short of mass, in column
+    order.  A distance that is not finite raises SimulationError.
     """
     if not A > 0:
         raise ValueError(f"variance must be positive, got {A}")
@@ -71,12 +64,8 @@ def gaussian_deviation(state: KineticState, A: float, N: np.ndarray, Z: np.ndarr
     for lo in range(0, len(N), rows):
         cols = slice(lo, lo + rows)
         profile = state.n[cols] / N[cols, None]
-        target = gaussian_rows(Z[cols], A, trait)
         require_rows(trait, profile, probability=True)
-        short = ~(np.abs(target.sum(axis=1) * h - 1.0) <= PROBABILITY_TOL)
-        near = np.minimum(Z[cols] - trait.y_min, trait.y_max - Z[cols]) < 6.0 * np.sqrt(A)
-        for i in np.flatnonzero(short | near):
-            require_reference_mass(trait, A, Z[lo + i], state.t)
+        target = reference_rows(trait, A, Z[cols], state.t)
         dist = wasserstein_rows(trait, cdf_rows(profile, h), cdf_rows(target, h), (2,))[0]
         # max(worst, nan) keeps worst: a NaN column must not drop out silently.
         bad = np.flatnonzero(~np.isfinite(dist))

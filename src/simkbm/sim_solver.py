@@ -135,37 +135,37 @@ def gaussian_initial_state(
     return KineticState(0.0, N0[:, None] * gaussian_rows(Z0, V0, trait), space, trait)
 
 
-def require_reference_mass(trait: TraitGrid, A: float, z: float, t: float) -> None:
-    """Raise SimulationError when the Gaussian of variance A at mean z, as
-    gaussian_on_grid samples it (with its warning near a grid end), misses
-    mass 1 on the trait grid by more than PROBABILITY_TOL: no gauss_dev
-    can be measured against it."""
-    ref = gaussian_on_grid(z, A, trait)
-    if abs(ref.mass - 1.0) > PROBABILITY_TOL:
-        raise SimulationError(
-            f"the reference Gaussian of variance A at Z = {z:.6g} holds mass "
-            f"{ref.mass:.12f} on the trait grid: widen numerical.trait_bounds",
-            {"t": t, "mass": ref.mass},
-        )
+def reference_rows(trait: TraitGrid, A: float, Z: np.ndarray, t: float) -> np.ndarray:
+    """gaussian_rows(Z, A, trait): the references of gauss_dev.  In column
+    order, a mean within 6 sqrt(A) of a grid end warns through
+    gaussian_on_grid, and the first reference whose mass misses 1 by more
+    than PROBABILITY_TOL raises SimulationError."""
+    rows = gaussian_rows(Z, A, trait)
+    mass = rows.sum(axis=1) * trait.spacing
+    short = ~(np.abs(mass - 1.0) <= PROBABILITY_TOL)
+    near = np.minimum(Z - trait.y_min, trait.y_max - Z) < 6.0 * np.sqrt(A)
+    for i in np.flatnonzero(short | near):
+        if near[i]:
+            gaussian_on_grid(Z[i], A, trait)
+        if short[i]:
+            raise SimulationError(
+                f"the reference Gaussian of variance A at Z = {Z[i]:.6g} holds mass "
+                f"{mass[i]:.12f} on the trait grid: widen numerical.trait_bounds",
+                {"t": t, "mass": float(mass[i])},
+            )
+    return rows
 
 
 def init_state(config) -> KineticState:
     """Initial kinetic state from a run configuration (see config.RunConfig).
-
-    Raises, before any step, the SimulationError that gaussian_deviation
-    raises at t = 0 when the reference Gaussian at a column's mean trait
-    is short of mass."""
+    reference_rows checks its references of gauss_dev before any step."""
     space = config.space_grid()
     trait = config.trait_grid()
     x = space.centers
     state = gaussian_initial_state(
         space, trait, config.n0.evaluate(0.0, x), config.z0.evaluate(0.0, x), config.v0
     )
-    Z = kinetic_moments(state).Z
-    mass = gaussian_rows(Z, config.A, trait).sum(axis=1) * trait.spacing
-    short = np.flatnonzero(~(np.abs(mass - 1.0) <= PROBABILITY_TOL))
-    if len(short):
-        require_reference_mass(trait, config.A, Z[short[0]], state.t)
+    reference_rows(trait, config.A, kinetic_moments(state).Z, state.t)
     return state
 
 

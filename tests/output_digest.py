@@ -1,0 +1,87 @@
+"""Digests of what the benchmark workloads write, for byte-identity checks.
+
+Runs the command of every workload in `perfbench/run.py` (its WORKLOADS and
+ENTRY, read without change) once, in a fresh interpreter with
+SRC_ROOT/src first on the path and one BLAS thread, and prints per workload
+the exit code and the sha256 of the output tree, of stdout and of stderr.
+The outputs echo the resolved config, output directory included, so every
+run writes to one fixed path under the system's temporary directory; two
+digests running at once would overwrite each other.  The file is not
+collected by pytest.
+
+Usage: python tests/output_digest.py SRC_ROOT [SEED]
+
+To check that a change keeps every output byte for byte, run it on a
+checkout of the parent and on the change and compare the lines:
+
+    python tests/output_digest.py PARENT_CHECKOUT 3 > parent.txt
+    python tests/output_digest.py . 3 > change.txt
+    diff parent.txt change.txt
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib.util
+import json
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+
+RUN_PY = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+WORK = os.path.join(tempfile.gettempdir(), "simkbm-output-digest")
+
+
+def load_bench():
+    spec = importlib.util.spec_from_file_location("perfbench_run", RUN_PY)
+    bench = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = bench  # dataclasses look their module up here
+    spec.loader.exec_module(bench)
+    return bench
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src_root", help="checkout whose src/ is run")
+    parser.add_argument("seed", nargs="?", type=int, default=0)
+    args = parser.parse_args(argv)
+
+    src = os.path.join(os.path.abspath(args.src_root), "src")
+    if not os.path.isfile(os.path.join(src, "simkbm", "cli.py")):
+        print(f"no simkbm sources under {src}", file=sys.stderr)
+        return 2
+    bench = load_bench()
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path, **{var: "1" for var in bench.THREAD_VARS}}
+    config_path = os.path.join(WORK, "config.json")
+    out_dir = os.path.join(WORK, "out")
+    for name, wl in bench.WORKLOADS.items():
+        shutil.rmtree(WORK, ignore_errors=True)
+        os.makedirs(WORK)
+        with open(config_path, "w") as fh:
+            json.dump(wl.config(), fh)
+        proc = subprocess.run(
+            [sys.executable, "-c", bench.ENTRY, *wl.cli_args(config_path, out_dir, args.seed)],
+            cwd=WORK,
+            env=env,
+            capture_output=True,
+            timeout=bench.INVOCATION_TIMEOUT_S,
+        )
+        print(
+            f"{name} exit={proc.returncode} tree={bench.digest_tree(out_dir)} "
+            f"stdout={sha256(proc.stdout)} stderr={sha256(proc.stderr)}"
+        )
+    shutil.rmtree(WORK, ignore_errors=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

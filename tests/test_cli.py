@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -239,6 +240,62 @@ class TestExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "config.json"]
         assert blocker.read_text() == "a file\n"
 
+    # A file where a command writes a directory, or a directory where it
+    # writes a fixed-name file, inside a usable output directory.
+    @pytest.mark.parametrize(
+        "command,blocker,kind",
+        [
+            ("simulate-sim", "snapshots", "file"),
+            ("simulate-sim", "sim_series.csv", "dir"),
+            ("simulate-kbm", "snapshots", "file"),
+            ("simulate-kbm", "kbm_summary.json", "dir"),
+            ("compare", "compare_series.csv", "dir"),
+            ("gamma-sweep", "gamma_8", "file"),
+            ("gamma-sweep", "gamma_16/compare_summary.json", "dir"),
+            ("gamma-sweep", "sweep_summary.json", "dir"),
+            ("check-operator", "operator_report.json", "dir"),
+        ],
+    )
+    def test_output_layout_checked_before_any_work(self, tmp_path, capsys, command, blocker, kind):
+        doc = json.loads(json.dumps(SMALL_COMPARE))
+        if command == "gamma-sweep":
+            del doc["physical"]["gamma"]
+            doc["physical"]["gamma_list"] = [4.0, 8.0, 16.0]
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        path = out / blocker
+        if kind == "file":
+            path.parent.mkdir(parents=True)
+            path.write_text("a file\n")
+        else:
+            path.mkdir(parents=True)
+        before = sorted(out.rglob("*"))
+        rc = run_cli(command, "--config", cfg, "--out", str(out))
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1, (command, err)
+        reason = "Not a directory" if kind == "file" else "it is a directory"
+        assert f"{path}: {reason}" in err, (command, err)
+        assert sorted(out.rglob("*")) == before
+
+    @pytest.mark.parametrize(
+        "command", ["simulate-sim", "simulate-kbm", "compare", "gamma-sweep", "check-operator"]
+    )
+    def test_undecodable_config_file_is_exit_one(self, tmp_path, capsys, command):
+        # A UTF-16 document with its byte-order mark, and arrays nested past
+        # the interpreter's recursion limit.
+        files = {
+            b"\xff\xfe" + json.dumps(SMALL_COMPARE).encode("utf-16-le"): "not UTF-8 text",
+            b"[" * 100000: "nests arrays or objects too deeply",
+        }
+        out = tmp_path / "out"
+        for data, reason in files.items():
+            cfg = tmp_path / "config.json"
+            cfg.write_bytes(data)
+            rc = run_cli(command, "--config", str(cfg), "--out", str(out))
+            err = capsys.readouterr().err
+            assert rc == 1 and err.count("\n") == 1 and reason in err, (command, err)
+            assert not out.exists()
+
     def test_invariant_violation_is_exit_two(self, tmp_path, capsys):
         # Strong maladaptation with weak selection relief: the population
         # crosses the 1e-12 floor within the horizon.
@@ -320,6 +377,25 @@ class TestExitCodes:
         assert proc.returncode == 2 and len(lines) > 1, proc.stderr
         assert lines[-1].startswith("runtime invariant violation"), proc.stderr
         assert all(line.startswith("warning: ") for line in lines[:-1]), proc.stderr
+
+    def test_each_near_reference_warns_before_the_short_one(self, tmp_path, near_end_doc):
+        # init_state checks the initial references as gaussian_deviation does:
+        # one warning per distinct mean near the trait end, in column order up
+        # to the first column short of mass, then the error.
+        proc = run_cli_fresh(
+            "compare", "--config", write_config(tmp_path, near_end_doc), "--out", str(tmp_path / "o")
+        )
+        *shown, last = proc.stderr.splitlines()
+        assert proc.returncode == 2 and last.startswith("runtime invariant violation"), proc.stderr
+        config = parse_config(near_end_doc)
+        space, trait = config.space_grid(), config.trait_grid()
+        n0, z0 = (field.evaluate(0.0, space.centers) for field in (config.n0, config.z0))
+        state = sim_solver.gaussian_initial_state(space, trait, n0, z0, config.v0)
+        means = [f"{z:g}" for z in sim_solver.kinetic_moments(state).Z]
+        failing = means.index(re.search(r"at Z = (\S+) holds", last).group(1))
+        want = list(dict.fromkeys(means[: failing + 1]))
+        assert [re.search(r"Gaussian mean (\S+) is", line).group(1) for line in shown] == want
+        assert len(want) == 7 and failing == 10 and not (tmp_path / "o").exists()
 
     def test_sweep_stderr_does_not_depend_on_jobs(self, tmp_path):
         # Each pool worker has a warning registry of its own.

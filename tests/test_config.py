@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,29 @@ class TestParsing:
             parse_config(doc(**{"numerical.dx": 0.1}))
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(doc(typo_section={}))
+
+    @pytest.mark.parametrize(
+        "source,reason",
+        [
+            (b"\xff\xfe{}", "not UTF-8 text"),
+            ("[" * 100000, "nests arrays or objects too deeply"),
+            (b"[" * 100000, "nests arrays or objects too deeply"),
+            ("{", "not valid JSON"),
+            ("[]", "must be a JSON object"),
+        ],
+        ids=["utf-16-bom", "deep-text", "deep-bytes", "truncated", "array"],
+    )
+    def test_undecodable_documents(self, source, reason):
+        with pytest.raises(ConfigError, match=reason):
+            parse_config(source)
+
+    def test_fixed_point_masses_are_checked_without_warnings(self):
+        # The fixed-point centers on [-6.9, 6.9] are -0.92, 0 and 0.92: the outer
+        # two lie 5.98 sqrt(A) from an end, where gaussian_on_grid would warn.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cfg = parse_config(doc(**{"numerical.trait_bounds": [-6.9, 6.9]}))
+        assert cfg.trait_bounds == (-6.9, 6.9)
 
     def test_gamma_and_list_exclusive(self):
         with pytest.raises(ConfigError, match="exactly one"):
