@@ -20,7 +20,7 @@ from .experiments import run_compare, run_gamma_sweep
 from .kbm_solver import init_macro, run_kbm
 from .output import FORMAT_VERSION, ensure_dir, write_csv, write_json, write_snapshot
 from .property_checks import run_all
-from .sim_solver import SimulationError, init_state, run_sim
+from .sim_solver import SimulationError, init_state, plan_steps, run_sim
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,16 +67,30 @@ def _member_dir(gamma):
     return f"gamma_{gamma:g}"
 
 
+def _snapshot_name(kind, idx):
+    return f"{kind}_{idx:06d}.snap"
+
+
 def _check_layout(command, config):
     """Reject, before any work, a directory `command` would write that names a
-    file or lies under one (with a trailing separator, stat fails on both),
-    and a file it would write that names a directory."""
+    file or lies under one (with a trailing separator, stat fails on both), a
+    file it would write that names a directory, and two sweep members whose
+    gammas share a directory."""
+    out = config.out_dir
     dirs = (_SNAPSHOT_DIR,) if command.startswith("simulate-") else ()
     files = _OUTPUT_FILES[command]
     if command == "gamma-sweep":
-        dirs = tuple(_member_dir(g) for g in config.gamma_list or ())
+        members = {}
+        for g in config.gamma_list or ():
+            d = _member_dir(g)
+            if d in members:
+                raise ConfigError(
+                    f"physical.gamma_list values {members[d]!r} and {g!r} would share the "
+                    f"output directory {os.path.join(out, d)}"
+                )
+            members[d] = g
+        dirs = tuple(members)
         files = tuple(os.path.join(d, f) for d in dirs for f in _OUTPUT_FILES["compare"]) + files
-    out = config.out_dir
     for path in (out, *(os.path.join(out, d) for d in dirs)):
         try:
             os.stat(os.path.join(path, ""))
@@ -84,6 +98,19 @@ def _check_layout(command, config):
             pass
         except OSError as exc:
             raise ConfigError(f"cannot use output directory {path}: {exc.strerror}") from exc
+    if command.startswith("simulate-"):
+        kind = command[len("simulate-"):]
+        n_steps, every = plan_steps(0.0, config.t_end, config.dt, config.snapshot_dt)
+        names = {_snapshot_name(kind, idx) for idx in range(n_steps // every + 1)}
+        snap_dir = os.path.join(out, _SNAPSHOT_DIR)
+        try:
+            with os.scandir(snap_dir) as entries:
+                taken = sorted(e.name for e in entries if e.name in names)
+        except FileNotFoundError:
+            taken = []
+        except OSError as exc:
+            raise ConfigError(f"cannot use output directory {snap_dir}: {exc.strerror}") from exc
+        files += tuple(os.path.join(_SNAPSHOT_DIR, name) for name in taken)
     for path in (os.path.join(out, f) for f in files):
         if os.path.isdir(path):
             raise ConfigError(f"cannot write output file {path}: it is a directory")
@@ -122,7 +149,7 @@ def _write_run(config, kind, times, fields, meta, header, cols, **summary):
     snap_dir = ensure_dir(os.path.join(out, _SNAPSHOT_DIR))
     doc = config.to_dict()
     for idx, (t, field) in enumerate(zip(times, fields)):
-        path = os.path.join(snap_dir, f"{kind}_{idx:06d}.snap")
+        path = os.path.join(snap_dir, _snapshot_name(kind, idx))
         write_snapshot(path, kind, t, field, meta, doc, text=config.text)
     series, summary_file = _OUTPUT_FILES[f"simulate-{kind}"]
     write_csv(os.path.join(out, series), header, cols)

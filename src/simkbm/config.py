@@ -28,7 +28,7 @@ MAX_STEPS = 10**6
 MAX_SPACE_POINTS = 512
 # One SIM density at 512 x 4096 cells is 16 MiB (8 times the standard trait grid).
 MAX_TRAIT_POINTS = 4096
-# 100 times the standard 101; every snapshot of a run is retained until it ends.
+# 100 times the standard 101; simulate-sim keeps every density of its run until it ends.
 MAX_SNAPSHOTS = 10**4
 
 

@@ -24,7 +24,14 @@ from .diagnostics import (
     SweepReport,
 )
 from .kbm_solver import init_macro, run_kbm
-from .sim_solver import SimulationError, init_state, plan_steps, run_sim
+from .sim_solver import (
+    RunDiagnostics,
+    SimulationError,
+    init_state,
+    kinetic_moments,
+    plan_steps,
+    sim_snapshots,
+)
 
 
 @dataclasses.dataclass
@@ -74,43 +81,50 @@ def run_compare(config: RunConfig, gamma: float | None = None) -> CompareResult:
 
     state0 = init_state(config)
     space = state0.space
-    sim = run_sim(state0, params, env, config.t_end)
+    diag = RunDiagnostics()
+    times, N, Z, gauss, v_max, leak = [], [], [], [], [], []
+    # Each snapshot is reduced on arrival and not kept.
+    for state in sim_snapshots(state0, params, env, config.t_end, diag):
+        moms = kinetic_moments(state)
+        times.append(state.t)
+        N.append(moms.N)
+        Z.append(moms.Z)
+        gauss.append(gaussian_deviation(state, config.A, moms.N, moms.Z))
+        v_max.append(moms.V.max())
+        leak.append(diag.max_boundary_leak_rate)
+    times, N, Z = np.array(times), np.stack(N), np.stack(Z)
+    gauss, v_max, leak = np.array(gauss), np.array(v_max), np.array(leak)
     kbm = run_kbm(init_macro(config), env, config.A, config.dt, config.t_end, config.snapshot_dt)
 
-    err_N = np.abs(sim.N - kbm.N).max(axis=1)
-    err_Z = np.abs(sim.Z - kbm.Z).max(axis=1)
-    gauss = np.array(
-        [gaussian_deviation(s, config.A, N, Z) for s, N, Z in zip(sim.snapshots, sim.N, sim.Z)]
-    )
-    v_max = sim.V.max(axis=1)
-    leak = sim.leak_rate
+    err_N = np.abs(N - kbm.N).max(axis=1)
+    err_Z = np.abs(Z - kbm.Z).max(axis=1)
 
     t_burn = burn_in_time(gamma, config.dt)
-    resid = kbm_residuals(sim.times, sim.N, sim.Z, space, env, config.A)
+    resid = kbm_residuals(times, N, Z, space, env, config.A)
 
     sups = {
-        "err_N": _windowed_sup(sim.times, err_N, t_burn),
-        "err_Z": _windowed_sup(sim.times, err_Z, t_burn),
-        "gauss_dev": _windowed_sup(sim.times, gauss, t_burn),
+        "err_N": _windowed_sup(times, err_N, t_burn),
+        "err_Z": _windowed_sup(times, err_Z, t_burn),
+        "gauss_dev": _windowed_sup(times, gauss, t_burn),
         "err_N_full": float(err_N.max()),
         "err_Z_full": float(err_Z.max()),
         "gauss_dev_full": float(gauss.max()),
         "v_max": float(v_max.max()),
         "resid_N": _windowed_sup(resid.times, np.abs(resid.phi_N), t_burn),
         "resid_Z": _windowed_sup(resid.times, np.abs(resid.phi_Z), t_burn),
-        "mass_leak_rate": sim.diagnostics.max_boundary_leak_rate,
-        "diffusion_mass_error": sim.diagnostics.max_diffusion_mass_error,
-        "min_density": sim.diagnostics.min_density_seen,
-        "positivity_clips": sim.diagnostics.positivity_clips,
+        "mass_leak_rate": diag.max_boundary_leak_rate,
+        "diffusion_mass_error": diag.max_diffusion_mass_error,
+        "min_density": diag.min_density_seen,
+        "positivity_clips": diag.positivity_clips,
     }
     holder = {
-        "N_theta_0.5": holder_quotient(sim.times, space, sim.N, 0.5),
-        "Z_theta_0.5": holder_quotient(sim.times, space, sim.Z, 0.5),
+        "N_theta_0.5": holder_quotient(times, space, N, 0.5),
+        "Z_theta_0.5": holder_quotient(times, space, Z, 0.5),
     }
 
     return CompareResult(
         gamma=gamma,
-        times=sim.times,
+        times=times,
         err_N=err_N,
         err_Z=err_Z,
         gauss_dev=gauss,

@@ -324,34 +324,46 @@ def plan_steps(t0: float, t_end: float, dt: float, snapshot_dt: float) -> tuple:
     return n_steps, every
 
 
+def sim_snapshots(
+    state0: KineticState,
+    params: SimParams,
+    env: Environment,
+    t_end: float,
+    diag: RunDiagnostics,
+):
+    """Repeated sim_step from state0, yielding a KineticState at t0 and at each
+    snapshot as it is made; aborts on invariant violation.
+
+    The density is stepped as a bare array, and each snapshot wraps its
+    step's array, which no later step writes to.  diag is updated in place,
+    so at each yield its max_boundary_leak_rate is the running leak mark."""
+    t0, dt = state0.t, params.dt
+    n_steps, every = plan_steps(t0, t_end, dt, params.snapshot_dt)
+    ops = _Operators(state0.space, state0.trait, params, env)
+    n = state0.n.copy()
+    yield KineticState(t0, n, state0.space, state0.trait)
+    for k in range(1, n_steps + 1):
+        n = sim_step(n, ops, t0 + (k - 1) * dt, diag)
+        if k % every == 0:
+            yield KineticState(t0 + k * dt, n, state0.space, state0.trait)
+
+
 def run_sim(
     state0: KineticState,
     params: SimParams,
     env: Environment,
     t_end: float,
 ) -> KineticTrajectory:
-    """Repeated sim_step with snapshot collection; aborts on invariant violation.
-
-    The density is stepped as a bare array.  Each snapshot is a KineticState
-    around its step's array, which no later step writes to."""
-    t0, dt = state0.t, params.dt
-    n_steps, every = plan_steps(t0, t_end, dt, params.snapshot_dt)
+    """Every snapshot of sim_snapshots, kept, with its moments and leak mark."""
     diag = RunDiagnostics()
-    ops = _Operators(state0.space, state0.trait, params, env)
+    snapshots, leak_marks = [], []
+    for state in sim_snapshots(state0, params, env, t_end, diag):
+        snapshots.append(state)
+        leak_marks.append(diag.max_boundary_leak_rate)
 
-    n = state0.n.copy()
-    snapshots = [KineticState(t0, n, state0.space, state0.trait)]
-    leak_marks = [0.0]
-    for k in range(1, n_steps + 1):
-        n = sim_step(n, ops, t0 + (k - 1) * dt, diag)
-        if k % every == 0:
-            snapshots.append(KineticState(t0 + k * dt, n, state0.space, state0.trait))
-            leak_marks.append(diag.max_boundary_leak_rate)
-
-    times = np.array([s.t for s in snapshots])
     moms = [kinetic_moments(s) for s in snapshots]
     return KineticTrajectory(
-        times=times,
+        times=np.array([s.t for s in snapshots]),
         snapshots=snapshots,
         N=np.stack([m.N for m in moms]),
         Z=np.stack([m.Z for m in moms]),

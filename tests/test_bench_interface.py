@@ -2,10 +2,15 @@
 
 perfbench/ runs each workload's CLI command under perfbench/traced.py, which
 wraps functions and methods by name and reads attributes such as
-KineticTrajectory.snapshots and TorusGrid.points_per_dim.  A refactor that
-drops one of those names fails here rather than at the benchmark gate.
-Every workload runs once, in a subprocess, at the harness self-test's tiny
-sizes; nothing under perfbench/ is written.
+TorusGrid.points_per_dim.  A refactor that drops one of those names fails
+here rather than at the benchmark gate.  Every workload runs once, in a
+subprocess, at the harness self-test's tiny sizes; nothing under perfbench/
+is written.
+
+No workload calls run_sim: compare and gamma-sweep stream their snapshots
+through sim_snapshots, and simulate-sim is not a workload.  So the
+retained-bytes hook that traced.py puts on run_sim, which reads
+KineticTrajectory.snapshots, is called here directly.
 """
 
 import dataclasses
@@ -19,6 +24,9 @@ import sys
 import time
 
 import pytest
+
+from simkbm.config import parse_config
+from simkbm.sim_solver import init_state, run_sim
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TINY = {"space_points": 16, "trait_points": 64, "t_end": 0.2}
@@ -75,3 +83,15 @@ def test_setup_probe_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1])["setup_s"] > 0
+
+
+def test_retained_bytes_hook_reads_a_run_sim_trajectory(tmp_path):
+    spec = importlib.util.spec_from_file_location("perfbench_traced", HARNESS.TRACED)
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    wl, _ = _tiny("compare", tmp_path)
+    config = parse_config(wl.config())
+    traj = run_sim(init_state(config), config.sim_params(), config.env, config.t_end)
+    density = TINY["space_points"] * TINY["trait_points"] * 8
+    moments = 3 * wl.snapshots * TINY["space_points"] * 8
+    assert traced._retained_bytes(None, traj) == wl.snapshots * density + moments

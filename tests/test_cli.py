@@ -247,8 +247,10 @@ class TestExitCodes:
         [
             ("simulate-sim", "snapshots", "file"),
             ("simulate-sim", "sim_series.csv", "dir"),
+            ("simulate-sim", "snapshots/sim_000000.snap", "dir"),
             ("simulate-kbm", "snapshots", "file"),
             ("simulate-kbm", "kbm_summary.json", "dir"),
+            ("simulate-kbm", "snapshots/kbm_000004.snap", "dir"),
             ("compare", "compare_series.csv", "dir"),
             ("gamma-sweep", "gamma_8", "file"),
             ("gamma-sweep", "gamma_16/compare_summary.json", "dir"),
@@ -276,6 +278,31 @@ class TestExitCodes:
         reason = "Not a directory" if kind == "file" else "it is a directory"
         assert f"{path}: {reason}" in err, (command, err)
         assert sorted(out.rglob("*")) == before
+
+    @pytest.mark.parametrize("command", ["simulate-sim", "simulate-kbm"])
+    def test_directories_named_after_other_snapshots_are_left_alone(self, tmp_path, command):
+        # The run writes snapshots 0-4 of its own kind only.
+        kind = command.split("-")[1]
+        other = "kbm" if kind == "sim" else "sim"
+        cfg = write_config(tmp_path, SMALL_COMPARE)
+        out = tmp_path / "out"
+        for name in (f"{kind}_000005.snap", f"{other}_000000.snap", f"{kind}_0.snap"):
+            (out / "snapshots" / name).mkdir(parents=True)
+        assert run_cli(command, "--config", cfg, "--out", str(out)) == 0
+        assert (out / "snapshots" / f"{kind}_000004.snap").is_file()
+
+    def test_sweep_members_sharing_a_directory_exit_one(self, tmp_path, capsys):
+        # gamma_{g:g} names both 1.0000001 and 1.0000002 gamma_1.
+        doc = json.loads(json.dumps(SMALL_COMPARE))
+        del doc["physical"]["gamma"]
+        doc["physical"]["gamma_list"] = [1.0000001, 1.0000002, 2.0]
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        rc = run_cli("gamma-sweep", "--config", cfg, "--out", str(out))
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1, err
+        assert "1.0000001 and 1.0000002" in err and str(out / "gamma_1") in err, err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command", ["simulate-sim", "simulate-kbm", "compare", "gamma-sweep", "check-operator"]
@@ -588,7 +615,7 @@ class TestConfigToRunContract:
         def no_stepping(*args, **kwargs):
             raise AssertionError("compare stepped before checking its snapshot count")
 
-        monkeypatch.setattr("simkbm.experiments.run_sim", no_stepping)
+        monkeypatch.setattr(sim_solver, "sim_step", no_stepping)
         doc = json.loads(json.dumps(SMALL_COMPARE))
         doc["numerical"]["snapshot_dt"] = doc["numerical"]["t_end"]
         cfg = write_config(tmp_path, doc)

@@ -30,6 +30,7 @@ from simkbm.sim_solver import (
     _reaction_substep,
     _reproduction_substep,
     max_stable_dt,
+    sim_snapshots,
 )
 
 CONST_ENV = Environment(kind="constant", offset=0.0)
@@ -336,6 +337,24 @@ class TestRunSim:
         traj = run_sim(state, params, CONST_ENV, 0.02)
         assert len(traj.snapshots) == 3
         assert built == list(traj.times)
+
+    def test_streamed_snapshots_are_never_written(self, small_grids):
+        # sim_snapshots yields each snapshot step's own array, and the leak
+        # mark is read from the caller's diagnostics at the yield.
+        space, trait = small_grids
+        state = gaussian_initial_state(space, trait, np.ones(16), np.zeros(16), 1.0)
+        params = SimParams(A=1.0, gamma=8.0, dt=2e-3, snapshot_dt=4e-3)
+        diag = RunDiagnostics()
+        held, copies, marks = [], [], []
+        for snap in sim_snapshots(state, params, SIN_ENV, 0.02, diag):
+            held.append(snap)
+            copies.append(snap.n.copy())
+            marks.append(diag.max_boundary_leak_rate)
+        assert len(held) == 6 and marks[0] == 0.0 and marks[-1] > 0.0
+        assert all(np.array_equal(s.n, c) for s, c in zip(held, copies))
+        traj = run_sim(state, params, SIN_ENV, 0.02)
+        assert traj.leak_rate.tolist() == marks
+        assert all(np.array_equal(s.n, c) for s, c in zip(traj.snapshots, copies))
 
     def test_splitting_self_convergence_first_order(self, space64):
         # Halving dt should roughly halve the final-field change.
