@@ -146,18 +146,18 @@ def apply_T_oracle(mu: GridMeasure, kernel: ReproductionKernel) -> GridMeasure:
     T(mu)(y_j) = sum_{a,b} Gamma_{A/2}(y_j - (y_a + y_b)/2) w_a w_b with
     w the cell masses.  Pairs with the same a + b share a midparent, so their
     masses are summed first (a direct np.convolve, no FFT), then row j takes
-    the kernel table at (2m - 2) - (a + b) + 2j in one dense gather.  O(points^2)
-    work and still literal: no transform, zero padding or strided read of a
-    full convolution, so it stays an independent cross-check of the fast path.
+    the kernel table at (2m - 2) - s + 2j, s = a + b.  Those weights are row j
+    of a sliding window over the reversed table, read in place: O(points^2)
+    work and O(points) memory, and still literal: no transform, zero padding
+    or strided read of a full convolution, so it stays an independent
+    cross-check of the fast path.
     """
     _check_inputs(mu, kernel)
     m = kernel.grid.points
     w = mu.cell_masses
     midparent_mass = np.convolve(w, w)
-    s = np.arange(2 * m - 1)
-    j = np.arange(m)
-    gather = kernel.table[(2 * m - 2) - s[None, :] + 2 * j[:, None]]
-    return GridMeasure(kernel.grid, gather @ midparent_mass)
+    weights = np.lib.stride_tricks.sliding_window_view(kernel.table[::-1], 2 * m - 1)[::-2]
+    return GridMeasure(kernel.grid, weights @ midparent_mass)
 
 
 def contraction_ratio(

@@ -58,6 +58,9 @@ MAX_COMPONENTS = 3
 MOMENT_MEASURES = 50
 POSITIVITY_MEASURES = 20
 PAIRS = 100
+# Pairs drawn and measured at a time by the Tanaka and transport-oracle
+# checks, so their memory does not grow with PAIRS.
+PAIR_CHUNK = 16
 
 
 def draw_frame(grid: TraitGrid) -> tuple:
@@ -214,20 +217,28 @@ def check_tanaka(kernel, rng, p) -> CheckResult:
             yield mean
             yield mean
 
-    # Rows 2i and 2i + 1 hold pair i.
-    both = random_mixtures(rng, grid, 2 * PAIRS, pair_means())
-    d = _pair_distances(grid, both, (p,))[0]
-    out, _ = _apply_T(kernel, both)
-    # Pairs closer than 1e-12 are skipped, their images unchecked.
-    keep = np.flatnonzero(d >= 1e-12)
-    images = out.reshape(PAIRS, 2, -1)[keep].reshape(2 * len(keep), -1)
-    ratio = _pair_distances(grid, images, (p,))[0] / d[keep]
-    worst = float(np.max(ratio, initial=0.0))
+    means = pair_means()
+    worst = 0.0
+    for pairs in _pair_chunks():
+        # Rows 2i and 2i + 1 hold pair i of the chunk.
+        both = random_mixtures(rng, grid, 2 * pairs, means)
+        d = _pair_distances(grid, both, (p,))[0]
+        out, _ = _apply_T(kernel, both)
+        # Pairs closer than 1e-12 are skipped, their images unchecked.
+        keep = np.flatnonzero(d >= 1e-12)
+        images = out.reshape(pairs, 2, -1)[keep].reshape(2 * len(keep), -1)
+        ratio = _pair_distances(grid, images, (p,))[0] / d[keep]
+        worst = max(worst, float(np.max(ratio, initial=0.0)))
     return CheckResult(
         f"tanaka_w{p}", worst <= bound + slack, worst, bound + slack,
         f"max W{p} contraction ratio over {PAIRS} random equal-mean pairs "
         f"(bound {bound:.6f})",
     )
+
+
+def _pair_chunks():
+    """Pair counts of the chunks of PAIRS, in draw order."""
+    return [min(PAIR_CHUNK, PAIRS - lo) for lo in range(0, PAIRS, PAIR_CHUNK)]
 
 
 def _pair_distances(grid, rows, orders):
@@ -252,13 +263,14 @@ def check_oracle_agreement(kernel, rng, n_measures=10) -> CheckResult:
 
 def check_wasserstein_oracle_agreement(grid, rng) -> CheckResult:
     tol = max(1e-6, 2.0 * grid.spacing)
-    both = random_mixtures(rng, grid, 2 * PAIRS)
-    fast = _pair_distances(grid, both, WASSERSTEIN_ORDERS)
     worst = 0.0
-    for i in range(PAIRS):
-        mu, nu = GridMeasure(grid, both[2 * i]), GridMeasure(grid, both[2 * i + 1])
-        for k, p in enumerate(WASSERSTEIN_ORDERS):
-            worst = max(worst, abs(fast[k, i] - wasserstein_oracle(mu, nu, p)))
+    for pairs in _pair_chunks():
+        both = random_mixtures(rng, grid, 2 * pairs)
+        fast = _pair_distances(grid, both, WASSERSTEIN_ORDERS)
+        for i in range(pairs):
+            mu, nu = GridMeasure(grid, both[2 * i]), GridMeasure(grid, both[2 * i + 1])
+            for k, p in enumerate(WASSERSTEIN_ORDERS):
+                worst = max(worst, abs(fast[k, i] - wasserstein_oracle(mu, nu, p)))
     return CheckResult(
         "wasserstein_oracle_agreement", worst <= tol, worst, tol,
         f"max |quantile - transport oracle| over {PAIRS} random pairs, p in {WASSERSTEIN_ORDERS}",

@@ -4,6 +4,7 @@ import types
 import numpy as np
 import pytest
 
+import reference_reproduction
 from simkbm import (
     GridMeasure,
     ReproductionKernel,
@@ -75,6 +76,30 @@ class TestOracle:
         mu = GridMeasure(trait256, 2.0 * gaussian_on_grid(0.0, 1.0, trait256).density)
         with pytest.raises(ValueError, match="not normalized"):
             apply_T_oracle(mu, kernel256)
+
+    @pytest.mark.parametrize("points", [41, 256, 1000])
+    def test_matches_the_dense_gather(self, points, rng):
+        # The window sums in another order than the gathered product.
+        grid = TraitGrid(-8.5, 8.5, points)
+        kernel = ReproductionKernel(1.0, grid)
+        for _ in range(3):
+            mu = random_mixture(rng, grid)
+            got = apply_T_oracle(mu, kernel).density
+            want = reference_reproduction.apply_T(mu, kernel)
+            assert np.abs(got - want).max() <= 1e-14 * want.max()
+
+    def test_memory_stays_linear_in_points(self, rng):
+        # The dense gather's index array and gathered table held 32 MiB here.
+        grid = TraitGrid(-8.5, 8.5, 1024)
+        kernel = ReproductionKernel(1.0, grid)
+        mu = random_mixture(rng, grid)
+        tracemalloc.start()
+        try:
+            apply_T_oracle(mu, kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestFastPath:

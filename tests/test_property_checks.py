@@ -7,6 +7,8 @@ batched checks must consume the same draws, reach the same verdicts with
 the same details, and report the same worst values up to roundoff.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,49 @@ def test_random_mixtures_rows_are_one_measure_draws(setting):
     assert rng.bit_generator.state == reference_rng.bit_generator.state
     one = property_checks.random_mixture(rng, grid)
     assert np.array_equal(one.density, reference_mixture(reference_rng, grid).density)
+
+
+@pytest.mark.parametrize("setting", [BENCHMARK, NARROW], ids=["benchmark", "narrow"])
+def test_random_mixtures_in_chunks_are_one_call(setting):
+    # The pair checks draw their rows a chunk at a time, with targets that
+    # themselves draw from the rng, as check_tanaka's pair means do.
+    grid = setting[1]
+
+    def targets(rng):
+        for _ in range(100):
+            mean = float(rng.uniform(-0.5, 0.5))
+            yield mean
+            yield mean
+
+    rng, reference_rng = np.random.default_rng(7), np.random.default_rng(7)
+    shared = targets(rng)
+    rows = np.concatenate([random_mixtures(rng, grid, n, shared) for n in [32] * 6 + [8]])
+    want = random_mixtures(reference_rng, grid, 200, targets(reference_rng))
+    assert np.array_equal(rows, want)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda kernel, rng: property_checks.check_tanaka(kernel, rng, p=2),
+        lambda kernel, rng: property_checks.check_wasserstein_oracle_agreement(kernel.grid, rng),
+    ],
+    ids=["tanaka_w2", "wasserstein_oracle_agreement"],
+)
+def test_pair_checks_hold_a_chunk_at_a_time(check):
+    # Holding all 200 measures at once peaked at 7.8 MiB (Tanaka) and 4.8 MiB
+    # (transport oracle) on this grid.
+    kernel = ReproductionKernel(1.0, TraitGrid(-8.5, 8.5, 1024))
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        result = check(kernel, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed, result
+    assert peak < 3 * 2**20
 
 
 def test_draw_frame_is_the_identity_on_wide_symmetric_grids():
