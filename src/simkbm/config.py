@@ -10,10 +10,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 
-from .environment import ENV_KINDS, Environment
+from .environment import ENV_KINDS, KIND_KEYS, Environment
 from .grids import TorusGrid, TraitGrid
 from .infinitesimal import KERNEL_MASS_DEFECT_TOL, segregation_kernel
 from .measures import PROBABILITY_TOL, gaussian_rows
@@ -83,6 +84,11 @@ ENV_NAMES = {kind: kind for kind in ENV_KINDS}
 PROFILE_NAMES = {"constant": "constant", "sinusoidal": "sinusoidal_in_x"}
 
 
+def _coefficient(key: str) -> str:
+    """The Environment field a document key sets (see environment.KIND_KEYS)."""
+    return "offset" if key == "value" else key
+
+
 def _parse_env(doc, path: str, period: float, names: dict, value=None) -> Environment:
     """The field a document object describes.  `names` maps its kind names to
     Environment kinds; `value` is the default of a constant's "value" (None: required)."""
@@ -92,40 +98,20 @@ def _parse_env(doc, path: str, period: float, names: dict, value=None) -> Enviro
     if name not in names:
         raise ConfigError(f"{path}.kind must be one of {tuple(names)}, got {name!r}")
     kind = names[name]
-    keys = {"kind"}
     kwargs = {"kind": kind, "period": period}
-    if kind == "constant":
-        keys |= {"value"}
-        kwargs["offset"] = _get_number(doc, "value", path, default=value)
-    if kind == "affine_in_t":
-        keys |= {"value", "rate"}
-        kwargs["offset"] = _get_number(doc, "value", path, default=value)
-        kwargs["rate"] = _get_number(doc, "rate", path)
-    if kind in ("sinusoidal_in_x", "sinusoidal_plus_drift"):
-        keys |= {"offset", "amplitude", "wavenumber"}
-        kwargs["offset"] = _get_number(doc, "offset", path, default=0.0)
-        kwargs["amplitude"] = _get_number(doc, "amplitude", path)
-        kwargs["wavenumber"] = _get_int(doc, "wavenumber", path, default=1, minimum=1)
-    if kind == "sinusoidal_plus_drift":
-        keys |= {"rate"}
-        kwargs["rate"] = _get_number(doc, "rate", path)
-    _require_keys(doc, keys, path)
+    for key in KIND_KEYS[kind]:
+        if key == "wavenumber":
+            kwargs[key] = _get_int(doc, key, path, default=1, minimum=1)
+        else:
+            default = {"value": value, "offset": 0.0}.get(key)
+            kwargs[_coefficient(key)] = _get_number(doc, key, path, default=default)
+    _require_keys(doc, {"kind", *KIND_KEYS[kind]}, path)
     return Environment(**kwargs)
 
 
 def _env_to_dict(env: Environment, names: dict) -> dict:
     out = {"kind": next(name for name, kind in names.items() if kind == env.kind)}
-    if env.kind == "constant":
-        out["value"] = env.offset
-    elif env.kind == "affine_in_t":
-        out["value"] = env.offset
-        out["rate"] = env.rate
-    else:
-        out["offset"] = env.offset
-        out["amplitude"] = env.amplitude
-        out["wavenumber"] = env.wavenumber
-        if env.kind == "sinusoidal_plus_drift":
-            out["rate"] = env.rate
+    out.update((key, getattr(env, _coefficient(key))) for key in KIND_KEYS[env.kind])
     return out
 
 
@@ -441,6 +427,12 @@ def parse_config(source) -> RunConfig:
     out_dir = out.get("directory", "out")
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError("output.directory must be a non-empty string")
+    if "\0" in out_dir:
+        raise ConfigError("output.directory must not contain a NUL character")
+    try:
+        os.fsencode(out_dir)
+    except UnicodeEncodeError as exc:  # e.g. a lone surrogate, which JSON admits
+        raise ConfigError(f"output.directory cannot be a file name: {exc.reason}") from exc
     text = out.get("text", False)
     if not isinstance(text, bool):
         raise ConfigError("output.text must be a boolean")

@@ -13,7 +13,7 @@ import numpy as np
 
 from .environment import Environment
 from .grids import TorusGrid
-from .measures import batch_rows, cdf_rows, require_rows, wasserstein_rows
+from .measures import batch_rows, wasserstein_rows
 from .sim_solver import KineticState, SimulationError, reference_rows
 
 
@@ -49,24 +49,21 @@ def gaussian_deviation(state: KineticState, A: float, N: np.ndarray, Z: np.ndarr
     The columns are taken measures.batch_rows(trait points) at a time, which
     bounds the profile and target arrays (a 64 x 512 snapshot peaks at
     0.69 MB, 1.67 MB in one piece); wasserstein_rows keeps its own batch
-    loop for its other callers.  Per batch, measures.require_rows rejects
-    the first profile that is not a probability density, then
-    sim_solver.reference_rows samples the references, warns for each one
-    near a trait end and raises at the first one short of mass, in column
-    order.  A distance that is not finite raises SimulationError.
+    loop for its other callers.  Per batch, sim_solver.reference_rows
+    samples the references, warns for each one near a trait end and raises
+    at the first one short of mass, in column order; wasserstein_rows then
+    rejects the first profile that is not a probability density.  A
+    distance that is not finite raises SimulationError.
     """
     if not A > 0:
         raise ValueError(f"variance must be positive, got {A}")
     trait = state.trait
-    h = trait.spacing
     rows = batch_rows(trait.points)
     worst = 0.0
     for lo in range(0, len(N), rows):
         cols = slice(lo, lo + rows)
-        profile = state.n[cols] / N[cols, None]
-        require_rows(trait, profile, probability=True)
         target = reference_rows(trait, A, Z[cols], state.t)
-        dist = wasserstein_rows(trait, cdf_rows(profile, h), cdf_rows(target, h), (2,))[0]
+        dist = wasserstein_rows(trait, state.n[cols] / N[cols, None], target, (2,))[0]
         # max(worst, nan) keeps worst: a NaN column must not drop out silently.
         bad = np.flatnonzero(~np.isfinite(dist))
         if len(bad):

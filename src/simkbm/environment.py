@@ -6,7 +6,17 @@ import dataclasses
 
 import numpy as np
 
-ENV_KINDS = ("constant", "affine_in_t", "sinusoidal_in_x", "sinusoidal_plus_drift")
+# The document keys of each kind, in parse order.  "value" is the offset of
+# the kinds without a wave; every other key names the coefficient it sets.
+KIND_KEYS = {
+    "constant": ("value",),
+    "affine_in_t": ("value", "rate"),
+    "sinusoidal_in_x": ("offset", "amplitude", "wavenumber"),
+    "sinusoidal_plus_drift": ("offset", "amplitude", "wavenumber", "rate"),
+}
+ENV_KINDS = tuple(KIND_KEYS)
+# The coefficients that only some kinds read.
+_OPTIONAL = ("amplitude", "wavenumber", "rate")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -18,6 +28,8 @@ class Environment:
       affine_in_t          f = offset + rate * t
       sinusoidal_in_x      f = offset + amplitude * sin(2 pi k x / period)
       sinusoidal_plus_drift  the sinusoid plus rate * t
+
+    A coefficient that the kind never reads must keep its default.
     """
 
     kind: str
@@ -34,12 +46,17 @@ class Environment:
             raise ValueError("wavenumber must be a positive integer")
         if not self.period > 0:
             raise ValueError("period must be positive")
+        unread = set(_OPTIONAL) - set(KIND_KEYS[self.kind])
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if field.name in unread and value != field.default:
+                raise ValueError(f"a {self.kind} field reads no {field.name}, got {value!r}")
 
     def _has_wave(self) -> bool:
-        return self.kind in ("sinusoidal_in_x", "sinusoidal_plus_drift")
+        return "amplitude" in KIND_KEYS[self.kind]
 
     def _has_drift(self) -> bool:
-        return self.kind in ("affine_in_t", "sinusoidal_plus_drift")
+        return "rate" in KIND_KEYS[self.kind]
 
     @property
     def drift_rate(self) -> float:

@@ -149,14 +149,9 @@ def moment_rows(grid: TraitGrid, density: np.ndarray) -> tuple:
 def wasserstein(mu: GridMeasure, nu: GridMeasure, p: int) -> float:
     """Exact p-Wasserstein distance between two normalized measures on one
     grid: the one-row case of wasserstein_rows."""
-    if p not in WASSERSTEIN_ORDERS:
-        raise ValueError(f"p must be one of {WASSERSTEIN_ORDERS}, got {p}")
-    mu.require_probability()
-    nu.require_probability()
     if mu.grid != nu.grid:
         raise ValueError(f"measures lie on two trait grids: {mu.grid} and {nu.grid}")
-    cum = cdf_rows(np.stack((mu.density, nu.density)), mu.grid.spacing)
-    return float(wasserstein_rows(mu.grid, cum[:1], cum[1:], (p,))[0, 0])
+    return float(wasserstein_rows(mu.grid, mu.density[None], nu.density[None], (p,))[0, 0])
 
 
 # Cells per batch of wasserstein_rows.  Every temporary of a batch holds
@@ -179,9 +174,10 @@ def cdf_rows(density: np.ndarray, spacing: float) -> np.ndarray:
     return cum
 
 
-def wasserstein_rows(grid: TraitGrid, cum_mu: np.ndarray, cum_nu: np.ndarray, orders) -> np.ndarray:
-    """W_p between the grid measures of matching CDF rows, one row of the
-    result per order p in `orders`.
+def wasserstein_rows(grid: TraitGrid, mu: np.ndarray, nu: np.ndarray, orders) -> np.ndarray:
+    """W_p between matching density rows of mu and nu, one row of the result
+    per order p in `orders`.  After the orders, require_rows checks that
+    every row of mu, then of nu, is a probability density.
 
     The monotone coupling is optimal in 1-D, so W_p is the L^p norm of the
     difference of quantile functions, affine between merged breakpoints.
@@ -193,16 +189,19 @@ def wasserstein_rows(grid: TraitGrid, cum_mu: np.ndarray, cum_nu: np.ndarray, or
     for p in orders:
         if p not in WASSERSTEIN_ORDERS:
             raise ValueError(f"p must be one of {WASSERSTEIN_ORDERS}, got {p}")
-    out = np.empty((len(orders), len(cum_mu)))
+    require_rows(grid, mu, probability=True)
+    require_rows(grid, nu, probability=True)
+    out = np.empty((len(orders), len(mu)))
     step = batch_rows(grid.points)
-    for lo in range(0, len(cum_mu), step):
+    for lo in range(0, len(mu), step):
         rows = slice(lo, lo + step)
-        out[:, rows] = _merged_rows(grid, cum_mu[rows], cum_nu[rows], orders)
+        cum_mu, cum_nu = cdf_rows(mu[rows], grid.spacing), cdf_rows(nu[rows], grid.spacing)
+        out[:, rows] = _merged_rows(grid, cum_mu, cum_nu, orders)
     return out
 
 
 def _merged_rows(grid, cum_mu, cum_nu, orders):
-    """One batch of wasserstein_rows: a list of per-row distances per order."""
+    """One batch of wasserstein_rows, from CDF rows: a list of per-row distances per order."""
     rows, m1 = cum_mu.shape
     width = 2 * m1
     merged = np.concatenate((cum_mu, cum_nu), axis=1)

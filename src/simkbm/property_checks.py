@@ -16,7 +16,6 @@ from .infinitesimal import W2_CONTRACTION, W4_CONTRACTION, ReproductionKernel, a
 from .measures import (
     WASSERSTEIN_ORDERS,
     GridMeasure,
-    cdf_rows,
     gaussian_on_grid,
     moment_rows,
     require_rows,
@@ -222,12 +221,12 @@ def check_tanaka(kernel, rng, p) -> CheckResult:
     for pairs in _pair_chunks():
         # Rows 2i and 2i + 1 hold pair i of the chunk.
         both = random_mixtures(rng, grid, 2 * pairs, means)
-        d = _pair_distances(grid, both, (p,))[0]
+        d = wasserstein_rows(grid, both[0::2], both[1::2], (p,))[0]
         out, _ = _apply_T(kernel, both)
         # Pairs closer than 1e-12 are skipped, their images unchecked.
         keep = np.flatnonzero(d >= 1e-12)
-        images = out.reshape(pairs, 2, -1)[keep].reshape(2 * len(keep), -1)
-        ratio = _pair_distances(grid, images, (p,))[0] / d[keep]
+        images = out.reshape(pairs, 2, -1)[keep]
+        ratio = wasserstein_rows(grid, images[:, 0], images[:, 1], (p,))[0] / d[keep]
         worst = max(worst, float(np.max(ratio, initial=0.0)))
     return CheckResult(
         f"tanaka_w{p}", worst <= bound + slack, worst, bound + slack,
@@ -239,14 +238,6 @@ def check_tanaka(kernel, rng, p) -> CheckResult:
 def _pair_chunks():
     """Pair counts of the chunks of PAIRS, in draw order."""
     return [min(PAIR_CHUNK, PAIRS - lo) for lo in range(0, PAIRS, PAIR_CHUNK)]
-
-
-def _pair_distances(grid, rows, orders):
-    """W_p between rows 2i and 2i + 1, one result row per order.  As for
-    wasserstein, every row must be a probability density."""
-    require_rows(grid, rows, probability=True)
-    cum = cdf_rows(rows, grid.spacing)
-    return wasserstein_rows(grid, cum[0::2], cum[1::2], orders)
 
 
 def check_oracle_agreement(kernel, rng, n_measures=10) -> CheckResult:
@@ -266,7 +257,7 @@ def check_wasserstein_oracle_agreement(grid, rng) -> CheckResult:
     worst = 0.0
     for pairs in _pair_chunks():
         both = random_mixtures(rng, grid, 2 * pairs)
-        fast = _pair_distances(grid, both, WASSERSTEIN_ORDERS)
+        fast = wasserstein_rows(grid, both[0::2], both[1::2], WASSERSTEIN_ORDERS)
         for i in range(pairs):
             mu, nu = GridMeasure(grid, both[2 * i]), GridMeasure(grid, both[2 * i + 1])
             for k, p in enumerate(WASSERSTEIN_ORDERS):

@@ -1,7 +1,8 @@
 """Digests of what the benchmark workloads write, for byte-identity checks.
 
 Runs the command of every workload in `perfbench/run.py` (its WORKLOADS and
-ENTRY, read without change) once, in a fresh interpreter with
+ENTRY, read without change), and simulate-sim on the compare workload's
+configuration, which no workload runs, once each, in a fresh interpreter with
 SRC_ROOT/src first on the path and one BLAS thread, and prints per workload
 the exit code and the sha256 of the output tree, of stdout and of stderr.
 The outputs echo the resolved config, output directory included, so every
@@ -22,6 +23,7 @@ checkout of the parent and on the change and compare the lines:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -63,7 +65,9 @@ def main(argv=None) -> int:
     env = {**os.environ, "PYTHONPATH": path, **{var: "1" for var in bench.THREAD_VARS}}
     config_path = os.path.join(WORK, "config.json")
     out_dir = os.path.join(WORK, "out")
-    for name, wl in bench.WORKLOADS.items():
+    compare = bench.WORKLOADS["compare"]
+    sim = dataclasses.replace(compare, name="simulate-sim", command="simulate-sim")
+    for name, wl in {**bench.WORKLOADS, sim.name: sim}.items():
         shutil.rmtree(WORK, ignore_errors=True)
         os.makedirs(WORK)
         with open(config_path, "w") as fh:

@@ -574,6 +574,24 @@ class TestRejectedAtParse:
         doc[section][key] = value
         assert "must be finite" in assert_one_line_rejection(tmp_path, capsys, doc)
 
+    @pytest.mark.parametrize("directory", ["out\u0000x", "out\ud800x"], ids=["nul", "surrogate"])
+    def test_output_directory_the_os_cannot_take(self, tmp_path, capsys, monkeypatch, directory):
+        # The directory comes from the document (--out cannot carry either):
+        # os.stat raised "embedded null byte" or UnicodeEncodeError from the
+        # layout check.
+        monkeypatch.chdir(tmp_path)
+        doc = self.doc()
+        doc["output"] = {"directory": directory}
+        cfg = write_config(tmp_path, doc)
+        for command in self.COMMANDS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc = run_cli(command, "--config", cfg)
+            err = capsys.readouterr().err
+            assert rc == 1 and err.count("\n") == 1, (command, err)
+            assert err.startswith("config error: output.directory"), (command, err)
+            assert os.listdir(tmp_path) == ["config.json"]
+
 
 class TestConfigToRunContract:
     def test_auto_cadence_on_a_ragged_horizon(self, tmp_path, monkeypatch):

@@ -217,6 +217,42 @@ class TestRoundTrip:
             "V0": 0.8,
         }
 
+    @pytest.mark.parametrize(
+        "path, field",
+        [
+            ("physical.env", {"kind": "constant", "value": 0.3}),
+            ("physical.env", {"kind": "affine_in_t", "value": 0.1, "rate": 0.2}),
+            (
+                "physical.env",
+                {"kind": "sinusoidal_in_x", "offset": 0.1, "amplitude": 0.5, "wavenumber": 1},
+            ),
+            (
+                "physical.env",
+                {
+                    "kind": "sinusoidal_plus_drift",
+                    "offset": 0.0,
+                    "amplitude": 0.5,
+                    "wavenumber": 2,
+                    "rate": -0.1,
+                },
+            ),
+            ("physical.initial.N0", {"kind": "constant", "value": 1.5}),
+            (
+                "physical.initial.Z0",
+                {"kind": "sinusoidal", "offset": 0.1, "amplitude": 0.2, "wavenumber": 3},
+            ),
+        ],
+        ids=["constant", "affine_in_t", "sinusoidal_in_x", "sinusoidal_plus_drift",
+             "initial-constant", "initial-sinusoidal"],
+    )
+    def test_every_field_kind_round_trips(self, path, field):
+        cfg = parse_config(doc(**{path: field}))
+        assert parse_config(cfg.to_json()) == cfg
+        echo = cfg.to_dict()
+        for key in path.split("."):
+            echo = echo[key]
+        assert echo == field
+
     def test_round_trip_with_gamma_list(self):
         base = doc()
         base["physical"]["gamma_list"] = [2.0, 4.0, 8.0]
@@ -224,3 +260,25 @@ class TestRoundTrip:
         cfg = parse_config(base)
         assert parse_config(cfg.to_json()) == cfg
         assert cfg.gamma_list == (2.0, 4.0, 8.0) and cfg.gamma is None
+
+
+class TestEnvironment:
+    @pytest.mark.parametrize(
+        "kind, coefficient, value",
+        [
+            ("constant", "amplitude", 0.5),
+            ("constant", "wavenumber", 2),
+            ("constant", "rate", 2.0),
+            ("affine_in_t", "amplitude", 0.5),
+            ("affine_in_t", "wavenumber", 2),
+            ("sinusoidal_in_x", "rate", -0.1),
+        ],
+    )
+    def test_rejects_a_coefficient_its_kind_never_reads(self, kind, coefficient, value):
+        with pytest.raises(ValueError, match=f"a {kind} field reads no {coefficient}, got {value}"):
+            Environment(kind, **{coefficient: value})
+
+    @pytest.mark.parametrize("kind", ["constant", "affine_in_t", "sinusoidal_in_x"])
+    def test_accepts_an_unread_coefficient_at_its_default(self, kind):
+        env = Environment(kind, offset=0.4, amplitude=0.0, wavenumber=1, rate=0.0)
+        assert env.evaluate(1.0, np.zeros(1))[0] == 0.4

@@ -122,15 +122,9 @@ class TestBatchedGaussianDeviation:
         state.n[:, :20] = 0.0
         state.n[2, 100:130] = 0.0
         moms = kinetic_moments(state)
-        h = trait.spacing
         y = trait.centers
         target = np.exp(-((y - moms.Z[:, None]) ** 2) / 2.0) / np.sqrt(2.0 * np.pi)
-        got = measures.wasserstein_rows(
-            trait,
-            measures.cdf_rows(state.n / moms.N[:, None], h),
-            measures.cdf_rows(target, h),
-            (2,),
-        )[0]
+        got = measures.wasserstein_rows(trait, state.n / moms.N[:, None], target, (2,))[0]
         want = np.array(per_column_w2(state, 1.0))
         assert np.abs(got - want).max() <= 1e-12 * want.max()
 

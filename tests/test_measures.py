@@ -236,8 +236,9 @@ class TestWasserstein:
         mu = gaussian_on_grid(0.0, 1.0, trait512)
         nu = gaussian_on_grid(1.0, 1.0, trait512)
         wasserstein(mu, nu, 2)
-        assert len(cdf_calls) == 1 and len(rows_calls) == 1
-        assert np.array_equal(cdf_calls[0], np.stack((mu.density, nu.density)))
+        assert len(cdf_calls) == 2 and len(rows_calls) == 1
+        assert np.array_equal(cdf_calls[0], mu.density[None])
+        assert np.array_equal(cdf_calls[1], nu.density[None])
 
     def test_rejects_two_grids(self):
         mu = gaussian_on_grid(0.0, 1.0, TraitGrid(-8.0, 8.0, 512))
@@ -275,11 +276,8 @@ class TestWassersteinRows:
     @given(row_batches())
     def test_matches_the_scalar_distance(self, case):
         grid, mu, nu, per_batch = case
-        h = grid.spacing
         with mock.patch.object(measures, "_CHUNK_CELLS", per_batch * grid.points):
-            got = measures.wasserstein_rows(
-                grid, measures.cdf_rows(mu, h), measures.cdf_rows(nu, h), (1, 2, 4)
-            )
+            got = measures.wasserstein_rows(grid, mu, nu, (1, 2, 4))
         for i in range(len(mu)):
             pair = GridMeasure(grid, mu[i]), GridMeasure(grid, nu[i])
             for k, p in enumerate((1, 2, 4)):
@@ -293,8 +291,22 @@ class TestWassersteinRows:
         # 2^-53 (h/2)^2 / 3 to W2^2, far more than the rest of the CDFs.
         g = TraitGrid(-8.0, 8.0, 16)
         cum_mu, cum_nu = (np.array([[0.0, 0.5, 1.0 - e] + [1.0] * 14]) for e in (2**-52, 2**-53))
-        got = measures.wasserstein_rows(g, cum_mu, cum_nu, (2,))[0, 0]
+        got = measures._merged_rows(g, cum_mu, cum_nu, (2,))[0][0]
         assert got == pytest.approx(np.sqrt(2.0**-52 / 12) * g.spacing, rel=1e-9)
+
+    @pytest.mark.parametrize("bad", ["mu", "nu", "both"])
+    def test_rejects_unnormalized_rows(self, trait256, bad):
+        # Row 1 of mu weighs 2 and row 0 of nu weighs 3 where they are bad:
+        # the error is require_rows', for mu's row when both batches have one.
+        g = gaussian_on_grid(0.0, 1.0, trait256).density
+        mu, nu = np.stack((g, g)), np.stack((g, g))
+        if bad != "nu":
+            mu[1] *= 2.0
+        if bad != "mu":
+            nu[0] *= 3.0
+        mass = {"mu": 2.0, "nu": 3.0, "both": 2.0}[bad] * trait256.integrate(g)
+        with pytest.raises(ValueError, match=f"not normalized: mass = {mass:.12f} "):
+            measures.wasserstein_rows(trait256, mu, nu, (2,))
 
     def test_rejects_bad_order(self, trait256):
         cum = measures.cdf_rows(gaussian_on_grid(0.0, 1.0, trait256).density[None], 1.0)
