@@ -15,12 +15,11 @@ import warnings
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_document, parse_config
-from .diagnostics import gaussian_deviation
-from .experiments import run_compare, run_gamma_sweep
+from .experiments import reduced_snapshots, run_compare, run_gamma_sweep
 from .kbm_solver import init_macro, run_kbm
 from .output import FORMAT_VERSION, ensure_dir, write_csv, write_json, write_snapshot
 from .property_checks import run_all
-from .sim_solver import SimulationError, init_state, plan_steps, run_sim
+from .sim_solver import RunDiagnostics, SimulationError, plan_steps
 
 
 class _Parser(argparse.ArgumentParser):
@@ -142,18 +141,18 @@ def _summary(command, doc, **fields):
     return {"command": command, "format_version": FORMAT_VERSION, "config": doc, **fields}
 
 
-def _write_run(config, kind, times, fields, meta, header, cols, **summary):
+def _write_run(config, kind, fields, meta, header, cols, **summary):
     """Snapshots, series and summary of a simulate command, written only once the
-    run and its series have succeeded."""
+    run and its series have succeeded.  The first column holds the snapshot times."""
     out = ensure_dir(config.out_dir)
     snap_dir = ensure_dir(os.path.join(out, _SNAPSHOT_DIR))
     doc = config.to_dict()
-    for idx, (t, field) in enumerate(zip(times, fields)):
+    for idx, (t, field) in enumerate(zip(cols[0], fields)):
         path = os.path.join(snap_dir, _snapshot_name(kind, idx))
         write_snapshot(path, kind, t, field, meta, doc, text=config.text)
     series, summary_file = _OUTPUT_FILES[f"simulate-{kind}"]
     write_csv(os.path.join(out, series), header, cols)
-    summary = _summary(f"simulate-{kind}", doc, snapshots=len(times), **summary)
+    summary = _summary(f"simulate-{kind}", doc, snapshots=len(cols[0]), **summary)
     write_json(os.path.join(out, summary_file), summary)
 
 
@@ -162,31 +161,25 @@ def _space_meta(space):
 
 
 def _cmd_simulate_sim(config: RunConfig) -> int:
-    params = config.sim_params()  # exit 1 without a single gamma, before init_state can exit 2
-    traj = run_sim(init_state(config), params, config.env, config.t_end)
-    snaps = traj.snapshots
-    space, trait = snaps[0].space, snaps[0].trait
+    params = config.sim_params()  # exit 1 without a single gamma, before the run can exit 2
+    space, trait = config.space_grid(), config.trait_grid()
+    diag = RunDiagnostics()
     header = [
         "t", "mass", "N_min", "N_max", "Z_min", "Z_max", "v_max", "gauss_dev", "mass_leak_rate"
     ]
-    cols = [
-        traj.times,
-        np.array([s.n.sum() * trait.spacing * space.spacing for s in snaps]),
-        traj.N.min(axis=1),
-        traj.N.max(axis=1),
-        traj.Z.min(axis=1),
-        traj.Z.max(axis=1),
-        traj.V.max(axis=1),
-        np.array([gaussian_deviation(s, config.A, N, Z) for s, N, Z in zip(snaps, traj.N, traj.Z)]),
-        traj.leak_rate,
-    ]
+    fields, rows = [], []
+    # Each snapshot is reduced on arrival; only the densities to write are kept.
+    for state, moms, dev, mark in reduced_snapshots(config, params, diag):
+        fields.append(state.n)
+        mass = state.n.sum() * trait.spacing * space.spacing
+        N, Z = moms.N, moms.Z
+        rows.append((state.t, mass, N.min(), N.max(), Z.min(), Z.max(), moms.V.max(), dev, mark))
+    cols = np.array(rows).T
     meta = {
         "space": _space_meta(space),
         "trait": {"y_min": trait.y_min, "y_max": trait.y_max, "points": trait.points},
     }
-    diagnostics = dataclasses.asdict(traj.diagnostics)
-    fields = (s.n for s in snaps)
-    _write_run(config, "sim", traj.times, fields, meta, header, cols, diagnostics=diagnostics)
+    _write_run(config, "sim", fields, meta, header, cols, diagnostics=dataclasses.asdict(diag))
     return 0
 
 
@@ -198,7 +191,7 @@ def _cmd_simulate_kbm(config: RunConfig) -> int:
     cols = [traj.times, N.min(axis=1), N.max(axis=1), Z.min(axis=1), Z.max(axis=1)]
     meta = {"space": _space_meta(state0.space), "fields": ["N", "Y", "Z"]}
     fields = (np.stack(rows) for rows in zip(N, traj.Y, Z))
-    _write_run(config, "kbm", traj.times, fields, meta, header, cols)
+    _write_run(config, "kbm", fields, meta, header, cols)
     return 0
 
 

@@ -89,9 +89,9 @@ def _coefficient(key: str) -> str:
     return "offset" if key == "value" else key
 
 
-def _parse_env(doc, path: str, period: float, names: dict, value=None) -> Environment:
-    """The field a document object describes.  `names` maps its kind names to
-    Environment kinds; `value` is the default of a constant's "value" (None: required)."""
+def _parse_env(doc, path: str, points: int, period: float, names: dict, value=None) -> Environment:
+    """The field a document object describes on `points` space points.  `names` maps its kind
+    names to Environment kinds; `value` is the default of a constant's "value" (None: required)."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{path} must be an object")
     name = doc.get("kind")
@@ -102,6 +102,11 @@ def _parse_env(doc, path: str, period: float, names: dict, value=None) -> Enviro
     for key in KIND_KEYS[kind]:
         if key == "wavenumber":
             kwargs[key] = _get_int(doc, key, path, default=1, minimum=1)
+            if kwargs[key] > points // 2:  # it would sample as a lower wavenumber does
+                raise ConfigError(
+                    f"{path}.wavenumber must be <= {points // 2} on numerical.space_points = "
+                    f"{points}, got {kwargs[key]}"
+                )
         else:
             default = {"value": value, "offset": 0.0}.get(key)
             kwargs[_coefficient(key)] = _get_number(doc, key, path, default=default)
@@ -184,6 +189,16 @@ class RunConfig:
 def _near_multiple(total: float, step: float) -> bool:
     k = round(total / step)
     return k >= 1 and abs(total - k * step) <= 1e-9 * max(1.0, step)
+
+
+def _capped_steps(n_steps, dt: float):
+    """n_steps, the step count of a run with steps dt, if it is at most MAX_STEPS."""
+    if n_steps > MAX_STEPS:
+        raise ConfigError(
+            f"the run needs {n_steps:.7g} time steps of dt = {dt:.3g}, more than {MAX_STEPS}: "
+            "shorten numerical.t_end or bring numerical.trait_bounds closer to the optimal trait"
+        )
+    return n_steps
 
 
 def _auto_cadence(n_steps: int, target: int) -> int:
@@ -275,7 +290,7 @@ def parse_config(source) -> RunConfig:
     env = phys.get("env")
     if env is None:
         env = {"kind": "constant"}
-    env = _parse_env(env, "physical.env", period, ENV_NAMES, value=0.0)
+    env = _parse_env(env, "physical.env", space_points, period, ENV_NAMES, value=0.0)
 
     init = phys.get("initial")
     if init is None:
@@ -288,6 +303,7 @@ def parse_config(source) -> RunConfig:
         _parse_env(
             {"kind": "constant", "value": value} if init.get(key) is None else init[key],
             f"physical.initial.{key}",
+            space_points,
             period,
             PROFILE_NAMES,
         )
@@ -356,7 +372,8 @@ def parse_config(source) -> RunConfig:
 
     dt = num.get("dt", "auto")
     if dt == "auto":
-        n_steps = max(1, math.ceil(t_end / (0.5 * dt_cap)))
+        # Capped before the ceil and the divisor search, which a huge count overflows or stalls.
+        n_steps = max(1, math.ceil(_capped_steps(t_end / (0.5 * dt_cap), 0.5 * dt_cap)))
         target = max(1, round(n_steps / 100))
         if num.get("snapshot_dt", "auto") == "auto" and _auto_cadence(n_steps, target) < target / 2:
             # E.g. a prime step count: round it up to a multiple of the "auto"
@@ -384,12 +401,7 @@ def parse_config(source) -> RunConfig:
             "not finite: numerical.period is out of range"
         )
 
-    n_steps = round(t_end / dt)
-    if n_steps > MAX_STEPS:
-        raise ConfigError(
-            f"the run needs {n_steps} time steps of dt = {dt:.3g}, more than {MAX_STEPS}: shorten "
-            "numerical.t_end or bring numerical.trait_bounds closer to the optimal trait"
-        )
+    n_steps = _capped_steps(round(t_end / dt), dt)
     # The cadence, in steps, must divide the step count (sim_solver.plan_steps).
     snapshot_dt = num.get("snapshot_dt", "auto")
     auto = snapshot_dt == "auto"

@@ -13,8 +13,8 @@ import numpy as np
 
 from .environment import Environment
 from .grids import TorusGrid
-from .measures import batch_rows, wasserstein_rows
-from .sim_solver import KineticState, SimulationError, reference_rows
+from .measures import PROBABILITY_TOL, batch_rows, gaussian_on_grid, gaussian_rows, wasserstein_rows
+from .sim_solver import KineticState, SimulationError
 
 
 @dataclasses.dataclass
@@ -41,19 +41,19 @@ def gaussian_deviation(state: KineticState, A: float, N: np.ndarray, Z: np.ndarr
 
     For exactly Gaussian columns this sits at the discretization floor
     (below 2 trait spacings); for a kinetic run it tracks how far the
-    profile is from local equilibrium.  Raises SimulationError when the
-    reference Gaussian is not a probability measure on the trait grid.
-    N and Z are the state's column sizes and mean traits, as
-    kinetic_moments gives them and a KineticTrajectory holds them.
+    profile is from local equilibrium.  N and Z are the state's column
+    sizes and mean traits, as kinetic_moments gives them.
 
     The columns are taken measures.batch_rows(trait points) at a time, which
     bounds the profile and target arrays (a 64 x 512 snapshot peaks at
     0.69 MB, 1.67 MB in one piece); wasserstein_rows keeps its own batch
-    loop for its other callers.  Per batch, sim_solver.reference_rows
-    samples the references, warns for each one near a trait end and raises
-    at the first one short of mass, in column order; wasserstein_rows then
-    rejects the first profile that is not a probability density.  A
-    distance that is not finite raises SimulationError.
+    loop for its other callers.  Per batch, in column order, a reference
+    mean within 6 sqrt(A) of a trait end warns through gaussian_on_grid and
+    the first reference whose mass misses 1 by more than PROBABILITY_TOL
+    raises SimulationError; wasserstein_rows then rejects the first profile
+    that is not a probability density, and a distance that is not finite
+    raises SimulationError.  Every command takes its first gauss_dev at
+    t = 0, before any step: that is where a run's references are checked.
     """
     if not A > 0:
         raise ValueError(f"variance must be positive, got {A}")
@@ -62,7 +62,20 @@ def gaussian_deviation(state: KineticState, A: float, N: np.ndarray, Z: np.ndarr
     worst = 0.0
     for lo in range(0, len(N), rows):
         cols = slice(lo, lo + rows)
-        target = reference_rows(trait, A, Z[cols], state.t)
+        means = Z[cols]
+        target = gaussian_rows(means, A, trait)
+        mass = target.sum(axis=1) * trait.spacing
+        short = ~(np.abs(mass - 1.0) <= PROBABILITY_TOL)
+        near = np.minimum(means - trait.y_min, trait.y_max - means) < 6.0 * np.sqrt(A)
+        for i in np.flatnonzero(short | near):
+            if near[i]:
+                gaussian_on_grid(means[i], A, trait)
+            if short[i]:
+                raise SimulationError(
+                    f"the reference Gaussian of variance A at Z = {means[i]:.6g} holds mass "
+                    f"{mass[i]:.12f} on the trait grid: widen numerical.trait_bounds",
+                    {"t": state.t, "mass": float(mass[i])},
+                )
         dist = wasserstein_rows(trait, state.n[cols] / N[cols, None], target, (2,))[0]
         # max(worst, nan) keeps worst: a NaN column must not drop out silently.
         bad = np.flatnonzero(~np.isfinite(dist))

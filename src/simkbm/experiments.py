@@ -26,6 +26,7 @@ from .diagnostics import (
 from .kbm_solver import init_macro, run_kbm
 from .sim_solver import (
     RunDiagnostics,
+    SimParams,
     SimulationError,
     init_state,
     kinetic_moments,
@@ -62,6 +63,16 @@ def _windowed_sup(times, series, t_start):
     return float(np.max(series[mask])) if mask.any() else float(np.max(series))
 
 
+def reduced_snapshots(config: RunConfig, params: SimParams, diag: RunDiagnostics):
+    """(state, kinetic_moments, gauss_dev, running leak mark) of each snapshot
+    of the SIM run of config, taken as sim_snapshots makes it and before the
+    next step: a failing snapshot, the first at t = 0 included, stops the run."""
+    for state in sim_snapshots(init_state(config), params, config.env, config.t_end, diag):
+        moms = kinetic_moments(state)
+        dev = gaussian_deviation(state, config.A, moms.N, moms.Z)
+        yield state, moms, dev, diag.max_boundary_leak_rate
+
+
 def run_compare(config: RunConfig, gamma: float | None = None) -> CompareResult:
     """Run the kinetic and macroscopic models from matched initial data.
 
@@ -78,22 +89,13 @@ def run_compare(config: RunConfig, gamma: float | None = None) -> CompareResult:
     params = config.sim_params(gamma)
     gamma = params.gamma
     env = config.env
-
-    state0 = init_state(config)
-    space = state0.space
+    space = config.space_grid()
     diag = RunDiagnostics()
-    times, N, Z, gauss, v_max, leak = [], [], [], [], [], []
     # Each snapshot is reduced on arrival and not kept.
-    for state in sim_snapshots(state0, params, env, config.t_end, diag):
-        moms = kinetic_moments(state)
-        times.append(state.t)
-        N.append(moms.N)
-        Z.append(moms.Z)
-        gauss.append(gaussian_deviation(state, config.A, moms.N, moms.Z))
-        v_max.append(moms.V.max())
-        leak.append(diag.max_boundary_leak_rate)
-    times, N, Z = np.array(times), np.stack(N), np.stack(Z)
-    gauss, v_max, leak = np.array(gauss), np.array(v_max), np.array(leak)
+    rows = []
+    for state, moms, dev, mark in reduced_snapshots(config, params, diag):
+        rows.append((state.t, moms.N, moms.Z, dev, moms.V.max(), mark))
+    times, N, Z, gauss, v_max, leak = map(np.array, zip(*rows))
     kbm = run_kbm(init_macro(config), env, config.A, config.dt, config.t_end, config.snapshot_dt)
 
     err_N = np.abs(N - kbm.N).max(axis=1)

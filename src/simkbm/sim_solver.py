@@ -24,7 +24,7 @@ from .diffusion import PeriodicHeatCN
 from .environment import Environment
 from .grids import TorusGrid, TraitGrid
 from .infinitesimal import ReproductionKernel
-from .measures import PROBABILITY_TOL, gaussian_on_grid, gaussian_rows
+from .measures import gaussian_rows
 
 N_FLOOR = 1e-12
 INIT_MARGIN_SIGMAS = 4.0
@@ -135,38 +135,15 @@ def gaussian_initial_state(
     return KineticState(0.0, N0[:, None] * gaussian_rows(Z0, V0, trait), space, trait)
 
 
-def reference_rows(trait: TraitGrid, A: float, Z: np.ndarray, t: float) -> np.ndarray:
-    """gaussian_rows(Z, A, trait): the references of gauss_dev.  In column
-    order, a mean within 6 sqrt(A) of a grid end warns through
-    gaussian_on_grid, and the first reference whose mass misses 1 by more
-    than PROBABILITY_TOL raises SimulationError."""
-    rows = gaussian_rows(Z, A, trait)
-    mass = rows.sum(axis=1) * trait.spacing
-    short = ~(np.abs(mass - 1.0) <= PROBABILITY_TOL)
-    near = np.minimum(Z - trait.y_min, trait.y_max - Z) < 6.0 * np.sqrt(A)
-    for i in np.flatnonzero(short | near):
-        if near[i]:
-            gaussian_on_grid(Z[i], A, trait)
-        if short[i]:
-            raise SimulationError(
-                f"the reference Gaussian of variance A at Z = {Z[i]:.6g} holds mass "
-                f"{mass[i]:.12f} on the trait grid: widen numerical.trait_bounds",
-                {"t": t, "mass": float(mass[i])},
-            )
-    return rows
-
-
 def init_state(config) -> KineticState:
-    """Initial kinetic state from a run configuration (see config.RunConfig).
-    reference_rows checks its references of gauss_dev before any step."""
+    """Initial kinetic state from a run configuration (see config.RunConfig),
+    unchecked against the references of gauss_dev (see gaussian_deviation)."""
     space = config.space_grid()
     trait = config.trait_grid()
     x = space.centers
-    state = gaussian_initial_state(
+    return gaussian_initial_state(
         space, trait, config.n0.evaluate(0.0, x), config.z0.evaluate(0.0, x), config.v0
     )
-    reference_rows(trait, config.A, kinetic_moments(state).Z, state.t)
-    return state
 
 
 def max_stable_dt(
@@ -354,7 +331,9 @@ def run_sim(
     env: Environment,
     t_end: float,
 ) -> KineticTrajectory:
-    """Every snapshot of sim_snapshots, kept, with its moments and leak mark."""
+    """Every snapshot of sim_snapshots, kept, with its moments and leak mark.
+    No command runs it (see experiments.reduced_snapshots): it is the tests'
+    collected reference and the benchmark tracer's retained-bytes hook."""
     diag = RunDiagnostics()
     snapshots, leak_marks = [], []
     for state in sim_snapshots(state0, params, env, t_end, diag):

@@ -1,10 +1,13 @@
 """Digests of what the benchmark workloads write, for byte-identity checks.
 
 Runs the command of every workload in `perfbench/run.py` (its WORKLOADS and
-ENTRY, read without change), and simulate-sim on the compare workload's
-configuration, which no workload runs, once each, in a fresh interpreter with
-SRC_ROOT/src first on the path and one BLAS thread, and prints per workload
-the exit code and the sha256 of the output tree, of stdout and of stderr.
+ENTRY, read without change), simulate-sim on the compare workload's
+configuration, which no workload runs, and compare on that configuration with
+a drifting optimal trait (DRIFT_ENV), which no workload has, so the drift
+terms of the SIM reaction substep and of the KBM optimum are covered too.
+Each runs once, in a fresh interpreter with SRC_ROOT/src first on the path
+and one BLAS thread, and the tool prints per run the exit code and the sha256
+of the output tree, of stdout and of stderr.
 The outputs echo the resolved config, output directory included, so every
 run writes to one fixed path under the system's temporary directory; two
 digests running at once would overwrite each other.  The file is not
@@ -36,6 +39,10 @@ import tempfile
 
 RUN_PY = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 WORK = os.path.join(tempfile.gettempdir(), "simkbm-output-digest")
+# The compare workload's environment with its optimal trait drifting at rate 0.5.
+DRIFT_ENV = {
+    "kind": "sinusoidal_plus_drift", "offset": 0.0, "amplitude": 0.5, "wavenumber": 1, "rate": 0.5
+}
 
 
 def load_bench():
@@ -67,11 +74,15 @@ def main(argv=None) -> int:
     out_dir = os.path.join(WORK, "out")
     compare = bench.WORKLOADS["compare"]
     sim = dataclasses.replace(compare, name="simulate-sim", command="simulate-sim")
-    for name, wl in {**bench.WORKLOADS, sim.name: sim}.items():
+    runs = [(name, wl, wl.config()) for name, wl in {**bench.WORKLOADS, sim.name: sim}.items()]
+    drift = compare.config()
+    drift["physical"]["env"] = DRIFT_ENV
+    runs.append(("compare-drift", compare, drift))
+    for name, wl, doc in runs:
         shutil.rmtree(WORK, ignore_errors=True)
         os.makedirs(WORK)
         with open(config_path, "w") as fh:
-            json.dump(wl.config(), fh)
+            json.dump(doc, fh)
         proc = subprocess.run(
             [sys.executable, "-c", bench.ENTRY, *wl.cli_args(config_path, out_dir, args.seed)],
             cwd=WORK,

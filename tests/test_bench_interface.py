@@ -7,8 +7,8 @@ here rather than at the benchmark gate.  Every workload runs once, in a
 subprocess, at the harness self-test's tiny sizes; nothing under perfbench/
 is written.
 
-No workload calls run_sim: compare and gamma-sweep stream their snapshots
-through sim_snapshots, and simulate-sim is not a workload.  So the
+No command calls run_sim: compare, gamma-sweep and simulate-sim reduce
+their snapshots on arrival through experiments.reduced_snapshots.  So the
 retained-bytes hook that traced.py puts on run_sim, which reads
 KineticTrajectory.snapshots, is called here directly.
 """

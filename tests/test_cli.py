@@ -4,6 +4,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -12,9 +13,11 @@ import pytest
 from simkbm import experiments, infinitesimal, sim_solver
 from simkbm.cli import main
 from simkbm.config import parse_config
+from simkbm.environment import Environment
 from simkbm.experiments import CompareResult
 from simkbm.infinitesimal import segregation_kernel
 from simkbm.output import read_csv, read_snapshot
+from simkbm.sim_solver import SimulationError
 
 SMALL_COMPARE = {
     "physical": {
@@ -83,7 +86,7 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def run_cli_fresh(*argv, cwd=None, env=()):
+def run_cli_fresh(*argv, cwd=None, env=(), timeout=120):
     """The CLI in a fresh interpreter, with this checkout's sources first on the path."""
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -94,7 +97,7 @@ def run_cli_fresh(*argv, cwd=None, env=()):
         env={**os.environ, "PYTHONPATH": path, **dict(env)},
         capture_output=True,
         text=True,
-        timeout=120,
+        timeout=timeout,
     )
 
 
@@ -368,7 +371,8 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert rc == 2 and err.count("\n") == 1, (command, err)
             assert "reference Gaussian" in err and "'t': 0.0" in err, (command, err)
-            # init_state raises before the first step, and nothing is written.
+            # The first gauss_dev, at t = 0, raises before the first step, and
+            # nothing is written.
             assert steps == [], command
             assert not (tmp_path / command).exists(), command
 
@@ -406,9 +410,9 @@ class TestExitCodes:
         assert all(line.startswith("warning: ") for line in lines[:-1]), proc.stderr
 
     def test_each_near_reference_warns_before_the_short_one(self, tmp_path, near_end_doc):
-        # init_state checks the initial references as gaussian_deviation does:
-        # one warning per distinct mean near the trait end, in column order up
-        # to the first column short of mass, then the error.
+        # The first gauss_dev checks the initial references: one warning per
+        # distinct mean near the trait end, in column order up to the first
+        # column short of mass, then the error.
         proc = run_cli_fresh(
             "compare", "--config", write_config(tmp_path, near_end_doc), "--out", str(tmp_path / "o")
         )
@@ -492,6 +496,45 @@ class TestRejectedAtParse:
         doc["physical"]["env"] = env
         err = assert_one_line_rejection(tmp_path, capsys, doc, commands=self.COMMANDS)
         assert "time steps" in err
+
+    @pytest.mark.parametrize("t_end", [1e7 + 0.3, 3e8 + 0.7, 1e200, 1e308])
+    def test_long_auto_dt_horizon_is_rejected_at_once(self, tmp_path, capsys, t_end):
+        # The auto step count is checked before the ceil, which overflowed at
+        # 1e308, and before the divisor search, which took 1.4 s at 1e7 + 0.3
+        # and had not ended after 20 s at the others.  A fresh interpreter
+        # runs first, so a parse that hangs fails the test.
+        doc = self.doc(t_end=t_end)
+        cfg = write_config(tmp_path, doc, "fresh.json")
+        proc = run_cli_fresh("compare", "--config", cfg, "--out", str(tmp_path / "o"), timeout=20)
+        assert proc.returncode == 1 and proc.stderr.count("\n") == 1, proc.stderr
+        start = time.perf_counter()
+        err = assert_one_line_rejection(tmp_path, capsys, doc, commands=self.COMMANDS)
+        assert time.perf_counter() - start < 1.0
+        assert "time steps" in err and "more than 1000000" in err
+
+    @pytest.mark.parametrize("wavenumber", [5, 10**20])
+    @pytest.mark.parametrize("key", ["env", "initial.N0", "initial.Z0"])
+    def test_wavenumber_above_half_the_space_points(self, tmp_path, capsys, key, wavenumber):
+        # On 8 points wavenumber 5 samples exactly as wavenumber 3 does, and
+        # 10**20 was accepted and echoed as given.
+        x = parse_config(self.doc(space_points=8)).space_grid().centers
+        k5, k3 = (Environment("sinusoidal_in_x", amplitude=1.0, wavenumber=k) for k in (5, 3))
+        assert np.abs(k5.evaluate(0.0, x) - k3.evaluate(0.0, x)).max() <= 1e-12
+
+        def document(k):
+            doc = self.doc(space_points=8, trait_points=64)
+            field = {"kind": "sinusoidal", "offset": 1.0, "amplitude": 0.1, "wavenumber": k}
+            if key == "env":
+                doc["physical"]["env"] = {**field, "kind": "sinusoidal_in_x"}
+            else:
+                doc["physical"]["initial"] = {key.split(".")[1]: field}
+            return doc
+
+        err = assert_one_line_rejection(
+            tmp_path, capsys, document(wavenumber), commands=self.COMMANDS
+        )
+        assert f"physical.{key}.wavenumber" in err and "numerical.space_points = 8" in err
+        assert parse_config(document(4)).space_points == 8
 
     @pytest.mark.parametrize("A", [2.24, 0.855])
     def test_fixed_point_gaussian_short_of_mass(self, tmp_path, capsys, A):
@@ -665,6 +708,28 @@ class TestSimulateCommands:
         assert hb["kind"] == "sim" and hb["t"] == pytest.approx(0.4)
         assert mb.shape == (32, 128)
         assert np.abs(mb - mt).max() == 0.0  # repr round-trips doubles exactly
+
+    def test_sim_stops_at_the_first_failing_gauss_dev(
+        self, tmp_path, capsys, monkeypatch, count_calls
+    ):
+        # Each snapshot is reduced before the next step: a gauss_dev failure at
+        # snapshot 1 (t = 0.1) comes after one cadence of 25 steps, not after
+        # the whole run, and no file is written.
+        calls, deviation = [], experiments.gaussian_deviation
+
+        def failing_at_snapshot_1(state, *args):
+            calls.append(state.t)
+            if len(calls) == 2:
+                raise SimulationError("planted gauss_dev failure", {"t": state.t})
+            return deviation(state, *args)
+
+        monkeypatch.setattr(experiments, "gaussian_deviation", failing_at_snapshot_1)
+        counts = count_calls(sim_solver, "sim_step")
+        cfg = write_config(tmp_path, SMALL_COMPARE)
+        assert run_cli("simulate-sim", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        assert "planted" in capsys.readouterr().err
+        assert calls == pytest.approx([0.0, 0.1]) and counts["sim_step"] == 25
+        assert not (tmp_path / "o").exists()
 
     def test_kbm_snapshots_carry_all_fields(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

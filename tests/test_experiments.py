@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from simkbm.config import parse_config
 from simkbm.diagnostics import burn_in_time, gaussian_deviation, holder_quotient, kbm_residuals
 from simkbm.experiments import _windowed_sup, run_compare
 from simkbm.kbm_solver import init_macro, run_kbm
-from simkbm.sim_solver import SimulationError, init_state, run_sim
+from simkbm.sim_solver import RunDiagnostics, SimulationError, init_state, kinetic_moments, run_sim
 
 DT = 0.004
 DOC = {
@@ -134,3 +135,32 @@ class TestStreamedCompare:
             run_compare(config_with())
         assert calls == pytest.approx([0.0, 0.02])
         assert counts["sim_step"] == 5
+
+
+class TestReducedSnapshots:
+    def test_short_reference_raises_at_snapshot_0_before_any_step(self, near_end_doc, count_calls):
+        # The first gauss_dev, at t = 0, checks the references: the warnings
+        # and the error of gaussian_deviation on the initial state, with no
+        # step taken.
+        config = parse_config(near_end_doc)
+        state = init_state(config)
+        moms = kinetic_moments(state)
+        counts = count_calls(sim_solver, "sim_step")
+        runs = (
+            lambda: gaussian_deviation(state, config.A, moms.N, moms.Z),
+            lambda: next(
+                experiments.reduced_snapshots(config, config.sim_params(), RunDiagnostics())
+            ),
+        )
+        raised = []
+        for run in runs:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(SimulationError) as err:
+                    run()
+            raised.append((str(err.value), err.value.report, [str(w.message) for w in caught]))
+        assert raised[0] == raised[1]
+        message, report, shown = raised[0]
+        assert "at Z = -0.166294 holds mass 0.99999998" in message and report["t"] == 0.0
+        assert len(shown) == 11 and "Gaussian mean -0.166294 " in shown[-1]
+        assert counts["sim_step"] == 0

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from simkbm import (
     SimulationError,
     TorusGrid,
     TraitGrid,
-    gaussian_deviation,
     gaussian_initial_state,
     init_state,
     kinetic_moments,
@@ -97,28 +95,6 @@ class TestInitialState:
         )
         state = gaussian_initial_state(space64, trait, n0, z0, 0.8)
         assert np.array_equal(state.n, n0[:, None] * prof)
-
-    def test_short_reference_raises_as_gaussian_deviation_does(self, near_end_doc):
-        # Both check the references through reference_rows: the same warnings,
-        # then the same error at the first column short of mass.
-        config = parse_config(near_end_doc)
-        space, trait = config.space_grid(), config.trait_grid()
-        x = space.centers
-        n0, z0 = config.n0.evaluate(0.0, x), config.z0.evaluate(0.0, x)
-        state = gaussian_initial_state(space, trait, n0, z0, config.v0)
-        moms = kinetic_moments(state)
-        raised = []
-        checks = ((init_state, (config,)), (gaussian_deviation, (state, 1.0, moms.N, moms.Z)))
-        for check, args in checks:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                with pytest.raises(SimulationError) as err:
-                    check(*args)
-            raised.append((str(err.value), err.value.report, [str(w.message) for w in caught]))
-        assert raised[0] == raised[1]
-        message, report, shown = raised[0]
-        assert "at Z = -0.166294 holds mass 0.99999998" in message and report["t"] == 0.0
-        assert len(shown) == 11 and "Gaussian mean -0.166294 " in shown[-1]
 
     def test_sinusoidal_mean_recovered(self, space64):
         trait = TraitGrid(-8.5, 8.5, 512)
