@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 configuration error, 2 runtime invariant violation,
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import os
 import sys
@@ -32,14 +33,8 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="simkbm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("simulate-sim", "integrate the kinetic model and write snapshots"),
-        ("simulate-kbm", "integrate the macroscopic model and write snapshots"),
-        ("compare", "run both models from matched initial data and write error series"),
-        ("gamma-sweep", "compare across a list of gammas and fit decay exponents"),
-        ("check-operator", "run the reproduction-operator property suite"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", required=True, help="path to the JSON run configuration")
         p.add_argument("--out", default=None, help="output directory (overrides the config)")
         p.add_argument("--text", action="store_true", help="write snapshots as CSV, not binary")
@@ -49,16 +44,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# The fixed-name files each command writes into the output directory.  The
-# simulate commands also write their snapshots into _SNAPSHOT_DIR, and
-# gamma-sweep writes compare's files into one _member_dir per gamma.
-_OUTPUT_FILES = {
-    "simulate-sim": ("sim_series.csv", "sim_summary.json"),
-    "simulate-kbm": ("kbm_series.csv", "kbm_summary.json"),
-    "compare": ("compare_series.csv", "compare_summary.json"),
-    "gamma-sweep": ("sweep.csv", "sweep_summary.json"),
-    "check-operator": ("operator_report.json",),
-}
+# Besides their files in _COMMANDS, the simulate commands write snapshots into
+# _SNAPSHOT_DIR, and gamma-sweep writes compare's files into one _member_dir per gamma.
 _SNAPSHOT_DIR = "snapshots"
 
 
@@ -77,7 +64,7 @@ def _check_layout(command, config):
     gammas share a directory."""
     out = config.out_dir
     dirs = (_SNAPSHOT_DIR,) if command.startswith("simulate-") else ()
-    files = _OUTPUT_FILES[command]
+    files = _COMMANDS[command].files
     if command == "gamma-sweep":
         members = {}
         for g in config.gamma_list or ():
@@ -89,7 +76,7 @@ def _check_layout(command, config):
                 )
             members[d] = g
         dirs = tuple(members)
-        files = tuple(os.path.join(d, f) for d in dirs for f in _OUTPUT_FILES["compare"]) + files
+        files = tuple(os.path.join(d, f) for d in dirs for f in _COMMANDS["compare"].files) + files
     for path in (out, *(os.path.join(out, d) for d in dirs)):
         try:
             os.stat(os.path.join(path, ""))
@@ -136,9 +123,14 @@ def _load_config(args) -> RunConfig:
     return config
 
 
-def _summary(command, doc, **fields):
-    """A command's summary document: its name, the format version and the config echo."""
-    return {"command": command, "format_version": FORMAT_VERSION, "config": doc, **fields}
+def _write_outputs(out, command, doc, series=None, **fields):
+    """The fixed-name files of `command` in out: its series, a (header, columns) pair, if
+    it has one, then its summary of name, format version, config echo and fields."""
+    *series_file, summary_file = _COMMANDS[command].files
+    if series is not None:
+        write_csv(os.path.join(out, *series_file), *series)
+    summary = {"command": command, "format_version": FORMAT_VERSION, "config": doc, **fields}
+    write_json(os.path.join(out, summary_file), summary)
 
 
 def _write_run(config, kind, fields, meta, header, cols, **summary):
@@ -150,17 +142,14 @@ def _write_run(config, kind, fields, meta, header, cols, **summary):
     for idx, (t, field) in enumerate(zip(cols[0], fields)):
         path = os.path.join(snap_dir, _snapshot_name(kind, idx))
         write_snapshot(path, kind, t, field, meta, doc, text=config.text)
-    series, summary_file = _OUTPUT_FILES[f"simulate-{kind}"]
-    write_csv(os.path.join(out, series), header, cols)
-    summary = _summary(f"simulate-{kind}", doc, snapshots=len(cols[0]), **summary)
-    write_json(os.path.join(out, summary_file), summary)
+    _write_outputs(out, f"simulate-{kind}", doc, (header, cols), snapshots=len(cols[0]), **summary)
 
 
 def _space_meta(space):
     return {"points": space.points_per_dim, "period": space.period}
 
 
-def _cmd_simulate_sim(config: RunConfig) -> int:
+def _cmd_simulate_sim(config: RunConfig, args) -> int:
     params = config.sim_params()  # exit 1 without a single gamma, before the run can exit 2
     space, trait = config.space_grid(), config.trait_grid()
     diag = RunDiagnostics()
@@ -183,7 +172,7 @@ def _cmd_simulate_sim(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_simulate_kbm(config: RunConfig) -> int:
+def _cmd_simulate_kbm(config: RunConfig, args) -> int:
     state0 = init_macro(config)
     traj = run_kbm(state0, config.env, config.A, config.dt, config.t_end, config.snapshot_dt)
     N, Z = traj.N, traj.Z
@@ -196,52 +185,65 @@ def _cmd_simulate_kbm(config: RunConfig) -> int:
 
 
 def _write_compare(out_dir, doc, result) -> None:
-    header, cols = result.series_columns()
-    series, summary = _OUTPUT_FILES["compare"]
-    write_csv(os.path.join(out_dir, series), header, cols)
     fields = {k: getattr(result, k) for k in ("gamma", "t_burn", "sups", "holder")}
-    write_json(os.path.join(out_dir, summary), _summary("compare", doc, **fields))
+    _write_outputs(out_dir, "compare", doc, result.series_columns(), **fields)
 
 
-def _cmd_compare(config: RunConfig) -> int:
+def _cmd_compare(config: RunConfig, args) -> int:
     result = run_compare(config)
     _write_compare(ensure_dir(config.out_dir), config.to_dict(), result)
     return 0
 
 
-def _cmd_gamma_sweep(config: RunConfig, jobs: int) -> int:
-    report, results = run_gamma_sweep(config, jobs=jobs)
+def _cmd_gamma_sweep(config: RunConfig, args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"argument --jobs: must be at least 1, got {args.jobs}")
+    report, results = run_gamma_sweep(config, jobs=args.jobs)
     out = ensure_dir(config.out_dir)
     doc = config.to_dict()
     for gamma, result in sorted(results.items()):
         _write_compare(ensure_dir(os.path.join(out, _member_dir(gamma))), doc, result)
     header = ["gamma"] + list(report.errors)
     cols = [np.asarray(report.gammas)] + [np.asarray(report.errors[f]) for f in report.errors]
-    series, summary = _OUTPUT_FILES["gamma-sweep"]
-    write_csv(os.path.join(out, series), header, cols)
-    fields = dataclasses.asdict(report)
-    write_json(os.path.join(out, summary), _summary("gamma-sweep", doc, **fields))
+    _write_outputs(out, "gamma-sweep", doc, (header, cols), **dataclasses.asdict(report))
     return 0
 
 
-def _cmd_check_operator(config: RunConfig) -> int:
+def _cmd_check_operator(config: RunConfig, args) -> int:
     checks = run_all(config.A, config.trait_grid(), config.seed)
     passed = all(c.passed for c in checks)
-    report = _summary(
-        "check-operator", config.to_dict(), checks=[c.to_dict() for c in checks], all_passed=passed
-    )
-    write_json(os.path.join(ensure_dir(config.out_dir), _OUTPUT_FILES["check-operator"][0]), report)
+    report = {"checks": [c.to_dict() for c in checks], "all_passed": passed}
+    _write_outputs(ensure_dir(config.out_dir), "check-operator", config.to_dict(), **report)
     for c in checks:
         status = "pass" if c.passed else "FAIL"
         print(f"{status:4s}  {c.name}: worst {c.worst:.3e} vs tolerance {c.tolerance:.3e}")
     return 0 if passed else 3
 
 
+# Each command's handler, called with (config, args), its help line and the
+# fixed-name files it writes into the output directory, its summary last.
+_Command = collections.namedtuple("_Command", "run help files")
 _COMMANDS = {
-    "simulate-sim": _cmd_simulate_sim,
-    "simulate-kbm": _cmd_simulate_kbm,
-    "compare": _cmd_compare,
-    "check-operator": _cmd_check_operator,
+    "simulate-sim": _Command(
+        _cmd_simulate_sim, "integrate the kinetic model and write snapshots",
+        ("sim_series.csv", "sim_summary.json"),
+    ),
+    "simulate-kbm": _Command(
+        _cmd_simulate_kbm, "integrate the macroscopic model and write snapshots",
+        ("kbm_series.csv", "kbm_summary.json"),
+    ),
+    "compare": _Command(
+        _cmd_compare, "run both models from matched initial data and write error series",
+        ("compare_series.csv", "compare_summary.json"),
+    ),
+    "gamma-sweep": _Command(
+        _cmd_gamma_sweep, "compare across a list of gammas and fit decay exponents",
+        ("sweep.csv", "sweep_summary.json"),
+    ),
+    "check-operator": _Command(
+        _cmd_check_operator, "run the reproduction-operator property suite",
+        ("operator_report.json",),
+    ),
 }
 
 
@@ -255,10 +257,7 @@ def main(argv=None) -> int:
     warnings.formatwarning = _format_warning
     try:
         args = _build_parser().parse_args(argv)
-        config = _load_config(args)
-        if args.command == "gamma-sweep":
-            return _cmd_gamma_sweep(config, jobs=max(1, args.jobs))
-        return _COMMANDS[args.command](config)
+        return _COMMANDS[args.command].run(_load_config(args), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

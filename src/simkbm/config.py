@@ -19,7 +19,7 @@ from .grids import TorusGrid, TraitGrid
 from .infinitesimal import KERNEL_MASS_DEFECT_TOL, segregation_kernel
 from .measures import PROBABILITY_TOL, gaussian_rows
 from .property_checks import fixed_point_centers
-from .sim_solver import INIT_MARGIN_SIGMAS, SimParams, max_stable_dt
+from .sim_solver import INIT_MARGIN_SIGMAS, SimParams, max_stable_dt, plan_steps
 
 TRAIT_MARGIN_SIGMAS = 8.0
 # 400 times the standard run; a trait grid far from the optimal trait makes
@@ -186,9 +186,12 @@ class RunConfig:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _near_multiple(total: float, step: float) -> bool:
-    k = round(total / step)
-    return k >= 1 and abs(total - k * step) <= 1e-9 * max(1.0, step)
+def _plan(t_end: float, dt: float, snapshot_dt: float, rule: str) -> tuple:
+    """sim_solver.plan_steps from 0 to t_end; its ValueError a ConfigError "numerical.<rule>"."""
+    try:
+        return plan_steps(0.0, t_end, dt, snapshot_dt)
+    except ValueError:
+        raise ConfigError(f"numerical.{rule}") from None
 
 
 def _capped_steps(n_steps, dt: float):
@@ -387,8 +390,8 @@ def parse_config(source) -> RunConfig:
                 f"numerical.dt = {dt:g} exceeds the stability bound {dt_cap:.6g} "
                 "for this trait grid and environment"
             )
-        if not _near_multiple(t_end, dt):
-            raise ConfigError("numerical.t_end must be an integer multiple of dt")
+        # A cadence of t_end: the horizon is a whole number of steps, at least one.
+        n_steps, _ = _plan(t_end, dt, t_end, "t_end must be an integer multiple of dt")
 
     h = period / space_points
     try:
@@ -401,11 +404,9 @@ def parse_config(source) -> RunConfig:
             "not finite: numerical.period is out of range"
         )
 
-    n_steps = _capped_steps(round(t_end / dt), dt)
-    # The cadence, in steps, must divide the step count (sim_solver.plan_steps).
+    _capped_steps(n_steps, dt)
     snapshot_dt = num.get("snapshot_dt", "auto")
-    auto = snapshot_dt == "auto"
-    if auto:
+    if snapshot_dt == "auto":
         # About 100 snapshots: the largest divisor of the step count up to t_end / (100 dt).
         target = max(1, round(t_end / (100.0 * dt)))
         every = _auto_cadence(n_steps, target)
@@ -421,11 +422,8 @@ def parse_config(source) -> RunConfig:
         snapshot_dt = dt * every
     else:
         snapshot_dt = _get_number(num, "snapshot_dt", "numerical", positive=True)
-        if not _near_multiple(snapshot_dt, dt):
-            raise ConfigError("numerical.snapshot_dt must be an integer multiple of dt")
-        every = round(snapshot_dt / dt)
-        if every > n_steps or n_steps % every:
-            raise ConfigError("numerical.snapshot_dt must divide t_end")
+        _plan(snapshot_dt, dt, snapshot_dt, "snapshot_dt must be an integer multiple of dt")
+        _, every = _plan(t_end, dt, snapshot_dt, "snapshot_dt must divide t_end")
     if n_steps // every + 1 > MAX_SNAPSHOTS:
         raise ConfigError(
             f"the run takes {n_steps // every + 1} snapshots, more than {MAX_SNAPSHOTS}: set "

@@ -281,23 +281,24 @@ class KineticTrajectory:
     diagnostics: RunDiagnostics
 
 
-def plan_steps(t0: float, t_end: float, dt: float, snapshot_dt: float) -> tuple:
-    """Step count and snapshot cadence (in steps) of a run from t0 to t_end.
+def _whole_steps(span: float, dt: float, name: str) -> int:
+    """span / dt, which must be a whole number up to roundoff (and so finite)."""
+    ratio = span / dt
+    if not (math.isfinite(ratio) and abs(span - round(ratio) * dt) <= 1e-9 * max(1.0, dt)):
+        raise ValueError(f"{name} must be an integer multiple of dt")
+    return round(ratio)
 
-    The horizon must be a whole number of steps and the cadence, capped at
-    the horizon, a whole number of steps dividing it, so snapshots are
-    uniformly spaced from t0 through t_end.
-    """
+
+def plan_steps(t0: float, t_end: float, dt: float, snapshot_dt: float) -> tuple:
+    """Step count and snapshot cadence (in steps) of a run from t0 to t_end, the package's
+    one whole-steps rule: each is a whole number of steps, the cadence at least one and
+    dividing the horizon, so snapshots are evenly spaced from t0 through t_end (or t0 alone)."""
     if t_end < t0 - 1e-12:
         raise ValueError("t_end lies before the initial time")
-    n_steps = int(round((t_end - t0) / dt))
-    if abs(t0 + n_steps * dt - t_end) > 1e-9 * max(1.0, dt):
-        raise ValueError("t_end - t0 must be an integer multiple of dt")
-    every = min(max(1, round(snapshot_dt / dt)), max(1, n_steps))
-    if n_steps % every:
-        raise ValueError(
-            f"the snapshot cadence ({every} steps) must divide the horizon ({n_steps} steps)"
-        )
+    n_steps = _whole_steps(t_end - t0, dt, "t_end - t0")
+    every = _whole_steps(snapshot_dt, dt, "snapshot_dt")
+    if not every or n_steps % every:
+        raise ValueError(f"the cadence ({every} steps) must be >= 1 and divide {n_steps} steps")
     return n_steps, every
 
 

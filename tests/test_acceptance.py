@@ -29,6 +29,7 @@ from simkbm import (
 )
 from simkbm.cli import main as cli_main
 from simkbm.experiments import run_gamma_sweep
+from simkbm import property_checks
 from simkbm.infinitesimal import W2_CONTRACTION, W4_CONTRACTION, contraction_ratio
 from simkbm.property_checks import (
     check_gaussian_fixed_point,
@@ -127,10 +128,11 @@ def test_criterion_3_conservation_and_variance_map():
     )
 
 
-def test_criterion_4_oracle_equivalence():
+def test_criterion_4_oracle_equivalence(monkeypatch):
     grid = TraitGrid(-8.0, 8.0, 512)
     rng = np.random.default_rng(27182)
-    reproduction = check_oracle_agreement(ReproductionKernel(1.0, grid), rng, n_measures=50)
+    monkeypatch.setattr(property_checks, "ORACLE_MEASURES", 50)
+    reproduction = check_oracle_agreement(ReproductionKernel(1.0, grid), rng)
     transport = check_wasserstein_oracle_agreement(grid, rng)
     ok = reproduction.passed and transport.passed
     assert report(

@@ -695,6 +695,16 @@ class TestConfigToRunContract:
         cfg = write_config(tmp_path, SMALL_COMPARE)
         assert run_cli("compare", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", "2") == 1
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_rejected(self, tmp_path, capsys, jobs):
+        doc = json.loads(json.dumps(SMALL_COMPARE))
+        del doc["physical"]["gamma"]
+        doc["physical"]["gamma_list"] = [4.0, 8.0, 16.0]
+        err = assert_one_line_rejection(
+            tmp_path, capsys, doc, "--jobs", jobs, commands=("gamma-sweep",)
+        )
+        assert f"--jobs: must be at least 1, got {jobs}" in err
+
 
 class TestSimulateCommands:
     def test_snapshot_round_trip_binary_and_text(self, tmp_path, monkeypatch):

@@ -102,9 +102,18 @@ class TestParsing:
         with pytest.raises(ConfigError, match="stability bound"):
             parse_config(doc(**{"numerical.dt": 0.05}))
 
-    def test_t_end_must_be_multiple_of_dt(self):
-        with pytest.raises(ConfigError, match="multiple of dt"):
-            parse_config(doc(**{"numerical.dt": 0.003, "numerical.t_end": 0.01}))
+    # A step ratio that overflows a float is not a whole number of steps either.
+    @pytest.mark.parametrize("dt,t_end", [(0.003, 0.01), (0.001, 1e308), (1e-320, 1.0)])
+    def test_t_end_must_be_multiple_of_dt(self, dt, t_end):
+        with pytest.raises(ConfigError, match="numerical.t_end must be an integer multiple of dt"):
+            parse_config(doc(**{"numerical.dt": dt, "numerical.t_end": t_end}))
+
+    @pytest.mark.parametrize("dt,snapshot_dt", [(0.002, 0.003), (0.001, 1e308), ("auto", 1e308)])
+    def test_snapshot_dt_must_be_multiple_of_dt(self, dt, snapshot_dt):
+        with pytest.raises(
+            ConfigError, match="numerical.snapshot_dt must be an integer multiple of dt"
+        ):
+            parse_config(doc(**{"numerical.dt": dt, "numerical.snapshot_dt": snapshot_dt}))
 
     def test_snapshot_dt_must_divide_t_end(self):
         for snapshot_dt in (0.3, 1.4):
@@ -113,6 +122,11 @@ class TestParsing:
                     doc(**{"numerical.dt": 0.002, "numerical.t_end": 0.7,
                            "numerical.snapshot_dt": snapshot_dt})
                 )
+
+    def test_horizon_over_the_step_cap_by_roundoff_is_accepted(self):
+        # t_end / dt is 1000000.0000001, which rounds to the cap of 10^6 steps.
+        cfg = parse_config(doc(**{"numerical.t_end": 1000.0000000001, "numerical.dt": 0.001}))
+        assert (cfg.t_end, cfg.dt, cfg.snapshot_dt) == (1000.0000000001, 0.001, 10.0)
 
     def test_auto_cadence_divides_the_step_count(self):
         # 350 steps: t_end / (100 dt) rounds to 3, which does not divide 350.

@@ -134,6 +134,7 @@ _OFF_CENTER = {"initial": {"Z0": {"kind": "constant", "value": 3.5}}}
 # a V0 small enough for the initial columns to fit it.
 _NARROW_BOUNDS = {**_SHORT_BOUNDS, "t_end": 0.2, "trait_bounds": [-6.63, 4.27]}
 _SMALL_V0 = {"initial": {"V0": 0.5}}
+_GAMMA_8 = {"A": 1, "gamma": 8}
 
 
 @settings(max_examples=25, derandomize=True, deadline=None, database=None)
@@ -155,6 +156,14 @@ _SMALL_V0 = {"initial": {"V0": 0.5}}
     }
 )
 @example(doc={"physical": {"A": 1.0, "gamma": 8.0}, "numerical": {"dt": 1e-6, "t_end": 1000.0}})
+# Step ratios that overflow a float: not a whole number of steps, exit 1.
+@example(doc={"physical": _GAMMA_8, "numerical": {"t_end": 1e308, "dt": 0.001}})
+@example(doc={"physical": _GAMMA_8, "numerical": {"t_end": 1e300, "dt": 1e-300}})
+@example(doc={"physical": _GAMMA_8, "numerical": {"t_end": 1.0, "dt": 1e-320}})
+@example(
+    doc={"physical": _GAMMA_8, "numerical": {"t_end": 1.0, "dt": 0.001, "snapshot_dt": 1e308}}
+)
+@example(doc={"physical": _GAMMA_8, "numerical": {"t_end": 1.0, "snapshot_dt": 1e308}})
 def test_every_command_honours_the_exit_contract(tmp_path_factory, doc):
     try:
         config = parse_config(doc)

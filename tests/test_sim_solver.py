@@ -28,6 +28,7 @@ from simkbm.sim_solver import (
     _reaction_substep,
     _reproduction_substep,
     max_stable_dt,
+    plan_steps,
     sim_snapshots,
 )
 
@@ -236,6 +237,33 @@ class TestReactionFactorization:
             assert np.abs(factored / literal - 1.0).max() <= 1e-13, k
 
 
+class TestPlanSteps:
+    def test_plans_whole_steps(self):
+        assert plan_steps(0.0, 1.0, 0.001, 0.01) == (1000, 10)
+        assert plan_steps(0.5, 1.0, 0.1, 0.1) == (5, 1)
+        # A zero horizon keeps the initial snapshot, whatever the cadence.
+        assert plan_steps(0.0, 0.0, 0.002, 0.1) == (0, 50)
+
+    @pytest.mark.parametrize(
+        "t_end,dt,snapshot_dt,message",
+        [
+            (1e308, 0.001, 0.01, "t_end - t0 must be an integer multiple of dt"),
+            (1.0, 1e-320, 1e-320, "t_end - t0 must be an integer multiple of dt"),
+            (1.0, 0.001, 1e308, "snapshot_dt must be an integer multiple of dt"),
+            (0.03, 0.002, 0.003, "snapshot_dt must be an integer multiple of dt"),
+            (1.0, 0.001, 1e-12, "must be >= 1 and divide"),
+            (0.02, 0.002, 0.03, "must be >= 1 and divide"),
+        ],
+        ids=[
+            "overflowing-horizon", "overflowing-horizon-tiny-dt", "overflowing-cadence",
+            "fractional-cadence", "cadence-below-one-step", "cadence-beyond-horizon",
+        ],
+    )
+    def test_rejects_with_value_error(self, t_end, dt, snapshot_dt, message):
+        with pytest.raises(ValueError, match=message):
+            plan_steps(0.0, t_end, dt, snapshot_dt)
+
+
 class TestRunSim:
     def test_zero_horizon_returns_initial_snapshot(self, small_grids):
         space, trait = small_grids
@@ -245,14 +273,12 @@ class TestRunSim:
         assert len(traj.snapshots) == 1
         assert traj.times[0] == 0.0
 
-    def test_cadence_beyond_horizon_gives_first_and_last(self, small_grids):
+    def test_rejects_cadence_beyond_horizon(self, small_grids):
         space, trait = small_grids
         state = gaussian_initial_state(space, trait, np.ones(16), np.zeros(16), 1.0)
         params = SimParams(A=1.0, gamma=8.0, dt=2e-3, snapshot_dt=10.0)
-        traj = run_sim(state, params, CONST_ENV, 0.02)
-        assert len(traj.snapshots) == 2
-        assert traj.times[0] == 0.0
-        assert traj.times[-1] == pytest.approx(0.02)
+        with pytest.raises(ValueError, match="divide"):
+            run_sim(state, params, CONST_ENV, 0.02)
 
     def test_rejects_horizon_not_multiple_of_dt(self, small_grids):
         space, trait = small_grids
