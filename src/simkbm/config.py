@@ -204,12 +204,13 @@ def _capped_steps(n_steps, dt: float):
     return n_steps
 
 
-def _auto_cadence(n_steps: int, target: int) -> int:
-    """The largest divisor of n_steps up to target: the "auto" snapshot cadence, in steps."""
-    every = target
+def _auto_cadence(n_steps: int) -> tuple:
+    """The "auto" snapshot cadence of an n_steps horizon and its target, in steps: the largest
+    divisor of n_steps up to the target round(n_steps / 100), for about 100 snapshots."""
+    target = every = max(1, round(n_steps / 100))
     while n_steps % every:
         every -= 1
-    return every
+    return every, target
 
 
 def load_document(source) -> dict:
@@ -377,8 +378,8 @@ def parse_config(source) -> RunConfig:
     if dt == "auto":
         # Capped before the ceil and the divisor search, which a huge count overflows or stalls.
         n_steps = max(1, math.ceil(_capped_steps(t_end / (0.5 * dt_cap), 0.5 * dt_cap)))
-        target = max(1, round(n_steps / 100))
-        if num.get("snapshot_dt", "auto") == "auto" and _auto_cadence(n_steps, target) < target / 2:
+        every, target = _auto_cadence(n_steps)
+        if num.get("snapshot_dt", "auto") == "auto" and every < target / 2:
             # E.g. a prime step count: round it up to a multiple of the "auto"
             # cadence.  The smaller dt stays under the stability bound.
             n_steps += -n_steps % target
@@ -407,9 +408,7 @@ def parse_config(source) -> RunConfig:
     _capped_steps(n_steps, dt)
     snapshot_dt = num.get("snapshot_dt", "auto")
     if snapshot_dt == "auto":
-        # About 100 snapshots: the largest divisor of the step count up to t_end / (100 dt).
-        target = max(1, round(t_end / (100.0 * dt)))
-        every = _auto_cadence(n_steps, target)
+        every, target = _auto_cadence(n_steps)
         if every < target / 2:
             # A dt the document sets, e.g. with a prime step count: only every
             # step, or t_end itself, divides it.  An auto dt never gets here.

@@ -27,14 +27,6 @@ class SweepReport:
     c_hat: dict
     r2: dict
 
-    def __post_init__(self):
-        g = np.asarray(self.gammas, dtype=float)
-        if len(g) >= 2 and not np.all(np.diff(g) > 0):
-            raise ValueError("gammas must be strictly increasing")
-        for family, vals in self.errors.items():
-            if np.any(np.asarray(vals) < 0):
-                raise ValueError(f"negative error in family {family!r}")
-
 
 def gaussian_deviation(state: KineticState, A: float, N: np.ndarray, Z: np.ndarray) -> float:
     """max over x of W2(profile(x, .), Gaussian of variance A centered at Z(x)).

@@ -81,19 +81,6 @@ class MomentSummary:
     variance: float
     fourth_central: float
 
-    def __post_init__(self):
-        if not self.mass > 0:
-            raise ValueError("mass must be positive")
-        if self.variance < 0:
-            raise ValueError("variance must be nonnegative")
-        # Jensen: E[(y-m)^4] >= (E[(y-m)^2])^2, up to rounding.
-        slack = max(1e-12, 1e-9 * self.variance**2)
-        if self.fourth_central < self.variance**2 - slack:
-            raise ValueError(
-                "fourth central moment below variance squared: "
-                f"{self.fourth_central:.6e} < {self.variance**2:.6e}"
-            )
-
 
 def gaussian_on_grid(mean: float, variance: float, grid: TraitGrid) -> GridMeasure:
     """Sample the normalized Gaussian of the given mean and variance at cell centers.

@@ -5,6 +5,8 @@ ENTRY, read without change), simulate-sim on the compare workload's
 configuration, which no workload runs, and compare on that configuration with
 a drifting optimal trait (DRIFT_ENV), which no workload has, so the drift
 terms of the SIM reaction substep and of the KBM optimum are covered too.
+A last compare leaves that configuration's dt and snapshot_dt "auto" (174
+steps), so the parser's time planner is covered as well.
 Each runs once, in a fresh interpreter with SRC_ROOT/src first on the path
 and one BLAS thread, and the tool prints per run the exit code and the sha256
 of the output tree, of stdout and of stderr.
@@ -78,6 +80,10 @@ def main(argv=None) -> int:
     drift = compare.config()
     drift["physical"]["env"] = DRIFT_ENV
     runs.append(("compare-drift", compare, drift))
+    auto = compare.config()
+    for key in ("dt", "snapshot_dt"):
+        del auto["numerical"][key]
+    runs.append(("compare-auto", compare, auto))
     for name, wl, doc in runs:
         shutil.rmtree(WORK, ignore_errors=True)
         os.makedirs(WORK)

@@ -129,12 +129,26 @@ class TestParsing:
         assert (cfg.t_end, cfg.dt, cfg.snapshot_dt) == (1000.0000000001, 0.001, 10.0)
 
     def test_auto_cadence_divides_the_step_count(self):
-        # 350 steps: t_end / (100 dt) rounds to 3, which does not divide 350.
+        # 350 steps: the target round(350 / 100) = 4 does not divide 350.
         cfg = parse_config(doc(**{"numerical.dt": 0.002, "numerical.t_end": 0.7}))
         assert cfg.snapshot_dt == 0.002 * 2
-        # Where the rounded pick divides the step count, it is kept as is.
+        # Where the target divides the step count, it is kept as is.
         cfg = parse_config(doc(**{"numerical.dt": 0.002, "numerical.t_end": 1.0}))
         assert cfg.snapshot_dt == 0.002 * 5
+
+    # 150 steps aim at round(150 / 100) = 2, so snapshot_dt is 0.004, although
+    # in floats t_end / (100 dt) = 1.4999999999999998 would round to 1.
+    @pytest.mark.parametrize("t_end, n_steps", [(0.3, 150), (0.7, 350), (20.014, 10007)])
+    def test_auto_cadence_is_the_largest_divisor_up_to_the_target(self, t_end, n_steps):
+        target = round(n_steps / 100)
+        every = max(d for d in range(1, target + 1) if n_steps % d == 0)
+        document = doc(**{"numerical.dt": 0.002, "numerical.t_end": t_end})
+        if every < target / 2:  # 10007 is prime
+            message = rf"= {target} \(the largest up to it is {every}\)"
+            with pytest.raises(ConfigError, match=message):
+                parse_config(document)
+        else:
+            assert parse_config(document).snapshot_dt == 0.002 * every
 
     def test_trait_bounds_need_initial_headroom(self):
         # V0 = 1 needs 4 units on either side of Z0 = 0.  A = 0.25 keeps the

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from simkbm.cli import main
 from simkbm.config import ConfigError, parse_config
+from simkbm.sim_solver import plan_steps
 
 COMMANDS = ("simulate-sim", "simulate-kbm", "compare", "gamma-sweep", "check-operator")
 
@@ -105,7 +106,8 @@ def documents(draw):
 
 
 def _allowed_exits(config, command):
-    too_few_snapshots = round(config.t_end / config.snapshot_dt) + 1 < 3
+    n_steps, every = plan_steps(0.0, config.t_end, config.dt, config.snapshot_dt)
+    too_few_snapshots = n_steps // every + 1 < 3
     if command == "check-operator":
         return {0}
     if command in ("simulate-sim", "compare") and config.gamma is None:

@@ -23,18 +23,12 @@ from simkbm import (
     run_kbm,
     run_sim,
 )
-from simkbm.diagnostics import SweepReport, burn_in_time
+from simkbm.diagnostics import burn_in_time
 from simkbm.measures import GridMeasure, gaussian_on_grid, wasserstein
 from simkbm.sim_solver import KineticState
 
 SIN_ENV = Environment(kind="sinusoidal_in_x", amplitude=0.5, wavenumber=1)
 ZERO_ENV = Environment(kind="constant", offset=0.0)
-
-
-class TestRecords:
-    def test_sweep_report_requires_increasing_gammas(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            SweepReport([4.0, 2.0], {"e": [1.0, 2.0]}, {}, {}, {})
 
 
 def gauss_dev(state, A):

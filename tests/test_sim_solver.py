@@ -49,9 +49,19 @@ class TestSimParams:
         with pytest.raises(ValueError, match=field):
             SimParams(**kwargs)
 
-    def test_snapshot_not_finer_than_dt(self):
-        with pytest.raises(ValueError, match="snapshot_dt"):
-            SimParams(A=1.0, gamma=8.0, dt=1e-2, snapshot_dt=1e-3)
+    def test_cadence_is_left_to_plan_steps(self, small_grids, count_calls):
+        # A cadence below one step constructs; plan_steps rejects it before the first step.
+        space, trait = small_grids
+        state = gaussian_initial_state(space, trait, np.ones(16), np.zeros(16), 1.0)
+        counts = count_calls(simkbm.sim_solver, "sim_step")
+        params = SimParams(A=1.0, gamma=8.0, dt=1e-2, snapshot_dt=1e-3)
+        with pytest.raises(ValueError, match="snapshot_dt must be an integer multiple of dt"):
+            run_sim(state, params, CONST_ENV, 0.02)
+        assert counts["sim_step"] == 0
+        # Within plan_steps' roundoff of one step, the cadence is one step.
+        params = SimParams(A=1.0, gamma=8.0, dt=2e-3, snapshot_dt=2e-3 - 5e-10)
+        traj = run_sim(state, params, CONST_ENV, 0.02)
+        assert counts["sim_step"] == 10 and len(traj.snapshots) == 11
 
     def test_dt_cap_independent_of_gamma(self):
         trait = TraitGrid(-8.5, 8.5, 128)
