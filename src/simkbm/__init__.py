@@ -7,20 +7,8 @@ as the reproduction rate grows.
 """
 
 from .grids import TorusGrid, TraitGrid
-from .measures import (
-    GridMeasure,
-    MomentSummary,
-    gaussian_on_grid,
-    moments,
-    wasserstein,
-    wasserstein_oracle,
-)
-from .infinitesimal import (
-    ReproductionKernel,
-    apply_T_fast,
-    apply_T_oracle,
-    contraction_ratio,
-)
+from .measures import GridMeasure, gaussian_on_grid, wasserstein, wasserstein_oracle
+from .infinitesimal import ReproductionKernel, apply_T_fast, apply_T_oracle
 from .environment import Environment
 from .sim_solver import (
     KineticState,
@@ -46,15 +34,12 @@ __all__ = [
     "TorusGrid",
     "TraitGrid",
     "GridMeasure",
-    "MomentSummary",
     "gaussian_on_grid",
-    "moments",
     "wasserstein",
     "wasserstein_oracle",
     "ReproductionKernel",
     "apply_T_fast",
     "apply_T_oracle",
-    "contraction_ratio",
     "Environment",
     "KineticState",
     "SimParams",

@@ -206,8 +206,8 @@ def _capped_steps(n_steps, dt: float):
 
 def _auto_cadence(n_steps: int) -> tuple:
     """The "auto" snapshot cadence of an n_steps horizon and its target, in steps: the largest
-    divisor of n_steps up to the target round(n_steps / 100), for about 100 snapshots."""
-    target = every = max(1, round(n_steps / 100))
+    divisor of n_steps up to the target n_steps / 100 rounded half up, for about 100 snapshots."""
+    target = every = max(1, (n_steps + 50) // 100)
     while n_steps % every:
         every -= 1
     return every, target

@@ -42,7 +42,7 @@ class Environment:
     def __post_init__(self):
         if self.kind not in ENV_KINDS:
             raise ValueError(f"unknown environment kind {self.kind!r}; choose from {ENV_KINDS}")
-        if self.wavenumber < 1 or int(self.wavenumber) != self.wavenumber:
+        if not 1 <= self.wavenumber < np.inf or int(self.wavenumber) != self.wavenumber:
             raise ValueError("wavenumber must be a positive integer")
         if not self.period > 0:
             raise ValueError("period must be positive")

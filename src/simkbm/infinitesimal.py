@@ -15,11 +15,10 @@ import warnings
 import numpy as np
 
 from .grids import TraitGrid
-from .measures import GridMeasure, moments, wasserstein
+from .measures import GridMeasure
 
 W2_CONTRACTION = 2.0 ** (-0.5)
 W4_CONTRACTION = 2.0 ** (-0.25)
-MEAN_MATCH_TOL = 1e-9
 KERNEL_MASS_DEFECT_TOL = 1e-10
 # Samples per FFT block in ReproductionKernel.apply_to_profiles: the kernel's
 # preallocated work blocks hold about 0.75 MiB, inside a core's L2 cache, where
@@ -159,25 +158,3 @@ def apply_T_oracle(mu: GridMeasure, kernel: ReproductionKernel) -> GridMeasure:
     weights = np.lib.stride_tricks.sliding_window_view(kernel.table[::-1], 2 * m - 1)[::-2]
     return GridMeasure(kernel.grid, weights @ midparent_mass)
 
-
-def contraction_ratio(
-    mu: GridMeasure, nu: GridMeasure, kernel: ReproductionKernel, p: int
-) -> float:
-    """W_p(T mu, T nu) / W_p(mu, nu) for equal-mean inputs.
-
-    The Tanaka inequality guarantees a factor <= 2^(-1/2) for p = 2 and its
-    fourth-order analogue <= 2^(-1/4) for p = 4, provided the means match.
-    """
-    if p not in (2, 4):
-        raise ValueError(f"contraction factor is only available for p in (2, 4), got {p}")
-    mean_mu = moments(mu).mean
-    mean_nu = moments(nu).mean
-    if abs(mean_mu - mean_nu) > MEAN_MATCH_TOL:
-        raise ValueError(
-            f"inputs must share their mean (got {mean_mu:.12f} vs {mean_nu:.12f})"
-        )
-    base = wasserstein(mu, nu, p)
-    if base == 0.0:
-        raise ValueError("inputs coincide: contraction ratio is undefined at distance 0")
-    mixed = wasserstein(apply_T_fast(mu, kernel), apply_T_fast(nu, kernel), p)
-    return mixed / base

@@ -20,9 +20,13 @@ PROBABILITY_TOL = 1e-8
 WASSERSTEIN_ORDERS = (1, 2, 4)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class GridMeasure:
-    """Nonnegative density (w.r.t. dy) sampled at the cell centers of a trait grid."""
+    """Nonnegative density (w.r.t. dy) sampled at the cell centers of a trait grid.
+
+    Measures compare and hash by identity: an ndarray field has no truth
+    value for the generated __eq__ to return.
+    """
 
     grid: TraitGrid
     density: np.ndarray
@@ -34,11 +38,12 @@ class GridMeasure:
                 f"density shape {dens.shape} does not match grid with {self.grid.points} cells"
             )
         object.__setattr__(self, "density", dens)
-        object.__setattr__(self, "_mass", float(require_rows(self.grid, dens[None])[0]))
+        require_rows(self.grid, dens[None])
 
     @property
     def mass(self) -> float:
-        return self._mass
+        """require_rows' mass of the density, bit for bit."""
+        return float(self.grid.spacing * self.density.sum())
 
     @property
     def cell_masses(self) -> np.ndarray:
@@ -74,14 +79,6 @@ def require_rows(grid: TraitGrid, rows: np.ndarray, probability: bool = False) -
     return mass
 
 
-@dataclasses.dataclass(frozen=True)
-class MomentSummary:
-    mass: float
-    mean: float
-    variance: float
-    fourth_central: float
-
-
 def gaussian_on_grid(mean: float, variance: float, grid: TraitGrid) -> GridMeasure:
     """Sample the normalized Gaussian of the given mean and variance at cell centers.
 
@@ -111,17 +108,12 @@ def gaussian_rows(means: np.ndarray, variance: float, grid: TraitGrid) -> np.nda
     return dens / np.sqrt(2.0 * np.pi * variance)
 
 
-def moments(mu: GridMeasure) -> MomentSummary:
-    """Mass, mean and central second / fourth moments by midpoint quadrature."""
-    mass, mean, variance, fourth = (float(v[0]) for v in moment_rows(mu.grid, mu.density[None]))
-    return MomentSummary(mass=mass, mean=mean, variance=variance, fourth_central=fourth)
-
-
 def moment_rows(grid: TraitGrid, density: np.ndarray) -> tuple:
-    """Mass, mean and central second and fourth moments of every density row.
+    """Mass, mean and central second and fourth moments of every density row,
+    by midpoint quadrature.
 
     Row sums along the last axis take the same additions as a sum over one
-    row, so row i holds the bits moments gives the measure of row i.
+    row, so row i holds the bits of the one-row call on density row i.
     """
     y = grid.centers
     w = density * grid.spacing

@@ -30,7 +30,7 @@ from simkbm import (
 from simkbm.cli import main as cli_main
 from simkbm.experiments import run_gamma_sweep
 from simkbm import property_checks
-from simkbm.infinitesimal import W2_CONTRACTION, W4_CONTRACTION, contraction_ratio
+from simkbm.infinitesimal import W2_CONTRACTION, W4_CONTRACTION
 from simkbm.property_checks import (
     check_gaussian_fixed_point,
     check_mass_conservation,
@@ -39,6 +39,7 @@ from simkbm.property_checks import (
     check_tanaka,
     check_variance_map,
     check_wasserstein_oracle_agreement,
+    tanaka_ratios,
 )
 
 GAMMAS = [2.0, 4.0, 8.0, 16.0, 32.0]
@@ -95,13 +96,10 @@ def test_criterion_2_tanaka_contraction():
     # One generator per exponent, so both see the same 100 pairs.
     w2 = check_tanaka(kernel, np.random.default_rng(24601), p=2)
     w4 = check_tanaka(kernel, np.random.default_rng(24601), p=4)
+    # Same-mean Gaussians of variance 1 and 4, through check_tanaka's ratio.
     fine = TraitGrid(-16.0, 16.0, 2048)
-    ratio = contraction_ratio(
-        gaussian_on_grid(0.0, 1.0, fine),
-        gaussian_on_grid(0.0, 4.0, fine),
-        ReproductionKernel(1.0, fine),
-        2,
-    )
+    pair = np.array([gaussian_on_grid(0.0, v, fine).density for v in (1.0, 4.0)])
+    (ratio,) = tanaka_ratios(ReproductionKernel(1.0, fine), pair, 2)
     spot = abs(ratio - (np.sqrt(2.5) - 1.0))
     ok = w2.passed and w4.passed and spot <= 1e-3
     assert report(

@@ -638,7 +638,7 @@ class TestRejectedAtParse:
 
 class TestConfigToRunContract:
     def test_auto_cadence_on_a_ragged_horizon(self, tmp_path, monkeypatch):
-        # 350 steps: the target round(350 / 100) = 4 does not divide them; 2 does.
+        # 350 steps: the target (350 + 50) // 100 = 4 does not divide them; 2 does.
         monkeypatch.chdir(tmp_path)
         doc = json.loads(json.dumps(SMALL_COMPARE))
         doc["numerical"].update({"dt": 0.002, "t_end": 0.7})

@@ -129,18 +129,21 @@ class TestParsing:
         assert (cfg.t_end, cfg.dt, cfg.snapshot_dt) == (1000.0000000001, 0.001, 10.0)
 
     def test_auto_cadence_divides_the_step_count(self):
-        # 350 steps: the target round(350 / 100) = 4 does not divide 350.
+        # 350 steps: the target (350 + 50) // 100 = 4 does not divide 350.
         cfg = parse_config(doc(**{"numerical.dt": 0.002, "numerical.t_end": 0.7}))
         assert cfg.snapshot_dt == 0.002 * 2
         # Where the target divides the step count, it is kept as is.
         cfg = parse_config(doc(**{"numerical.dt": 0.002, "numerical.t_end": 1.0}))
         assert cfg.snapshot_dt == 0.002 * 5
 
-    # 150 steps aim at round(150 / 100) = 2, so snapshot_dt is 0.004, although
-    # in floats t_end / (100 dt) = 1.4999999999999998 would round to 1.
-    @pytest.mark.parametrize("t_end, n_steps", [(0.3, 150), (0.7, 350), (20.014, 10007)])
+    # 150 steps aim at 2, so snapshot_dt is 0.004, although in floats
+    # t_end / (100 dt) = 1.4999999999999998 would round to 1.  450 steps aim
+    # at 5 (snapshot_dt 0.01), where rounding half to even would aim at 4.
+    @pytest.mark.parametrize(
+        "t_end, n_steps", [(0.3, 150), (0.7, 350), (0.9, 450), (20.014, 10007)]
+    )
     def test_auto_cadence_is_the_largest_divisor_up_to_the_target(self, t_end, n_steps):
-        target = round(n_steps / 100)
+        target = (n_steps + 50) // 100
         every = max(d for d in range(1, target + 1) if n_steps % d == 0)
         document = doc(**{"numerical.dt": 0.002, "numerical.t_end": t_end})
         if every < target / 2:  # 10007 is prime
@@ -305,6 +308,11 @@ class TestEnvironment:
     def test_rejects_a_coefficient_its_kind_never_reads(self, kind, coefficient, value):
         with pytest.raises(ValueError, match=f"a {kind} field reads no {coefficient}, got {value}"):
             Environment(kind, **{coefficient: value})
+
+    @pytest.mark.parametrize("wavenumber", [float("inf"), float("nan")])
+    def test_rejects_a_wavenumber_that_is_not_finite(self, wavenumber):
+        with pytest.raises(ValueError, match="wavenumber must be a positive integer"):
+            Environment("sinusoidal_in_x", amplitude=1.0, wavenumber=wavenumber)
 
     @pytest.mark.parametrize("kind", ["constant", "affine_in_t", "sinusoidal_in_x"])
     def test_accepts_an_unread_coefficient_at_its_default(self, kind):

@@ -11,9 +11,7 @@ from simkbm import (
     TraitGrid,
     apply_T_fast,
     apply_T_oracle,
-    contraction_ratio,
     gaussian_on_grid,
-    moments,
     wasserstein,
 )
 from simkbm.infinitesimal import (
@@ -22,7 +20,8 @@ from simkbm.infinitesimal import (
     W4_CONTRACTION,
     segregation_kernel,
 )
-from simkbm.property_checks import random_mixture
+from simkbm.measures import moment_rows
+from simkbm.property_checks import random_mixture, tanaka_ratios
 
 
 @pytest.fixture
@@ -57,9 +56,9 @@ class TestOracle:
 
     def test_gaussian_in_gaussian_out(self, kernel256, trait256):
         mu = gaussian_on_grid(0.4, 0.8, trait256)
-        m = moments(apply_T_oracle(mu, kernel256))
-        assert m.mean == pytest.approx(0.4, abs=1e-6)
-        assert m.variance == pytest.approx(0.8 / 2 + 0.5, abs=1e-6)
+        _, mean, variance, _ = moment_rows(trait256, apply_T_oracle(mu, kernel256).density[None])
+        assert mean[0] == pytest.approx(0.4, abs=1e-6)
+        assert variance[0] == pytest.approx(0.8 / 2 + 0.5, abs=1e-6)
 
     def test_gaussian_fixed_point(self, kernel256, trait256):
         g = gaussian_on_grid(-0.5, 1.0, trait256)
@@ -117,14 +116,16 @@ class TestFastPath:
             mu = random_mixture(rng, trait256)
             out = apply_T_fast(mu, kernel256)
             assert abs(out.mass - mu.mass) <= 1e-8
-            assert abs(moments(out).mean - moments(mu).mean) <= 1e-8
+            mean_in = moment_rows(trait256, mu.density[None])[1][0]
+            assert abs(moment_rows(trait256, out.density[None])[1][0] - mean_in) <= 1e-8
 
     def test_variance_map(self, kernel256, trait256, rng):
         for _ in range(50):
             mu = random_mixture(rng, trait256)
             out = apply_T_fast(mu, kernel256)
-            assert moments(out).variance == pytest.approx(
-                0.5 * moments(mu).variance + 0.5, abs=1e-6
+            variance_in = moment_rows(trait256, mu.density[None])[2][0]
+            assert moment_rows(trait256, out.density[None])[2][0] == pytest.approx(
+                0.5 * variance_in + 0.5, abs=1e-6
             )
 
     def test_positivity(self, kernel256, trait256, rng):
@@ -215,31 +216,18 @@ class TestContraction:
         mu = gaussian_on_grid(0.0, 1.0, grid)
         nu = gaussian_on_grid(0.0, 4.0, grid)
         assert wasserstein(mu, nu, 2) == pytest.approx(1.0, abs=1e-5)
-        ratio = contraction_ratio(mu, nu, kernel, 2)
+        (ratio,) = tanaka_ratios(kernel, np.array([mu.density, nu.density]), 2)
         assert ratio == pytest.approx(np.sqrt(2.5) - 1.0, abs=1e-3)
         assert ratio <= W2_CONTRACTION
 
     @pytest.mark.parametrize("p,bound", [(2, W2_CONTRACTION), (4, W4_CONTRACTION)])
     def test_random_equal_mean_pairs(self, kernel256, trait256, rng, p, bound):
+        rows = []
         for _ in range(100):
             mean = float(rng.uniform(-0.5, 0.5))
             mu = random_mixture(rng, trait256, target_mean=mean)
             nu = random_mixture(rng, trait256, target_mean=mean)
-            assert contraction_ratio(mu, nu, kernel256, p) <= bound + 1e-4
-
-    def test_rejects_mean_mismatch(self, kernel256, trait256):
-        mu = gaussian_on_grid(0.0, 1.0, trait256)
-        nu = gaussian_on_grid(0.5, 1.0, trait256)
-        with pytest.raises(ValueError, match="mean"):
-            contraction_ratio(mu, nu, kernel256, 2)
-
-    def test_rejects_identical_inputs(self, kernel256, trait256):
-        mu = gaussian_on_grid(0.0, 1.0, trait256)
-        with pytest.raises(ValueError, match="distance 0"):
-            contraction_ratio(mu, mu, kernel256, 2)
-
-    def test_rejects_bad_order(self, kernel256, trait256):
-        mu = gaussian_on_grid(0.0, 1.0, trait256)
-        nu = gaussian_on_grid(0.0, 1.5, trait256)
-        with pytest.raises(ValueError, match="p in"):
-            contraction_ratio(mu, nu, kernel256, 1)
+            rows += [mu.density, nu.density]
+        ratios = tanaka_ratios(kernel256, np.array(rows), p)
+        assert len(ratios) == 100
+        assert np.all(ratios <= bound + 1e-4)

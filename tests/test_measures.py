@@ -11,7 +11,6 @@ from simkbm import (
     GridMeasure,
     TraitGrid,
     gaussian_on_grid,
-    moments,
     wasserstein,
     wasserstein_oracle,
 )
@@ -61,6 +60,13 @@ class TestGridMeasure:
         with pytest.raises(ValueError, match="not normalized"):
             mu.require_probability()
 
+    def test_compares_and_hashes_by_identity(self, trait256):
+        mu = GridMeasure(trait256, np.ones(256))
+        nu = GridMeasure(trait256, np.ones(256))
+        assert mu == mu and mu != nu
+        assert mu in [nu, mu] and nu not in [mu]
+        assert len({mu, nu, mu}) == 2
+
 
 class TestRequireRows:
     def test_raises_for_the_first_failing_row(self, trait256):
@@ -98,9 +104,11 @@ class TestGaussianOnGrid:
         assert abs(gaussian_on_grid(0.0, 1.0, trait512).mass - 1.0) <= 1e-10
 
     def test_moments_of_variance_A(self, trait512):
-        m = moments(gaussian_on_grid(0.0, 1.5, trait512))
-        assert m.variance == pytest.approx(1.5, abs=1e-8)
-        assert m.fourth_central == pytest.approx(3 * 1.5**2, abs=1e-6)
+        _, _, variance, fourth = measures.moment_rows(
+            trait512, gaussian_on_grid(0.0, 1.5, trait512).density[None]
+        )
+        assert variance[0] == pytest.approx(1.5, abs=1e-8)
+        assert fourth[0] == pytest.approx(3 * 1.5**2, abs=1e-6)
 
     def test_warns_near_boundary(self, trait512):
         with pytest.warns(RuntimeWarning, match="standard deviations"):
@@ -119,22 +127,24 @@ class TestGaussianOnGrid:
 
 class TestMoments:
     def test_shifted_gaussian(self, trait512):
-        m = moments(gaussian_on_grid(2.0, 1.0, trait512))
-        assert m.mean == pytest.approx(2.0, abs=1e-8)
-        assert m.variance == pytest.approx(1.0, abs=1e-7)
+        _, mean, variance, fourth = measures.moment_rows(
+            trait512, gaussian_on_grid(2.0, 1.0, trait512).density[None]
+        )
+        assert mean[0] == pytest.approx(2.0, abs=1e-8)
+        assert variance[0] == pytest.approx(1.0, abs=1e-7)
         # mean at 6 sigma from the upper end: the clipped tail costs ~1e-6
-        assert m.fourth_central == pytest.approx(3.0, abs=1e-5)
+        assert fourth[0] == pytest.approx(3.0, abs=1e-5)
 
     def test_single_cell_variance_floor(self, trait256):
-        m = moments(atom_measure(trait256, 100))
-        assert 0.0 <= m.variance <= trait256.spacing**2 / 12 + 1e-12
+        variance = measures.moment_rows(trait256, atom_measure(trait256, 100).density[None])[2]
+        assert 0.0 <= variance[0] <= trait256.spacing**2 / 12 + 1e-12
 
     def test_mixture_moments(self, trait512):
         dens = 0.5 * gaussian_on_grid(-2.0, 1.0, trait512).density
         dens += 0.5 * gaussian_on_grid(2.0, 1.0, trait512).density
-        m = moments(GridMeasure(trait512, dens))
-        assert m.mean == pytest.approx(0.0, abs=1e-7)
-        assert m.variance == pytest.approx(5.0, abs=1e-6)
+        _, mean, variance, _ = measures.moment_rows(trait512, dens[None])
+        assert mean[0] == pytest.approx(0.0, abs=1e-7)
+        assert variance[0] == pytest.approx(5.0, abs=1e-6)
 
 
 class TestQuantile:
