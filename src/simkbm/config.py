@@ -16,7 +16,7 @@ import numpy as np
 
 from .environment import ENV_KINDS, KIND_KEYS, Environment
 from .grids import TorusGrid, TraitGrid
-from .infinitesimal import KERNEL_MASS_DEFECT_TOL, segregation_kernel
+from .infinitesimal import defect_problem, segregation_kernel
 from .measures import PROBABILITY_TOL, gaussian_rows
 from .property_checks import fixed_point_centers
 from .sim_solver import INIT_MARGIN_SIGMAS, SimParams, max_stable_dt, plan_steps
@@ -169,7 +169,6 @@ class RunConfig:
         return {
             "physical": physical,
             "numerical": {
-                "dim": 1,
                 "space_points": self.space_points,
                 "period": self.period,
                 "trait_bounds": list(self.trait_bounds),
@@ -181,9 +180,6 @@ class RunConfig:
             },
             "output": {"directory": self.out_dir, "text": self.text},
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def _plan(t_end: float, dt: float, snapshot_dt: float, rule: str) -> tuple:
@@ -265,7 +261,6 @@ def parse_config(source) -> RunConfig:
     _require_keys(
         num,
         {
-            "dim",
             "space_points",
             "period",
             "trait_bounds",
@@ -277,14 +272,12 @@ def parse_config(source) -> RunConfig:
         },
         "numerical",
     )
-    if _get_int(num, "dim", "numerical", default=1) != 1:
-        raise ConfigError("numerical.dim must be 1 (the integrators are one-dimensional)")
     space_points = _get_int(
-        num, "space_points", "numerical", default=64, minimum=4, maximum=MAX_SPACE_POINTS
+        num, "space_points", "numerical", 64, TorusGrid.MIN_POINTS, MAX_SPACE_POINTS
     )
     period = _get_number(num, "period", "numerical", default=1.0, positive=True)
     trait_points = _get_int(
-        num, "trait_points", "numerical", default=512, minimum=16, maximum=MAX_TRAIT_POINTS
+        num, "trait_points", "numerical", 512, TraitGrid.MIN_POINTS, MAX_TRAIT_POINTS
     )
     t_end = _get_number(num, "t_end", "numerical", positive=True)
     seed = _get_int(num, "seed", "numerical", default=0, minimum=0)
@@ -343,17 +336,15 @@ def parse_config(source) -> RunConfig:
                 "(sqrt(V0)) between the initial mean trait Z0 and either bound"
             )
 
-    trait = TraitGrid(bounds[0], bounds[1], trait_points)
+    try:
+        trait = TraitGrid(bounds[0], bounds[1], trait_points)
+    except ValueError as exc:  # "auto" bounds past the float range
+        raise ConfigError(f"numerical.trait_bounds: {exc}") from None
     # A width beyond the float range makes the defect NaN, which fails too.
     with np.errstate(invalid="ignore"):
-        _, defect = segregation_kernel(A, trait)
-    if not defect <= KERNEL_MASS_DEFECT_TOL:
-        raise ConfigError(
-            f"the segregation kernel (variance A/2) loses mass {defect:.3e} on this trait grid: "
-            f"the spacing {trait.spacing:.4g} must be below about 0.9*sqrt(A/2) = "
-            f"{0.9 * math.sqrt(0.5 * A):.4g} and the grid at least about 7*sqrt(A/2) wide; "
-            "raise numerical.trait_points"
-        )
+        problem = defect_problem(A, trait, segregation_kernel(A, trait)[1])
+    if problem:
+        raise ConfigError(f"{problem}; raise numerical.trait_points")
     # check-operator needs the Gaussian of variance A at its fixed-point
     # centers to be a probability measure on the grid.
     centers = np.array(fixed_point_centers(trait))

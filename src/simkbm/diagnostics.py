@@ -13,7 +13,9 @@ import numpy as np
 
 from .environment import Environment
 from .grids import TorusGrid
-from .measures import PROBABILITY_TOL, batch_rows, gaussian_on_grid, gaussian_rows, wasserstein_rows
+from .measures import (
+    MARGIN_SIGMAS, PROBABILITY_TOL, batch_rows, gaussian_on_grid, gaussian_rows, wasserstein_rows
+)
 from .sim_solver import KineticState, SimulationError
 
 
@@ -40,7 +42,7 @@ def gaussian_deviation(state: KineticState, A: float, N: np.ndarray, Z: np.ndarr
     bounds the profile and target arrays (a 64 x 512 snapshot peaks at
     0.69 MB, 1.67 MB in one piece); wasserstein_rows keeps its own batch
     loop for its other callers.  Per batch, in column order, a reference
-    mean within 6 sqrt(A) of a trait end warns through gaussian_on_grid and
+    mean within MARGIN_SIGMAS sqrt(A) of a trait end warns through gaussian_on_grid and
     the first reference whose mass misses 1 by more than PROBABILITY_TOL
     raises SimulationError; wasserstein_rows then rejects the first profile
     that is not a probability density, and a distance that is not finite
@@ -58,7 +60,7 @@ def gaussian_deviation(state: KineticState, A: float, N: np.ndarray, Z: np.ndarr
         target = gaussian_rows(means, A, trait)
         mass = target.sum(axis=1) * trait.spacing
         short = ~(np.abs(mass - 1.0) <= PROBABILITY_TOL)
-        near = np.minimum(means - trait.y_min, trait.y_max - means) < 6.0 * np.sqrt(A)
+        near = np.minimum(means - trait.y_min, trait.y_max - means) < MARGIN_SIGMAS * np.sqrt(A)
         for i in np.flatnonzero(short | near):
             if near[i]:
                 gaussian_on_grid(means[i], A, trait)

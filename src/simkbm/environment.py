@@ -29,7 +29,8 @@ class Environment:
       sinusoidal_in_x      f = offset + amplitude * sin(2 pi k x / period)
       sinusoidal_plus_drift  the sinusoid plus rate * t
 
-    A coefficient that the kind never reads must keep its default.
+    Every number must be finite, and a coefficient that the kind never reads
+    must keep its default.
     """
 
     kind: str
@@ -47,8 +48,10 @@ class Environment:
         if not self.period > 0:
             raise ValueError("period must be positive")
         unread = set(_OPTIONAL) - set(KIND_KEYS[self.kind])
-        for field in dataclasses.fields(self):
+        for field in dataclasses.fields(self)[1:]:  # the numbers after kind
             value = getattr(self, field.name)
+            if not np.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
             if field.name in unread and value != field.default:
                 raise ValueError(f"a {self.kind} field reads no {field.name}, got {value!r}")
 

@@ -15,16 +15,17 @@ class TorusGrid:
     inside [0, period).
     """
 
+    MIN_POINTS = 4
     points_per_dim: int
     period: float = 1.0
 
     def __post_init__(self):
-        if self.points_per_dim < 4:
+        if self.points_per_dim < self.MIN_POINTS:
             raise ValueError(
-                f"too few points per dimension: {self.points_per_dim} (need >= 4)"
+                f"too few points per dimension: {self.points_per_dim} (need >= {self.MIN_POINTS})"
             )
-        if not self.period > 0:
-            raise ValueError(f"period must be positive, got {self.period}")
+        if not 0 < self.period < np.inf:
+            raise ValueError(f"period must be positive and finite, got {self.period}")
 
     @property
     def spacing(self) -> float:
@@ -50,17 +51,18 @@ class TraitGrid:
     ends is monitored by the solvers, never renormalized away.
     """
 
+    MIN_POINTS = 16
     y_min: float
     y_max: float
     points: int
 
     def __post_init__(self):
-        if not self.y_min < self.y_max:
+        if not -np.inf < self.y_min < self.y_max < np.inf:
             raise ValueError(
-                f"trait bounds must satisfy y_min < y_max, got [{self.y_min}, {self.y_max}]"
+                f"trait bounds must be finite with y_min < y_max, got [{self.y_min}, {self.y_max}]"
             )
-        if self.points < 16:
-            raise ValueError(f"too few trait points: {self.points} (need >= 16)")
+        if self.points < self.MIN_POINTS:
+            raise ValueError(f"too few trait points: {self.points} (need >= {self.MIN_POINTS})")
 
     @property
     def spacing(self) -> float:

@@ -32,9 +32,7 @@ def segregation_kernel(A: float, grid: TraitGrid) -> tuple:
     The table holds samples of the normalized Gaussian of variance A/2 at
     integer multiples of spacing/2.  The defect is the worst quadrature-mass
     error at grid spacing over the two parity classes of that lattice; it
-    bounds the mass leak of every T output.  It stays below
-    KERNEL_MASS_DEFECT_TOL only when the spacing is below about 0.9 sqrt(A/2)
-    and the grid is at least about 7 sqrt(A/2) wide.
+    bounds the mass leak of every T output; see defect_problem.
     """
     m = grid.points
     offsets = np.arange(-(2 * m - 2), 2 * m - 1) * (0.5 * grid.spacing)
@@ -43,6 +41,17 @@ def segregation_kernel(A: float, grid: TraitGrid) -> tuple:
     even = grid.spacing * table[::2].sum()
     odd = grid.spacing * table[1::2].sum()
     return table, float(max(abs(1.0 - even), abs(1.0 - odd)))
+
+
+def defect_problem(A: float, grid: TraitGrid, defect: float) -> str | None:
+    """Why segregation_kernel's mass defect on the grid fails KERNEL_MASS_DEFECT_TOL
+    (a NaN defect fails too), or None when it passes."""
+    if not defect <= KERNEL_MASS_DEFECT_TOL:
+        return (
+            f"segregation kernel mass defect {defect:.3e} on this trait grid: the spacing "
+            f"{grid.spacing:.4g} must be below about 0.9*sqrt(A/2) = {0.9 * np.sqrt(0.5 * A):.4g}"
+            " and the grid at least about 7*sqrt(A/2) wide"
+        )
 
 
 class ReproductionKernel:
@@ -62,14 +71,8 @@ class ReproductionKernel:
         self.grid = grid
         m = grid.points
         self.table, mass_defect = segregation_kernel(self.A, grid)
-        if not mass_defect <= KERNEL_MASS_DEFECT_TOL:
-            warnings.warn(
-                f"segregation kernel mass defect {mass_defect:.3e} on this grid; "
-                "the trait spacing must be below about 0.9*sqrt(A/2) and the interval "
-                "at least about 7*sqrt(A/2) wide",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        if problem := defect_problem(self.A, grid, mass_defect):
+            warnings.warn(problem, RuntimeWarning, stacklevel=2)
 
         # FFT plan for the fast path: linear convolution of the midparent mass
         # vector (length 2m-1) with the kernel table (length 4m-3).

@@ -18,6 +18,8 @@ from .grids import TraitGrid
 
 PROBABILITY_TOL = 1e-8
 WASSERSTEIN_ORDERS = (1, 2, 4)
+# Standard deviations from a trait end inside which a sampled Gaussian visibly misses mass 1.
+MARGIN_SIGMAS = 6.0
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -84,14 +86,14 @@ def gaussian_on_grid(mean: float, variance: float, grid: TraitGrid) -> GridMeasu
 
     The samples are NOT renormalized afterwards: the mass defect of the
     sampled density is a truncation diagnostic in its own right.  A warning
-    is raised when the mean sits closer than 6 standard deviations to either
-    grid end, where that defect stops being negligible.
+    is raised when the mean sits closer than MARGIN_SIGMAS standard
+    deviations to either grid end.
     """
     if not variance > 0:
         raise ValueError(f"variance must be positive, got {variance}")
     sigma = np.sqrt(variance)
     margin = min(mean - grid.y_min, grid.y_max - mean)
-    if margin < 6.0 * sigma:
+    if margin < MARGIN_SIGMAS * sigma:
         warnings.warn(
             f"Gaussian mean {mean:g} is only {margin / sigma:.2f} standard deviations "
             "from the trait boundary; sampled mass will be visibly short of 1",

@@ -24,7 +24,7 @@ from .diffusion import PeriodicHeatCN
 from .environment import Environment
 from .grids import TorusGrid, TraitGrid
 from .infinitesimal import ReproductionKernel
-from .measures import gaussian_rows
+from .measures import MARGIN_SIGMAS, gaussian_rows
 
 N_FLOOR = 1e-12
 INIT_MARGIN_SIGMAS = 4.0
@@ -123,7 +123,7 @@ def gaussian_initial_state(
             "initial mean trait too close to the trait boundary "
             f"(margin {margin:.3f} < {INIT_MARGIN_SIGMAS:g} standard deviations)"
         )
-    if margin < 6.0 * sigma:
+    if margin < MARGIN_SIGMAS * sigma:
         warnings.warn(
             f"initial mean trait only {margin / sigma:.2f} standard deviations from "
             "the trait boundary",

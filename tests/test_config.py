@@ -6,6 +6,8 @@ import pytest
 
 from simkbm import ConfigError, parse_config
 from simkbm.environment import Environment
+from simkbm.grids import TraitGrid
+from simkbm.infinitesimal import ReproductionKernel
 
 MINIMAL = {"physical": {"A": 1.0, "gamma": 8.0}, "numerical": {"t_end": 5.0}}
 
@@ -26,7 +28,7 @@ class TestParsing:
         cfg = parse_config(json.dumps(MINIMAL))
         assert cfg.A == 1.0 and cfg.gamma == 8.0
         assert cfg.space_points == 64 and cfg.trait_points == 512
-        assert cfg.to_dict()["numerical"]["dim"] == 1 and cfg.period == 1.0
+        assert "dim" not in cfg.to_dict()["numerical"] and cfg.period == 1.0
         # auto truncation: 8 sqrt(A) beyond the constant environment at 0
         assert cfg.trait_bounds == (-8.0, 8.0)
         assert cfg.v0 == cfg.A
@@ -164,9 +166,25 @@ class TestParsing:
         with pytest.raises(ConfigError, match="a fixed-point center of the operator suite"):
             parse_config(doc(**{"numerical.trait_bounds": [-4.0, 4.0]}))
 
-    def test_rejects_dim_two_for_runs(self):
-        with pytest.raises(ConfigError, match="dim"):
-            parse_config(doc(**{"numerical.dim": 2}))
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_rejects_dim_as_an_unknown_key(self, dim):
+        # The integrators are one-dimensional and no document names a dimension.
+        with pytest.raises(ConfigError, match="unknown key 'dim' in numerical"):
+            parse_config(doc(**{"numerical.dim": dim}))
+
+    def test_auto_bounds_past_the_float_range(self):
+        # y_opt reaches 1e308 + 1e308 = inf, and so does the "auto" upper bound.
+        env = {"kind": "sinusoidal_in_x", "offset": 1e308, "amplitude": 1e308}
+        with pytest.raises(ConfigError, match=r"numerical.trait_bounds: .* finite.*inf\]"):
+            parse_config(doc(**{"physical.env": env}))
+
+    def test_kernel_defect_rejection_is_the_kernel_warning(self):
+        # 16 points on the auto bounds [-8, 8]: spacing 1 > 0.9 sqrt(A/2) = 0.64.
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc(**{"numerical.trait_points": 16}))
+        with pytest.warns(RuntimeWarning) as record:
+            ReproductionKernel(1.0, TraitGrid(-8.0, 8.0, 16))
+        assert str(info.value) == f"{record[0].message}; raise numerical.trait_points"
 
     def test_rejects_vanishing_initial_population(self):
         with pytest.raises(ConfigError, match="N0"):
@@ -240,7 +258,7 @@ class TestRoundTrip:
                 }
             )
         )
-        again = parse_config(cfg.to_json())
+        again = parse_config(json.dumps(cfg.to_dict()))
         assert again == cfg
         assert cfg.to_dict()["physical"]["initial"] == {
             "N0": {"kind": "sinusoidal", "offset": 1.0, "amplitude": 0.2, "wavenumber": 1},
@@ -278,7 +296,7 @@ class TestRoundTrip:
     )
     def test_every_field_kind_round_trips(self, path, field):
         cfg = parse_config(doc(**{path: field}))
-        assert parse_config(cfg.to_json()) == cfg
+        assert parse_config(json.dumps(cfg.to_dict())) == cfg
         echo = cfg.to_dict()
         for key in path.split("."):
             echo = echo[key]
@@ -289,7 +307,7 @@ class TestRoundTrip:
         base["physical"]["gamma_list"] = [2.0, 4.0, 8.0]
         del base["physical"]["gamma"]
         cfg = parse_config(base)
-        assert parse_config(cfg.to_json()) == cfg
+        assert parse_config(json.dumps(cfg.to_dict())) == cfg
         assert cfg.gamma_list == (2.0, 4.0, 8.0) and cfg.gamma is None
 
 

@@ -235,10 +235,22 @@ class TestStageChecks:
         with np.errstate(all="ignore"):
             return run_kbm(m0, env, A, dt, dt, dt)
 
-    @pytest.mark.parametrize("stage", list(_NON_FINITE_Y))
-    def test_non_finite_y_aborts(self, space64, stage):
+    @pytest.mark.parametrize("stage", [*_NON_FINITE_Y, "diffusion returns NaN"])
+    def test_non_finite_y_aborts(self, space64, monkeypatch, stage):
+        case = _NON_FINITE_Y.get(stage)
+        if case is None:
+            # Whatever the diffusion symbol, a step that hands back a NaN in Y.
+            step = PeriodicHeatCN.step
+
+            def nan_step(heat, field):
+                out = step(heat, field)
+                out[0, 1] = np.nan
+                return out
+
+            monkeypatch.setattr(PeriodicHeatCN, "step", nan_step)
+            stage, case = "diffusion", (1.0, 0.0, Environment(kind="constant"), 1.0, 1e-3)
         with pytest.raises(SimulationError, match="non-finite") as info:
-            self._run_one_step(_NON_FINITE_Y[stage], space64)
+            self._run_one_step(case, space64)
         assert info.value.report == {"t": 0.0, "stage": stage}
         assert stage in str(info.value)
 
