@@ -17,9 +17,9 @@ import numpy as np
 from .environment import ENV_KINDS, KIND_KEYS, Environment
 from .grids import TorusGrid, TraitGrid
 from .infinitesimal import defect_problem, segregation_kernel
-from .measures import PROBABILITY_TOL, gaussian_rows
+from .measures import gaussian_rows, unit_mass
 from .property_checks import fixed_point_centers
-from .sim_solver import INIT_MARGIN_SIGMAS, SimParams, max_stable_dt, plan_steps
+from .sim_solver import SimParams, floor_problem, margin_problem, max_stable_dt, plan_steps
 
 TRAIT_MARGIN_SIGMAS = 8.0
 # 400 times the standard run; a trait grid far from the optimal trait makes
@@ -307,8 +307,8 @@ def parse_config(source) -> RunConfig:
         for key, value in (("N0", 1.0), ("Z0", 0.0))
     )
     n0_lo, n0_hi = n0.value_range(0.0)
-    if n0_lo <= 0:
-        raise ConfigError(f"physical.initial.N0 must be positive everywhere (min = {n0_lo:g})")
+    if problem := floor_problem(n0_lo):
+        raise ConfigError(f"physical.initial.N0: {problem}")
     v0 = init.get("V0", "auto")
     if v0 == "auto":
         v0 = A
@@ -330,16 +330,14 @@ def parse_config(source) -> RunConfig:
         bounds = tuple(_as_number(b, "numerical.trait_bounds") for b in bounds)
         if not bounds[0] < bounds[1]:
             raise ConfigError("numerical.trait_bounds must be increasing")
-        if min(z_lo - bounds[0], bounds[1] - z_hi) < INIT_MARGIN_SIGMAS * math.sqrt(v0):
-            raise ConfigError(
-                f"numerical.trait_bounds must leave {INIT_MARGIN_SIGMAS:g} standard deviations "
-                "(sqrt(V0)) between the initial mean trait Z0 and either bound"
-            )
 
     try:
         trait = TraitGrid(bounds[0], bounds[1], trait_points)
     except ValueError as exc:  # "auto" bounds past the float range
         raise ConfigError(f"numerical.trait_bounds: {exc}") from None
+    # "auto" bounds leave TRAIT_MARGIN_SIGMAS, unless rounding loses it (|Z0| past about 1e17).
+    if problem := margin_problem(z_lo, z_hi, v0, trait):
+        raise ConfigError(f"numerical.trait_bounds: {problem}")
     # A width beyond the float range makes the defect NaN, which fails too.
     with np.errstate(invalid="ignore"):
         problem = defect_problem(A, trait, segregation_kernel(A, trait)[1])
@@ -349,8 +347,8 @@ def parse_config(source) -> RunConfig:
     # centers to be a probability measure on the grid.
     centers = np.array(fixed_point_centers(trait))
     mass = gaussian_rows(centers, A, trait).sum(axis=1) * trait.spacing
-    i = int(np.argmin(mass))
-    if not mass[i] >= 1.0 - PROBABILITY_TOL:
+    i = int(np.argmax(np.abs(mass - 1.0)))
+    if not unit_mass(mass[i]):
         raise ConfigError(
             f"the Gaussian of variance A at {centers[i]:.4g}, a fixed-point center of the operator "
             f"suite, holds mass {mass[i]:.12f} on this trait grid: widen numerical.trait_bounds"

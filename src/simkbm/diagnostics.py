@@ -14,9 +14,9 @@ import numpy as np
 from .environment import Environment
 from .grids import TorusGrid
 from .measures import (
-    MARGIN_SIGMAS, PROBABILITY_TOL, batch_rows, gaussian_on_grid, gaussian_rows, wasserstein_rows
+    MARGIN_SIGMAS, batch_rows, gaussian_on_grid, gaussian_rows, unit_mass, wasserstein_rows
 )
-from .sim_solver import KineticState, SimulationError
+from .sim_solver import KineticState, SimulationError, floor_problem
 
 
 @dataclasses.dataclass
@@ -59,7 +59,7 @@ def gaussian_deviation(state: KineticState, A: float, N: np.ndarray, Z: np.ndarr
         means = Z[cols]
         target = gaussian_rows(means, A, trait)
         mass = target.sum(axis=1) * trait.spacing
-        short = ~(np.abs(mass - 1.0) <= PROBABILITY_TOL)
+        short = ~unit_mass(mass)
         near = np.minimum(means - trait.y_min, trait.y_max - means) < MARGIN_SIGMAS * np.sqrt(A)
         for i in np.flatnonzero(short | near):
             if near[i]:
@@ -127,8 +127,8 @@ def kbm_residuals(
     if len(times) < 3:
         raise ValueError("need at least 3 snapshots for centered time differences")
     cadence = _uniform_cadence(times)
-    if N.min() <= 0:
-        raise SimulationError("population size must stay positive", {"min_N": float(N.min())})
+    if problem := floor_problem(N.min()):
+        raise SimulationError(problem, {"min_N": float(N.min())})
 
     h = space.spacing
     x = space.centers

@@ -1,4 +1,4 @@
-"""Uniform periodic spatial grids and truncated trait grids, with midpoint quadrature."""
+"""Uniform periodic spatial grids and truncated trait grids."""
 
 from __future__ import annotations
 
@@ -75,15 +75,3 @@ class TraitGrid:
     @property
     def edges(self) -> np.ndarray:
         return self.y_min + self.spacing * np.arange(self.points + 1)
-
-    def integrate(self, values) -> float:
-        """Midpoint quadrature of cell-center samples: spacing * sum(values).
-
-        Exact for affine integrands; linear in the samples.
-        """
-        values = np.asarray(values, dtype=float)
-        if values.shape != (self.points,):
-            raise ValueError(
-                f"expected {self.points} samples on this grid, got shape {values.shape}"
-            )
-        return float(self.spacing * values.sum())

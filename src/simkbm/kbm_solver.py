@@ -22,7 +22,7 @@ import numpy as np
 from .diffusion import PeriodicHeatCN
 from .environment import Environment
 from .grids import TorusGrid
-from .sim_solver import N_FLOOR, SimulationError, plan_steps
+from .sim_solver import N_FLOOR, SimulationError, floor_problem, plan_steps
 
 
 @dataclasses.dataclass
@@ -42,8 +42,8 @@ class MacroState:
             raise ValueError("field shapes do not match the spatial grid")
         if not (np.all(np.isfinite(self.N)) and np.all(np.isfinite(self.Y))):
             raise ValueError("fields contain non-finite entries")
-        if self.N.min() <= 0:
-            raise ValueError("N must be positive everywhere to recover Z = Y / N")
+        if problem := floor_problem(self.N.min()):
+            raise ValueError(problem)
 
     @property
     def Z(self) -> np.ndarray:
@@ -73,9 +73,9 @@ def _check(U, stage, t):
             f"non-finite macroscopic fields after {stage}", {"t": t, "stage": stage}
         )
     min_N = U[0].min()
-    if min_N < N_FLOOR:
+    if problem := floor_problem(min_N):
         raise SimulationError(
-            f"population size fell below the floor after {stage}",
+            f"{problem} after {stage}",
             {"t": t, "stage": stage, "min_N": float(min_N), "floor": N_FLOOR},
         )
 

@@ -57,6 +57,11 @@ class GridMeasure:
         require_rows(self.grid, self.density[None], probability=True)
 
 
+def unit_mass(mass):
+    """Whether a mass (elementwise) is within PROBABILITY_TOL of 1; a NaN is not."""
+    return np.abs(mass - 1.0) <= PROBABILITY_TOL
+
+
 def require_rows(grid: TraitGrid, rows: np.ndarray, probability: bool = False) -> np.ndarray:
     """Masses of the grid measures of density rows, one per row; raises the
     error of the first row that GridMeasure (or, with `probability`,
@@ -65,7 +70,7 @@ def require_rows(grid: TraitGrid, rows: np.ndarray, probability: bool = False) -
     mass = grid.spacing * rows.sum(axis=1)
     flagged = (rows < 0).any(axis=1) | ~np.isfinite(mass) | ~(mass > 0)
     if probability:
-        flagged |= ~(np.abs(mass - 1.0) <= PROBABILITY_TOL)
+        flagged |= ~unit_mass(mass)
     for i in np.flatnonzero(flagged):
         if not np.isfinite(rows[i]).all():
             raise ValueError("density contains non-finite entries")
@@ -73,7 +78,7 @@ def require_rows(grid: TraitGrid, rows: np.ndarray, probability: bool = False) -
             raise ValueError(f"density must be nonnegative (min = {rows[i].min():.3e})")
         if not mass[i] > 0:
             raise ValueError("density must carry positive mass")
-        if probability and abs(mass[i] - 1.0) > PROBABILITY_TOL:
+        if probability and not unit_mass(mass[i]):
             raise ValueError(
                 f"measure is not normalized: mass = {mass[i]:.12f} "
                 f"(|mass - 1| > {PROBABILITY_TOL:g})"

@@ -31,6 +31,24 @@ INIT_MARGIN_SIGMAS = 4.0
 _NEGATIVITY_REL_TOL = 1e-13
 
 
+def floor_problem(min_N) -> str | None:
+    """Why a least population size min_N breaks the floor N_FLOOR (a NaN breaks it
+    too), or None when it holds.  Every column size of both models must keep it."""
+    if not min_N >= N_FLOOR:
+        return f"population size {min_N:.6g} is below the floor {N_FLOOR:g}"
+
+
+def margin_problem(z_lo: float, z_hi: float, V0: float, trait: TraitGrid) -> str | None:
+    """Why initial mean traits in [z_lo, z_hi] come closer than INIT_MARGIN_SIGMAS
+    sqrt(V0) to an end of the trait grid (a NaN does too), or None when they do not."""
+    margin, sigma = min(z_lo - trait.y_min, trait.y_max - z_hi), math.sqrt(V0)
+    if not margin >= INIT_MARGIN_SIGMAS * sigma:
+        return (
+            f"the initial mean trait Z0 comes within {margin / sigma:.3f} standard deviations "
+            f"(sqrt(V0)) of the trait boundary, where {INIT_MARGIN_SIGMAS:g} are needed"
+        )
+
+
 class SimulationError(RuntimeError):
     """Invariant violation during time stepping; carries a diagnostic report."""
 
@@ -91,10 +109,8 @@ def kinetic_moments(state: KineticState) -> KineticMoments:
     h = state.trait.spacing
     y = state.trait.centers
     N = state.n.sum(axis=1) * h
-    if not np.all(N > 0):
-        raise SimulationError(
-            "population size vanished in some column", {"t": state.t, "min_N": float(N.min())}
-        )
+    if problem := floor_problem(N.min()):
+        raise SimulationError(problem, {"t": state.t, "min_N": float(N.min())})
     Z = (state.n @ y) * h / N
     V = (state.n @ y**4) * h / N
     return KineticMoments(N=N, Z=Z, V=V)
@@ -112,17 +128,10 @@ def gaussian_initial_state(
     Z0 = np.asarray(Z0, dtype=float)
     if not V0 > 0:
         raise ValueError(f"initial trait variance must be positive, got {V0}")
-    if N0.min() <= 0:
-        raise ValueError(
-            f"initial population size must be positive everywhere (min N0 = {N0.min():g})"
-        )
+    if problem := floor_problem(N0.min()) or margin_problem(Z0.min(), Z0.max(), V0, trait):
+        raise ValueError(problem)
     sigma = math.sqrt(V0)
     margin = min(Z0.min() - trait.y_min, trait.y_max - Z0.max())
-    if margin < INIT_MARGIN_SIGMAS * sigma:
-        raise ValueError(
-            "initial mean trait too close to the trait boundary "
-            f"(margin {margin:.3f} < {INIT_MARGIN_SIGMAS:g} standard deviations)"
-        )
     if margin < MARGIN_SIGMAS * sigma:
         warnings.warn(
             f"initial mean trait only {margin / sigma:.2f} standard deviations from "
@@ -199,11 +208,8 @@ def _guard_density(n: np.ndarray, stage: str, t: float, diag: RunDiagnostics):
 
 def _column_sizes(n: np.ndarray, h_y: float, t: float) -> np.ndarray:
     N = n.sum(axis=1) * h_y
-    if N.min() < N_FLOOR:
-        raise SimulationError(
-            "population size fell below the floor",
-            {"t": t, "min_N": float(N.min()), "floor": N_FLOOR},
-        )
+    if problem := floor_problem(N.min()):
+        raise SimulationError(problem, {"t": t, "min_N": float(N.min()), "floor": N_FLOOR})
     return N
 
 

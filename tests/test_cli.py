@@ -599,23 +599,30 @@ class TestRejectedAtParse:
         doc = self.doc(period=period)
         assert "dt/(2 h^2)" in assert_one_line_rejection(tmp_path, capsys, doc)
 
+    FINITE = "must be finite"
+
     @pytest.mark.parametrize(
-        "path, value",
+        "path, value, reason",
         [
-            ("numerical.t_end", float("inf")),
-            ("physical.A", float("nan")),
-            ("physical.env", {"kind": "sinusoidal_in_x", "amplitude": float("nan")}),
-            ("physical.initial", {"N0": {"kind": "constant", "value": float("inf")}}),
-            ("physical.gamma", 10**400),
-            ("numerical.trait_bounds", [-8.0, float("inf")]),
+            ("numerical.t_end", float("inf"), FINITE),
+            ("physical.A", float("nan"), FINITE),
+            ("physical.env", {"kind": "sinusoidal_in_x", "amplitude": float("nan")}, FINITE),
+            ("physical.initial", {"N0": {"kind": "constant", "value": float("inf")}}, FINITE),
+            ("physical.gamma", 10**400, FINITE),
+            ("numerical.trait_bounds", [-8.0, float("inf")], FINITE),
+            # Below the population floor 1e-12: each run exited 2 at t = 0, check-operator 0.
+            ("physical.initial", {"N0": {"kind": "constant", "value": 1e-13}}, "initial.N0: "),
         ],
-        ids=["t_end-inf", "A-nan", "env-nan", "N0-inf", "gamma-1e400", "trait_bounds-inf"],
+        ids=[
+            "t_end-inf", "A-nan", "env-nan", "N0-inf", "gamma-1e400", "trait_bounds-inf", "N0-1e-13"
+        ],
     )
-    def test_non_finite_numbers(self, tmp_path, capsys, path, value):
+    def test_numbers_out_of_range(self, tmp_path, capsys, path, value, reason):
         doc = self.doc()
         section, key = path.split(".")
         doc[section][key] = value
-        assert "must be finite" in assert_one_line_rejection(tmp_path, capsys, doc)
+        err = assert_one_line_rejection(tmp_path, capsys, doc, commands=self.COMMANDS)
+        assert reason in err
 
     @pytest.mark.parametrize("directory", ["out\u0000x", "out\ud800x"], ids=["nul", "surrogate"])
     def test_output_directory_the_os_cannot_take(self, tmp_path, capsys, monkeypatch, directory):

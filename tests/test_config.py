@@ -6,8 +6,9 @@ import pytest
 
 from simkbm import ConfigError, parse_config
 from simkbm.environment import Environment
-from simkbm.grids import TraitGrid
+from simkbm.grids import TorusGrid, TraitGrid
 from simkbm.infinitesimal import ReproductionKernel
+from simkbm.sim_solver import gaussian_initial_state
 
 MINIMAL = {"physical": {"A": 1.0, "gamma": 8.0}, "numerical": {"t_end": 5.0}}
 
@@ -159,7 +160,7 @@ class TestParsing:
         # V0 = 1 needs 4 units on either side of Z0 = 0.  A = 0.25 keeps the
         # operator suite's fixed-point Gaussians on [-4, 4]; A = 1 does not.
         narrow = {"physical.A": 0.25, "physical.initial": {"V0": 1.0}}
-        with pytest.raises(ConfigError, match="trait_bounds must leave"):
+        with pytest.raises(ConfigError, match="trait_bounds: .* within 3.000 standard deviations"):
             parse_config(doc(**narrow, **{"numerical.trait_bounds": [-3.0, 3.0]}))
         cfg = parse_config(doc(**narrow, **{"numerical.trait_bounds": [-4.0, 4.0]}))
         assert cfg.trait_bounds == (-4.0, 4.0)
@@ -185,6 +186,17 @@ class TestParsing:
         with pytest.warns(RuntimeWarning) as record:
             ReproductionKernel(1.0, TraitGrid(-8.0, 8.0, 16))
         assert str(info.value) == f"{record[0].message}; raise numerical.trait_points"
+
+    def test_margin_rejection_is_the_initial_state_error(self):
+        # Z0 = 0 and V0 = 1 on [-3, 3]: 3 standard deviations where 4 are needed.
+        narrow = {"physical.A": 0.25, "physical.initial": {"V0": 1.0}}
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc(**narrow, **{"numerical.trait_bounds": [-3.0, 3.0]}))
+        with pytest.raises(ValueError) as error:
+            gaussian_initial_state(
+                TorusGrid(64), TraitGrid(-3.0, 3.0, 512), np.ones(64), np.zeros(64), 1.0
+            )
+        assert str(info.value) == f"numerical.trait_bounds: {error.value}"
 
     def test_rejects_vanishing_initial_population(self):
         with pytest.raises(ConfigError, match="N0"):

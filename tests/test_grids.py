@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from simkbm import TorusGrid, TraitGrid, gaussian_on_grid
+from simkbm import TorusGrid, TraitGrid
 
 
 class TestTorusGrid:
@@ -52,35 +52,3 @@ class TestTraitGrid:
     def test_rejects_too_few_points(self):
         with pytest.raises(ValueError, match="too few trait points"):
             TraitGrid(-8.0, 8.0, 8)
-
-
-class TestIntegrate:
-    def test_constant_is_exact(self):
-        g = TraitGrid(-8.0, 8.0, 300)
-        assert g.integrate(np.ones(300)) == pytest.approx(16.0, abs=1e-12)
-
-    def test_gaussian_mass(self, trait512):
-        # Tail beyond 8 sigma is under 1e-14 and midpoint sampling of a
-        # Gaussian is superalgebraically accurate, so the defect is tiny.
-        mu = gaussian_on_grid(0.0, 1.0, trait512)
-        assert abs(trait512.integrate(mu.density) - 1.0) <= 1e-10
-
-    def test_zeros(self, trait512):
-        assert trait512.integrate(np.zeros(512)) == 0.0
-
-    def test_linearity(self, trait256, rng):
-        u = rng.normal(size=256)
-        v = rng.normal(size=256)
-        a, b = 1.7, -0.3
-        lhs = trait256.integrate(a * u + b * v)
-        rhs = a * trait256.integrate(u) + b * trait256.integrate(v)
-        assert lhs == pytest.approx(rhs, abs=1e-12)
-
-    def test_affine_exact(self, trait256):
-        y = trait256.centers
-        # integral of 2y + 3 over [-8, 8] is 48 exactly
-        assert trait256.integrate(2 * y + 3) == pytest.approx(48.0, abs=1e-10)
-
-    def test_length_mismatch(self, trait256):
-        with pytest.raises(ValueError, match="samples"):
-            trait256.integrate(np.ones(255))

@@ -83,7 +83,7 @@ class TestInitialState:
         space, trait = small_grids
         n0 = np.ones(16)
         n0[3] = 0.0
-        with pytest.raises(ValueError, match="positive everywhere"):
+        with pytest.raises(ValueError, match="floor"):
             gaussian_initial_state(space, trait, n0, np.zeros(16), 1.0)
 
     def test_rejects_mean_outside_safe_interior(self, small_grids):
