@@ -19,7 +19,14 @@ from .grids import TorusGrid, TraitGrid
 from .infinitesimal import defect_problem, segregation_kernel
 from .measures import gaussian_rows, unit_mass
 from .property_checks import fixed_point_centers
-from .sim_solver import SimParams, floor_problem, margin_problem, max_stable_dt, plan_steps
+from .sim_solver import (
+    SimParams,
+    floor_problem,
+    margin_problem,
+    max_stable_dt,
+    plan_steps,
+    resolution_problem,
+)
 
 TRAIT_MARGIN_SIGMAS = 8.0
 # 400 times the standard run; a trait grid far from the optimal trait makes
@@ -343,6 +350,8 @@ def parse_config(source) -> RunConfig:
         problem = defect_problem(A, trait, segregation_kernel(A, trait)[1])
     if problem:
         raise ConfigError(f"{problem}; raise numerical.trait_points")
+    if problem := resolution_problem(v0, trait):
+        raise ConfigError(f"physical.initial.V0: {problem}")
     # check-operator needs the Gaussian of variance A at its fixed-point
     # centers to be a probability measure on the grid.
     centers = np.array(fixed_point_centers(trait))
@@ -410,7 +419,20 @@ def parse_config(source) -> RunConfig:
         snapshot_dt = dt * every
     else:
         snapshot_dt = _get_number(num, "snapshot_dt", "numerical", positive=True)
-        _plan(snapshot_dt, dt, snapshot_dt, "snapshot_dt must be an integer multiple of dt")
+        try:
+            _plan(snapshot_dt, dt, snapshot_dt, "snapshot_dt must be an integer multiple of dt")
+        except ConfigError:
+            if num.get("dt", "auto") != "auto":
+                raise
+            # Split each of the whole number of cadence intervals in t_end into the fewest
+            # steps of at most half the bound; the ceil's ratio is at most the capped
+            # t_end / (0.5 dt_cap) above.
+            intervals, _ = _plan(t_end, snapshot_dt, snapshot_dt, "snapshot_dt must divide t_end")
+            if not intervals:  # a cadence past t_end by more than roundoff allows
+                raise ConfigError("numerical.snapshot_dt must divide t_end") from None
+            n_steps = intervals * math.ceil(snapshot_dt / (0.5 * dt_cap))
+            dt = t_end / n_steps
+            _capped_steps(n_steps, dt)
         _, every = _plan(t_end, dt, snapshot_dt, "snapshot_dt must divide t_end")
     if n_steps // every + 1 > MAX_SNAPSHOTS:
         raise ConfigError(

@@ -27,7 +27,7 @@ from .sim_solver import N_FLOOR, SimulationError, floor_problem, plan_steps
 
 @dataclasses.dataclass
 class MacroState:
-    """Fields N(t, .) and Y = N Z on the spatial grid; Z is derived output."""
+    """Fields N(t, .) and Y = N Z on the spatial grid."""
 
     t: float
     N: np.ndarray
@@ -44,10 +44,6 @@ class MacroState:
             raise ValueError("fields contain non-finite entries")
         if problem := floor_problem(self.N.min()):
             raise ValueError(problem)
-
-    @property
-    def Z(self) -> np.ndarray:
-        return self.Y / self.N
 
 
 def init_macro(config) -> MacroState:

@@ -37,14 +37,6 @@ def write_csv(path, header, columns):
             fh.write(",".join(fmt_float(v) for v in row) + "\n")
 
 
-def read_csv(path):
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        data = [[float(v) for v in line.strip().split(",")] for line in fh if line.strip()]
-    cols = np.asarray(data).T if data else np.empty((len(header), 0))
-    return header, {name: cols[i] for i, name in enumerate(header)}
-
-
 def _snapshot_header(kind, t, matrix, meta, config_doc):
     header = {
         "format_version": FORMAT_VERSION,
@@ -76,21 +68,6 @@ def write_snapshot(path, kind, t, matrix, meta, config_doc, text=False):
         with open(path, "wb") as fh:
             fh.write(header_line.encode("utf-8") + b"\n")
             fh.write(matrix.astype("<f8").tobytes(order="C"))
-
-
-def read_snapshot(path):
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        payload = fh.read()
-    rows, cols = header["rows"], header["cols"]
-    if header["encoding"] == "binary":
-        matrix = np.frombuffer(payload, dtype="<f8").reshape(rows, cols).astype(float)
-    else:
-        lines = payload.decode("utf-8").strip().splitlines()
-        matrix = np.array([[float(v) for v in line.split(",")] for line in lines])
-        if matrix.shape != (rows, cols):
-            raise ValueError(f"snapshot payload shape {matrix.shape} != header {(rows, cols)}")
-    return header, matrix
 
 
 def ensure_dir(path):

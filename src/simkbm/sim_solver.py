@@ -23,8 +23,8 @@ import numpy as np
 from .diffusion import PeriodicHeatCN
 from .environment import Environment
 from .grids import TorusGrid, TraitGrid
-from .infinitesimal import ReproductionKernel
-from .measures import MARGIN_SIGMAS, gaussian_rows
+from .infinitesimal import ReproductionKernel, segregation_kernel
+from .measures import MARGIN_SIGMAS, PROBABILITY_TOL, gaussian_rows
 
 N_FLOOR = 1e-12
 INIT_MARGIN_SIGMAS = 4.0
@@ -46,6 +46,23 @@ def margin_problem(z_lo: float, z_hi: float, V0: float, trait: TraitGrid) -> str
         return (
             f"the initial mean trait Z0 comes within {margin / sigma:.3f} standard deviations "
             f"(sqrt(V0)) of the trait boundary, where {INIT_MARGIN_SIGMAS:g} are needed"
+        )
+
+
+def resolution_problem(V0: float, trait: TraitGrid) -> str | None:
+    """Why the trait spacing does not resolve the initial variance V0 (a NaN error
+    does not either), or None when it does: a Gaussian of variance V0 sampled at the
+    cell centers must hold mass 1 within PROBABILITY_TOL wherever its mean lies.
+    segregation_kernel's defect at 2 V0 is that error at the two worst means, on a
+    cell center and halfway between two."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        error = segregation_kernel(2.0 * V0, trait)[1]
+    if not error <= PROBABILITY_TOL:
+        return (
+            f"the trait spacing {trait.spacing:.4g} does not resolve the initial variance "
+            f"V0 = {V0:.6g}: a sampled Gaussian of that variance is off mass 1 by {error:.3e}, "
+            f"more than {PROBABILITY_TOL:g}; the spacing must be below about sqrt(V0) = "
+            f"{math.sqrt(V0):.4g}"
         )
 
 
@@ -128,7 +145,11 @@ def gaussian_initial_state(
     Z0 = np.asarray(Z0, dtype=float)
     if not V0 > 0:
         raise ValueError(f"initial trait variance must be positive, got {V0}")
-    if problem := floor_problem(N0.min()) or margin_problem(Z0.min(), Z0.max(), V0, trait):
+    if problem := (
+        floor_problem(N0.min())
+        or margin_problem(Z0.min(), Z0.max(), V0, trait)
+        or resolution_problem(V0, trait)
+    ):
         raise ValueError(problem)
     sigma = math.sqrt(V0)
     margin = min(Z0.min() - trait.y_min, trait.y_max - Z0.max())
@@ -270,19 +291,13 @@ def sim_step(n: np.ndarray, ops: _Operators, t: float, diag: RunDiagnostics) -> 
 
 @dataclasses.dataclass
 class KineticTrajectory:
-    """Snapshots at the configured cadence plus per-snapshot moment fields.
-
-    leak_rate[k] is the running maximum of the per-step trait-boundary mass
-    leak rate up to snapshot k (relative to total mass, per unit time).
-    """
+    """Snapshots at the configured cadence plus per-snapshot moment fields."""
 
     times: np.ndarray
     snapshots: list
     N: np.ndarray
     Z: np.ndarray
     V: np.ndarray
-    leak_rate: np.ndarray
-    diagnostics: RunDiagnostics
 
 
 def _whole_steps(span: float, dt: float, name: str) -> int:
@@ -336,15 +351,10 @@ def run_sim(
     env: Environment,
     t_end: float,
 ) -> KineticTrajectory:
-    """Every snapshot of sim_snapshots, kept, with its moments and leak mark.
-    No command runs it (see experiments.reduced_snapshots): it is the tests'
-    collected reference and the benchmark tracer's retained-bytes hook."""
-    diag = RunDiagnostics()
-    snapshots, leak_marks = [], []
-    for state in sim_snapshots(state0, params, env, t_end, diag):
-        snapshots.append(state)
-        leak_marks.append(diag.max_boundary_leak_rate)
-
+    """Every snapshot of sim_snapshots, kept, with its moments.  No command
+    runs it (see experiments.reduced_snapshots): it is the tests' collected
+    reference and the benchmark tracer's retained-bytes hook."""
+    snapshots = list(sim_snapshots(state0, params, env, t_end, RunDiagnostics()))
     moms = [kinetic_moments(s) for s in snapshots]
     return KineticTrajectory(
         times=np.array([s.t for s in snapshots]),
@@ -352,6 +362,4 @@ def run_sim(
         N=np.stack([m.N for m in moms]),
         Z=np.stack([m.Z for m in moms]),
         V=np.stack([m.V for m in moms]),
-        leak_rate=np.array(leak_marks),
-        diagnostics=diag,
     )

@@ -2,11 +2,14 @@
 
 Every document has A = 1, gamma = 8, the benchmark workloads' environment
 (sinusoidal_in_x, amplitude 0.5) and the default grids; only the numerical
-time keys vary, and snapshot_dt is always "auto":
+time keys vary:
 
 - an explicit dt of 0.0005, 0.001, 0.002 or 0.003, with t_end = n dt for
-  n = 1..4000 steps;
-- an auto dt, with t_end = k * 0.0025 for k = 1..4000.
+  n = 1..4000 steps, and snapshot_dt "auto";
+- an auto dt, with t_end = k * 0.0025 for k = 1..4000, and snapshot_dt "auto";
+- an auto dt with an explicit snapshot_dt of 0.01, 0.05 or 0.25, with
+  t_end = k * 0.0025 for each k = 1..4000 that makes t_end a whole number
+  of snapshot intervals.
 
 The documents are parsed by SRC_ROOT's package, in a fresh interpreter with
 SRC_ROOT/src first on the path, and the tool prints one line per document:
@@ -33,6 +36,7 @@ import sys
 EXPLICIT_DTS = (0.0005, 0.001, 0.002, 0.003)
 RUNGS = range(1, 4001)
 AUTO_T_UNIT = 0.0025
+CADENCES = (0.01, 0.05, 0.25)
 PHYSICAL = {"A": 1.0, "gamma": 8.0, "env": {"kind": "sinusoidal_in_x", "amplitude": 0.5}}
 
 
@@ -43,6 +47,10 @@ def ladder():
             yield f"dt={dt!r} steps={n}", {"dt": dt, "t_end": n * dt}
     for k in RUNGS:
         yield f"dt=auto t_end={k}*{AUTO_T_UNIT!r}", {"t_end": k * AUTO_T_UNIT}
+    for cadence in CADENCES:
+        for k in RUNGS[round(cadence / AUTO_T_UNIT) - 1 :: round(cadence / AUTO_T_UNIT)]:
+            label = f"dt=auto t_end={k}*{AUTO_T_UNIT!r} snapshot_dt={cadence!r}"
+            yield label, {"t_end": k * AUTO_T_UNIT, "snapshot_dt": cadence}
 
 
 def emit():

@@ -85,7 +85,7 @@ def test_criterion_1_gaussian_fixed_point():
     for A in (0.5, 1.0, 2.0):
         width = 1.0 + 8.0 * np.sqrt(A)
         kernel = ReproductionKernel(A, TraitGrid(-width, width, 512))
-        checks.append(check_gaussian_fixed_point(kernel))
+        checks.append(check_gaussian_fixed_point(kernel, (-1.0, 0.0, 1.0)))
     worst = max(c.worst for c in checks)
     ok = all(c.passed for c in checks)
     assert report(1, ok, f"fixed-point L1 defect {worst:.2e} <= 1e-6 over A in (0.5,1,2), Z in (-1,0,1)")

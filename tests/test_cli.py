@@ -16,8 +16,33 @@ from simkbm.config import parse_config
 from simkbm.environment import Environment
 from simkbm.experiments import CompareResult
 from simkbm.infinitesimal import segregation_kernel
-from simkbm.output import read_csv, read_snapshot
 from simkbm.sim_solver import SimulationError
+
+
+def read_csv(path):
+    """The header and the columns, by name, of a CSV series that output.write_csv wrote."""
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        data = [[float(v) for v in line.strip().split(",")] for line in fh if line.strip()]
+    cols = np.asarray(data).T if data else np.empty((len(header), 0))
+    return header, {name: cols[i] for i, name in enumerate(header)}
+
+
+def read_snapshot(path):
+    """The header and the matrix of a snapshot that output.write_snapshot wrote."""
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline().decode("utf-8"))
+        payload = fh.read()
+    rows, cols = header["rows"], header["cols"]
+    if header["encoding"] == "binary":
+        matrix = np.frombuffer(payload, dtype="<f8").reshape(rows, cols).astype(float)
+    else:
+        lines = payload.decode("utf-8").strip().splitlines()
+        matrix = np.array([[float(v) for v in line.split(",")] for line in lines])
+        if matrix.shape != (rows, cols):
+            raise ValueError(f"snapshot payload shape {matrix.shape} != header {(rows, cols)}")
+    return header, matrix
+
 
 SMALL_COMPARE = {
     "physical": {
@@ -612,9 +637,12 @@ class TestRejectedAtParse:
             ("numerical.trait_bounds", [-8.0, float("inf")], FINITE),
             # Below the population floor 1e-12: each run exited 2 at t = 0, check-operator 0.
             ("physical.initial", {"N0": {"kind": "constant", "value": 1e-13}}, "initial.N0: "),
+            # sqrt(V0) = 0.01 on the spacing 1/32: each run held N(0) = 0.7356, and exited 0.
+            ("physical.initial", {"V0": 1e-4}, "physical.initial.V0: the trait spacing 0.03125"),
         ],
         ids=[
-            "t_end-inf", "A-nan", "env-nan", "N0-inf", "gamma-1e400", "trait_bounds-inf", "N0-1e-13"
+            "t_end-inf", "A-nan", "env-nan", "N0-inf", "gamma-1e400", "trait_bounds-inf",
+            "N0-1e-13", "V0-1e-4",
         ],
     )
     def test_numbers_out_of_range(self, tmp_path, capsys, path, value, reason):

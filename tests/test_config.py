@@ -8,7 +8,7 @@ from simkbm import ConfigError, parse_config
 from simkbm.environment import Environment
 from simkbm.grids import TorusGrid, TraitGrid
 from simkbm.infinitesimal import ReproductionKernel
-from simkbm.sim_solver import gaussian_initial_state
+from simkbm.sim_solver import gaussian_initial_state, kinetic_moments, plan_steps
 
 MINIMAL = {"physical": {"A": 1.0, "gamma": 8.0}, "numerical": {"t_end": 5.0}}
 
@@ -111,7 +111,7 @@ class TestParsing:
         with pytest.raises(ConfigError, match="numerical.t_end must be an integer multiple of dt"):
             parse_config(doc(**{"numerical.dt": dt, "numerical.t_end": t_end}))
 
-    @pytest.mark.parametrize("dt,snapshot_dt", [(0.002, 0.003), (0.001, 1e308), ("auto", 1e308)])
+    @pytest.mark.parametrize("dt,snapshot_dt", [(0.002, 0.003), (0.001, 1e308)])
     def test_snapshot_dt_must_be_multiple_of_dt(self, dt, snapshot_dt):
         with pytest.raises(
             ConfigError, match="numerical.snapshot_dt must be an integer multiple of dt"
@@ -125,6 +125,21 @@ class TestParsing:
                     doc(**{"numerical.dt": 0.002, "numerical.t_end": 0.7,
                            "numerical.snapshot_dt": snapshot_dt})
                 )
+        # Under an auto dt, no whole number of 1e308 intervals makes t_end = 5.
+        with pytest.raises(ConfigError, match="snapshot_dt must divide t_end"):
+            parse_config(doc(**{"numerical.snapshot_dt": 1e308}))
+
+    def test_auto_dt_divides_an_explicit_cadence(self):
+        # The auto step 1/348 does not divide 0.05, and the document exited 1
+        # ("integer multiple of dt"): 18 steps of 1/360 fill each interval.
+        env = {"kind": "sinusoidal_in_x", "amplitude": 0.5}
+        timing = {"physical.env": env, "numerical.t_end": 1.0}
+        cfg = parse_config(doc(**timing, **{"numerical.snapshot_dt": 0.05}))
+        assert cfg.dt == 1.0 / 360 and cfg.snapshot_dt == 0.05
+        assert plan_steps(0.0, 1.0, cfg.dt, 0.05) == (360, 18)
+        # Where the auto step divides the cadence, it is kept.
+        cfg = parse_config(doc(**timing, **{"numerical.snapshot_dt": 0.25}))
+        assert cfg.dt == 1.0 / 348 and plan_steps(0.0, 1.0, cfg.dt, 0.25) == (348, 87)
 
     def test_horizon_over_the_step_cap_by_roundoff_is_accepted(self):
         # t_end / dt is 1000000.0000001, which rounds to the cap of 10^6 steps.
@@ -197,6 +212,26 @@ class TestParsing:
                 TorusGrid(64), TraitGrid(-3.0, 3.0, 512), np.ones(64), np.zeros(64), 1.0
             )
         assert str(info.value) == f"numerical.trait_bounds: {error.value}"
+
+    def test_unresolved_initial_variance_is_the_initial_state_error(self):
+        # sqrt(V0) = 0.01 on the default spacing 1/32: the initial columns held
+        # N(0) = 0.7356 where N0 = 1, and compare measured err_N 0.2644 from t = 0.
+        unresolved = {"physical.initial": {"V0": 1e-4}}
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc(**unresolved))
+        trait = TraitGrid(-8.0, 8.0, 512)
+        with pytest.raises(ValueError) as error:
+            gaussian_initial_state(TorusGrid(64), trait, np.ones(64), np.zeros(64), 1e-4)
+        assert str(info.value) == f"physical.initial.V0: {error.value}"
+        assert "the spacing must be below about sqrt(V0) = 0.01" in str(error.value)
+        # A = 3, V0 = 0.05 on 64 points over [-12, 12]: N(0) was 0.998209.
+        coarse = {"numerical.trait_bounds": [-12.0, 12.0], "numerical.trait_points": 64}
+        with pytest.raises(ConfigError, match="off mass 1 by 1.791e-03"):
+            parse_config(doc(**coarse, **{"physical.A": 3.0, "physical.initial": {"V0": 0.05}}))
+        # V0 = 1e-3 is off by 3.3e-9 on the default grid, within PROBABILITY_TOL.
+        assert parse_config(doc(**{"physical.initial": {"V0": 1e-3}})).v0 == 1e-3
+        state = gaussian_initial_state(TorusGrid(64), trait, np.ones(64), np.zeros(64), 1e-3)
+        assert np.abs(kinetic_moments(state).N - 1.0).max() <= 1e-8
 
     def test_rejects_vanishing_initial_population(self):
         with pytest.raises(ConfigError, match="N0"):

@@ -79,7 +79,7 @@ def documents(draw):
         "initial": {
             "N0": draw(_profile(_num(0.05, 2.0), _num(-0.5, 0.5))),
             "Z0": draw(_profile(_num(-1.0, 1.0), _num(-1.0, 1.0))),
-            "V0": draw(st.one_of(st.just("auto"), _num(0.05, 3.0))),
+            "V0": draw(st.one_of(st.just("auto"), _num(0.001, 3.0))),
         },
     }
     if draw(st.booleans()):
@@ -102,6 +102,9 @@ def documents(draw):
         numerical["dt"] = dt
         if draw(st.booleans()):
             numerical["snapshot_dt"] = dt * draw(st.integers(1, 60))
+    elif draw(st.booleans()):
+        # An auto dt under an explicit cadence.
+        numerical["snapshot_dt"] = t_end / draw(st.integers(1, 20))
     return {"physical": physical, "numerical": numerical, "output": {"text": draw(st.booleans())}}
 
 

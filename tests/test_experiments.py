@@ -12,7 +12,13 @@ from simkbm.config import parse_config
 from simkbm.diagnostics import burn_in_time, gaussian_deviation, holder_quotient, kbm_residuals
 from simkbm.experiments import _windowed_sup, run_compare
 from simkbm.kbm_solver import init_macro, run_kbm
-from simkbm.sim_solver import RunDiagnostics, SimulationError, init_state, kinetic_moments, run_sim
+from simkbm.sim_solver import (
+    RunDiagnostics,
+    SimulationError,
+    init_state,
+    kinetic_moments,
+    sim_snapshots,
+)
 
 DT = 0.004
 DOC = {
@@ -43,27 +49,32 @@ def config_with(**numerical):
 
 
 def collected_compare(config):
-    """run_compare's series and suprema from the collected run_sim trajectory,
-    with kinetic_moments and gaussian_deviation taken after the run."""
-    sim = run_sim(init_state(config), config.sim_params(), config.env, config.t_end)
+    """run_compare's series and suprema from every collected SIM snapshot, with
+    kinetic_moments and gaussian_deviation taken after the run."""
+    diag = RunDiagnostics()
+    snapshots, leak = [], []
+    run = sim_snapshots(init_state(config), config.sim_params(), config.env, config.t_end, diag)
+    for state in run:
+        snapshots.append(state)
+        leak.append(diag.max_boundary_leak_rate)
+    times = np.array([s.t for s in snapshots])
+    moms = [kinetic_moments(s) for s in snapshots]
+    N, Z, V = (np.stack([getattr(m, f) for m in moms]) for f in "NZV")
     kbm = run_kbm(init_macro(config), config.env, config.A, config.dt, config.t_end, config.snapshot_dt)
-    gauss = np.array(
-        [gaussian_deviation(s, config.A, N, Z) for s, N, Z in zip(sim.snapshots, sim.N, sim.Z)]
-    )
-    err_N = np.abs(sim.N - kbm.N).max(axis=1)
-    err_Z = np.abs(sim.Z - kbm.Z).max(axis=1)
+    gauss = np.array([gaussian_deviation(s, config.A, n, z) for s, n, z in zip(snapshots, N, Z)])
+    err_N = np.abs(N - kbm.N).max(axis=1)
+    err_Z = np.abs(Z - kbm.Z).max(axis=1)
     t_burn = burn_in_time(config.gamma, config.dt)
-    space = sim.snapshots[0].space
-    resid = kbm_residuals(sim.times, sim.N, sim.Z, space, config.env, config.A)
-    diag = sim.diagnostics
+    space = snapshots[0].space
+    resid = kbm_residuals(times, N, Z, space, config.env, config.A)
     sups = {
-        "err_N": _windowed_sup(sim.times, err_N, t_burn),
-        "err_Z": _windowed_sup(sim.times, err_Z, t_burn),
-        "gauss_dev": _windowed_sup(sim.times, gauss, t_burn),
+        "err_N": _windowed_sup(times, err_N, t_burn),
+        "err_Z": _windowed_sup(times, err_Z, t_burn),
+        "gauss_dev": _windowed_sup(times, gauss, t_burn),
         "err_N_full": float(err_N.max()),
         "err_Z_full": float(err_Z.max()),
         "gauss_dev_full": float(gauss.max()),
-        "v_max": float(sim.V.max()),
+        "v_max": float(V.max()),
         "resid_N": _windowed_sup(resid.times, np.abs(resid.phi_N), t_burn),
         "resid_Z": _windowed_sup(resid.times, np.abs(resid.phi_Z), t_burn),
         "mass_leak_rate": diag.max_boundary_leak_rate,
@@ -72,16 +83,16 @@ def collected_compare(config):
         "positivity_clips": diag.positivity_clips,
     }
     holder = {
-        "N_theta_0.5": holder_quotient(sim.times, space, sim.N, 0.5),
-        "Z_theta_0.5": holder_quotient(sim.times, space, sim.Z, 0.5),
+        "N_theta_0.5": holder_quotient(times, space, N, 0.5),
+        "Z_theta_0.5": holder_quotient(times, space, Z, 0.5),
     }
     series = {
-        "times": sim.times,
+        "times": times,
         "err_N": err_N,
         "err_Z": err_Z,
         "gauss_dev": gauss,
-        "v_max": sim.V.max(axis=1),
-        "mass_leak": sim.leak_rate,
+        "v_max": V.max(axis=1),
+        "mass_leak": np.array(leak),
     }
     return series, sups, holder
 

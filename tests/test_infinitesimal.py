@@ -21,7 +21,7 @@ from simkbm.infinitesimal import (
     segregation_kernel,
 )
 from simkbm.measures import moment_rows
-from simkbm.property_checks import random_mixture, tanaka_ratios
+from simkbm.property_checks import random_mixtures, tanaka_ratios
 
 
 @pytest.fixture
@@ -56,7 +56,7 @@ class TestOracle:
 
     def test_gaussian_in_gaussian_out(self, kernel256, trait256):
         mu = gaussian_on_grid(0.4, 0.8, trait256)
-        _, mean, variance, _ = moment_rows(trait256, apply_T_oracle(mu, kernel256).density[None])
+        mean, variance = moment_rows(trait256, apply_T_oracle(mu, kernel256).density[None])
         assert mean[0] == pytest.approx(0.4, abs=1e-6)
         assert variance[0] == pytest.approx(0.8 / 2 + 0.5, abs=1e-6)
 
@@ -82,7 +82,7 @@ class TestOracle:
         grid = TraitGrid(-8.5, 8.5, points)
         kernel = ReproductionKernel(1.0, grid)
         for _ in range(3):
-            mu = random_mixture(rng, grid)
+            mu = GridMeasure(grid, random_mixtures(rng, grid, 1)[0])
             got = apply_T_oracle(mu, kernel).density
             want = reference_reproduction.apply_T(mu, kernel)
             assert np.abs(got - want).max() <= 1e-14 * want.max()
@@ -91,7 +91,7 @@ class TestOracle:
         # The dense gather's index array and gathered table held 32 MiB here.
         grid = TraitGrid(-8.5, 8.5, 1024)
         kernel = ReproductionKernel(1.0, grid)
-        mu = random_mixture(rng, grid)
+        mu = GridMeasure(grid, random_mixtures(rng, grid, 1)[0])
         tracemalloc.start()
         try:
             apply_T_oracle(mu, kernel)
@@ -105,7 +105,7 @@ class TestFastPath:
     def test_matches_oracle_on_random_measures(self, kernel256, trait256, rng):
         worst = 0.0
         for _ in range(10):
-            mu = random_mixture(rng, trait256)
+            mu = GridMeasure(trait256, random_mixtures(rng, trait256, 1)[0])
             fast = apply_T_fast(mu, kernel256)
             slow = apply_T_oracle(mu, kernel256)
             worst = max(worst, trait256.spacing * np.abs(fast.density - slow.density).sum())
@@ -113,24 +113,25 @@ class TestFastPath:
 
     def test_mass_and_mean_conserved(self, kernel256, trait256, rng):
         for _ in range(50):
-            mu = random_mixture(rng, trait256)
+            mu = GridMeasure(trait256, random_mixtures(rng, trait256, 1)[0])
             out = apply_T_fast(mu, kernel256)
             assert abs(out.mass - mu.mass) <= 1e-8
-            mean_in = moment_rows(trait256, mu.density[None])[1][0]
-            assert abs(moment_rows(trait256, out.density[None])[1][0] - mean_in) <= 1e-8
+            mean_in = moment_rows(trait256, mu.density[None])[0][0]
+            assert abs(moment_rows(trait256, out.density[None])[0][0] - mean_in) <= 1e-8
 
     def test_variance_map(self, kernel256, trait256, rng):
         for _ in range(50):
-            mu = random_mixture(rng, trait256)
+            mu = GridMeasure(trait256, random_mixtures(rng, trait256, 1)[0])
             out = apply_T_fast(mu, kernel256)
-            variance_in = moment_rows(trait256, mu.density[None])[2][0]
-            assert moment_rows(trait256, out.density[None])[2][0] == pytest.approx(
+            variance_in = moment_rows(trait256, mu.density[None])[1][0]
+            assert moment_rows(trait256, out.density[None])[1][0] == pytest.approx(
                 0.5 * variance_in + 0.5, abs=1e-6
             )
 
     def test_positivity(self, kernel256, trait256, rng):
         for _ in range(20):
-            out = apply_T_fast(random_mixture(rng, trait256), kernel256)
+            mu = GridMeasure(trait256, random_mixtures(rng, trait256, 1)[0])
+            out = apply_T_fast(mu, kernel256)
             assert out.density.min() >= 0.0
 
 
@@ -225,9 +226,7 @@ class TestContraction:
         rows = []
         for _ in range(100):
             mean = float(rng.uniform(-0.5, 0.5))
-            mu = random_mixture(rng, trait256, target_mean=mean)
-            nu = random_mixture(rng, trait256, target_mean=mean)
-            rows += [mu.density, nu.density]
+            rows += list(random_mixtures(rng, trait256, 2, (mean, mean)))
         ratios = tanaka_ratios(kernel256, np.array(rows), p)
         assert len(ratios) == 100
         assert np.all(ratios <= bound + 1e-4)

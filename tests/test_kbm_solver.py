@@ -16,10 +16,6 @@ SIN_ENV = Environment(kind="sinusoidal_in_x", amplitude=0.5, wavenumber=1)
 
 
 class TestMacroState:
-    def test_z_is_derived(self, space64):
-        m = MacroState(0.0, np.full(64, 2.0), np.full(64, 1.0), space64)
-        assert np.abs(m.Z - 0.5).max() == 0.0
-
     def test_rejects_nonpositive_population(self, space64):
         with pytest.raises(ValueError, match="floor"):
             MacroState(0.0, np.zeros(64), np.zeros(64), space64)

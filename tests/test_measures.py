@@ -14,7 +14,7 @@ from simkbm import (
     wasserstein,
     wasserstein_oracle,
 )
-from simkbm.property_checks import random_mixture
+from simkbm.property_checks import random_mixtures
 
 PHI_OF_ONE = 0.8413447460685429  # standard normal CDF at 1
 
@@ -33,6 +33,21 @@ def quantile_at(mu, u):
     j = np.searchsorted(cum, u, side="right") - 1
     q, _ = measures._quantile_lines(cum, j, u, u, mu.grid.edges, mu.grid.spacing)
     return q
+
+
+def wide_mixture(rng, grid):
+    """A random Gaussian mixture wider than random_mixtures draws: means within
+    1 of the grid's midpoint and variances in (0.5, 1)."""
+    k = int(rng.integers(1, 4))
+    weights = rng.dirichlet(np.ones(k))
+    means = 0.5 * (grid.y_min + grid.y_max) + rng.uniform(-1.0, 1.0, size=k)
+    variances = rng.uniform(0.5, 1.0, size=k)
+    y = grid.centers
+    dens = sum(
+        w * np.exp(-((y - m) ** 2) / (2.0 * v)) / np.sqrt(2.0 * np.pi * v)
+        for w, m, v in zip(weights, means, variances)
+    )
+    return GridMeasure(grid, dens / (grid.spacing * dens.sum()))
 
 
 def integer_grid():
@@ -104,11 +119,10 @@ class TestGaussianOnGrid:
         assert abs(gaussian_on_grid(0.0, 1.0, trait512).mass - 1.0) <= 1e-10
 
     def test_moments_of_variance_A(self, trait512):
-        _, _, variance, fourth = measures.moment_rows(
+        _, variance = measures.moment_rows(
             trait512, gaussian_on_grid(0.0, 1.5, trait512).density[None]
         )
         assert variance[0] == pytest.approx(1.5, abs=1e-8)
-        assert fourth[0] == pytest.approx(3 * 1.5**2, abs=1e-6)
 
     def test_warns_near_boundary(self, trait512):
         with pytest.warns(RuntimeWarning, match="standard deviations"):
@@ -127,22 +141,20 @@ class TestGaussianOnGrid:
 
 class TestMoments:
     def test_shifted_gaussian(self, trait512):
-        _, mean, variance, fourth = measures.moment_rows(
+        mean, variance = measures.moment_rows(
             trait512, gaussian_on_grid(2.0, 1.0, trait512).density[None]
         )
         assert mean[0] == pytest.approx(2.0, abs=1e-8)
         assert variance[0] == pytest.approx(1.0, abs=1e-7)
-        # mean at 6 sigma from the upper end: the clipped tail costs ~1e-6
-        assert fourth[0] == pytest.approx(3.0, abs=1e-5)
 
     def test_single_cell_variance_floor(self, trait256):
-        variance = measures.moment_rows(trait256, atom_measure(trait256, 100).density[None])[2]
+        variance = measures.moment_rows(trait256, atom_measure(trait256, 100).density[None])[1]
         assert 0.0 <= variance[0] <= trait256.spacing**2 / 12 + 1e-12
 
     def test_mixture_moments(self, trait512):
         dens = 0.5 * gaussian_on_grid(-2.0, 1.0, trait512).density
         dens += 0.5 * gaussian_on_grid(2.0, 1.0, trait512).density
-        _, mean, variance, _ = measures.moment_rows(trait512, dens[None])
+        mean, variance = measures.moment_rows(trait512, dens[None])
         assert mean[0] == pytest.approx(0.0, abs=1e-7)
         assert variance[0] == pytest.approx(5.0, abs=1e-6)
 
@@ -157,7 +169,7 @@ class TestQuantile:
         assert quantile_at(mu, PHI_OF_ONE)[0] == pytest.approx(1.0, abs=2 * trait512.spacing)
 
     def test_monotone(self, trait512, rng):
-        mu = random_mixture(rng, trait512)
+        mu = GridMeasure(trait512, random_mixtures(rng, trait512, 1)[0])
         u = np.sort(rng.uniform(0.01, 0.99, size=200))
         q = quantile_at(mu, u)
         assert np.all(np.diff(q) >= -1e-14)
@@ -188,7 +200,7 @@ class TestWasserstein:
         # Exact for the atomized oracle; the quantile path spreads the
         # single-cell "delta" over its cell, an O(h) perturbation.
         g = integer_grid()
-        mu = random_mixture(rng, g, mean_span=1.0, var_range=(0.5, 1.0))
+        mu = wide_mixture(rng, g)
         delta = atom_measure(g, 10)  # atom exactly at 2.0
         ybar = 2.0
         target = float(np.sum(mu.cell_masses * np.abs(g.centers - ybar) ** p))
@@ -353,7 +365,7 @@ def with_zero_cells(mu, cells):
 
 class TestWassersteinOracle:
     def test_identical_inputs(self, trait256, rng):
-        mu = random_mixture(rng, trait256)
+        mu = GridMeasure(trait256, random_mixtures(rng, trait256, 1)[0])
         for p in (1, 2, 4):
             assert wasserstein_oracle(mu, mu, p) == 0.0
 
@@ -361,16 +373,16 @@ class TestWassersteinOracle:
     def test_bit_identical_to_the_numpy_scalar_loop(self, points, rng):
         grid = TraitGrid(-4.0, 4.0, points)
         for _ in range(100):
-            mu = random_mixture(rng, grid)
-            nu = random_mixture(rng, grid)
+            mu = GridMeasure(grid, random_mixtures(rng, grid, 1)[0])
+            nu = GridMeasure(grid, random_mixtures(rng, grid, 1)[0])
             for p in (1, 2, 4):
                 assert wasserstein_oracle(mu, nu, p) == numpy_scalar_oracle(mu, nu, p)
 
     @pytest.mark.parametrize("p", [1, 2, 4])
     def test_edge_cases_bit_identical(self, trait256, rng, p):
         g = integer_grid()
-        mu = random_mixture(rng, trait256)
-        nu = random_mixture(rng, trait256)
+        mu = GridMeasure(trait256, random_mixtures(rng, trait256, 1)[0])
+        nu = GridMeasure(trait256, random_mixtures(rng, trait256, 1)[0])
         holes = with_zero_cells(mu, np.r_[0:90, 120:125, 131, 200:256])
         # Dyadic weights on both sides: every pairing empties both atoms at
         # once, down to the last step.
@@ -380,8 +392,8 @@ class TestWassersteinOracle:
         pairs = [
             (mu, mu),
             (atom_measure(g, 8), atom_measure(g, 8)),
-            (atom_measure(g, 3), random_mixture(rng, g, mean_span=1.0, var_range=(0.5, 1.0))),
-            (random_mixture(rng, g, mean_span=1.0, var_range=(0.5, 1.0)), atom_measure(g, 12)),
+            (atom_measure(g, 3), wide_mixture(rng, g)),
+            (wide_mixture(rng, g), atom_measure(g, 12)),
             (holes, nu),
             (nu, holes),
             (holes, with_zero_cells(nu, np.r_[0:100, 140:256])),
@@ -397,8 +409,8 @@ class TestWassersteinOracle:
     def test_agreement_on_random_pairs(self, trait256, rng, p):
         tol = max(1e-6, 2 * trait256.spacing)
         for _ in range(100):
-            mu = random_mixture(rng, trait256)
-            nu = random_mixture(rng, trait256)
+            mu = GridMeasure(trait256, random_mixtures(rng, trait256, 1)[0])
+            nu = GridMeasure(trait256, random_mixtures(rng, trait256, 1)[0])
             gap = abs(wasserstein(mu, nu, p) - wasserstein_oracle(mu, nu, p))
             assert gap <= tol
 
@@ -407,17 +419,17 @@ class TestMetricProperties:
     @pytest.mark.parametrize("p", [1, 2, 4])
     def test_triangle_inequality(self, trait256, rng, p):
         for _ in range(25):
-            mu = random_mixture(rng, trait256)
-            nu = random_mixture(rng, trait256)
-            rho = random_mixture(rng, trait256)
+            mu = GridMeasure(trait256, random_mixtures(rng, trait256, 1)[0])
+            nu = GridMeasure(trait256, random_mixtures(rng, trait256, 1)[0])
+            rho = GridMeasure(trait256, random_mixtures(rng, trait256, 1)[0])
             lhs = wasserstein(mu, rho, p)
             rhs = wasserstein(mu, nu, p) + wasserstein(nu, rho, p)
             assert lhs <= rhs + 1e-9
 
     @pytest.mark.parametrize("p", [1, 2, 4])
     def test_translation_invariance_exact(self, trait256, rng, p):
-        mu = random_mixture(rng, trait256)
-        nu = random_mixture(rng, trait256)
+        mu = GridMeasure(trait256, random_mixtures(rng, trait256, 1)[0])
+        nu = GridMeasure(trait256, random_mixtures(rng, trait256, 1)[0])
         a = 3.0  # shift both grids: densities unchanged, supports translated
         shifted = TraitGrid(trait256.y_min + a, trait256.y_max + a, trait256.points)
         mu_s = GridMeasure(shifted, mu.density)
@@ -431,8 +443,8 @@ class TestMetricProperties:
         # the oracle value (which realizes the monotone coupling).
         grid = TraitGrid(-8.0, 8.0, 64)
         for _ in range(20):
-            mu = random_mixture(rng, grid)
-            nu = random_mixture(rng, grid)
+            mu = GridMeasure(grid, random_mixtures(rng, grid, 1)[0])
+            nu = GridMeasure(grid, random_mixtures(rng, grid, 1)[0])
             wu = mu.cell_masses / mu.mass
             wv = nu.cell_masses / nu.mass
             plan = np.outer(wu, wv)
@@ -453,8 +465,8 @@ class TestMetricProperties:
         # oracle, an O(h * Lip) band for the quantile distance.
         y = trait256.centers
         for _ in range(20):
-            mu = random_mixture(rng, trait256)
-            nu = random_mixture(rng, trait256)
+            mu = GridMeasure(trait256, random_mixtures(rng, trait256, 1)[0])
+            nu = GridMeasure(trait256, random_mixtures(rng, trait256, 1)[0])
             slopes = rng.uniform(-2, 2, size=4)
             knots = np.sort(rng.uniform(-6, 6, size=3))
             f = slopes[0] * y
@@ -470,9 +482,9 @@ class TestMetricProperties:
     def test_squared_w2_convexity(self, trait256, rng):
         # W2^2(mixture, nu) <= mixture of W2^2: exact for grid measures.
         for _ in range(20):
-            parts = [random_mixture(rng, trait256) for _ in range(3)]
+            parts = [GridMeasure(trait256, random_mixtures(rng, trait256, 1)[0]) for _ in range(3)]
             weights = rng.dirichlet(np.ones(3))
-            nu = random_mixture(rng, trait256)
+            nu = GridMeasure(trait256, random_mixtures(rng, trait256, 1)[0])
             mixed = GridMeasure(
                 trait256, sum(w * part.density for w, part in zip(weights, parts))
             )

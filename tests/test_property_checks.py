@@ -68,8 +68,8 @@ def reference_mean(kernel, rng, n_measures=50, tol=1e-8):
     grid, worst = kernel.grid, 0.0
     for _ in range(n_measures):
         mu = reference_mixture(rng, grid)
-        mean_in = moment_rows(grid, mu.density[None])[1][0]
-        mean_out = moment_rows(grid, apply_T_fast(mu, kernel).density[None])[1][0]
+        mean_in = moment_rows(grid, mu.density[None])[0][0]
+        mean_out = moment_rows(grid, apply_T_fast(mu, kernel).density[None])[0][0]
         worst = max(worst, abs(mean_out - mean_in))
     return CheckResult(
         "mean_conservation", worst <= tol, worst, tol,
@@ -81,8 +81,8 @@ def reference_variance(kernel, rng, n_measures=50, tol=1e-6):
     grid, worst = kernel.grid, 0.0
     for _ in range(n_measures):
         mu = reference_mixture(rng, grid)
-        expected = 0.5 * moment_rows(grid, mu.density[None])[2][0] + 0.5 * kernel.A
-        variance = moment_rows(grid, apply_T_fast(mu, kernel).density[None])[2][0]
+        expected = 0.5 * moment_rows(grid, mu.density[None])[1][0] + 0.5 * kernel.A
+        variance = moment_rows(grid, apply_T_fast(mu, kernel).density[None])[1][0]
         worst = max(worst, abs(variance - expected))
     return CheckResult(
         "variance_map", worst <= tol, worst, tol,
@@ -244,8 +244,6 @@ def test_random_mixtures_rows_are_one_measure_draws(setting):
     want = [reference_mixture(reference_rng, grid, target).density for target in targets]
     assert np.array_equal(rows, np.array(want))
     assert rng.bit_generator.state == reference_rng.bit_generator.state
-    one = property_checks.random_mixture(rng, grid)
-    assert np.array_equal(one.density, reference_mixture(reference_rng, grid).density)
 
 
 @pytest.mark.parametrize("setting", [BENCHMARK, NARROW], ids=["benchmark", "narrow"])
