@@ -16,17 +16,10 @@ import numpy as np
 
 from .environment import ENV_KINDS, KIND_KEYS, Environment
 from .grids import TorusGrid, TraitGrid
-from .infinitesimal import defect_problem, segregation_kernel
+from .infinitesimal import defect_problem, resolution_problem, segregation_kernel
 from .measures import gaussian_rows, unit_mass
 from .property_checks import fixed_point_centers
-from .sim_solver import (
-    SimParams,
-    floor_problem,
-    margin_problem,
-    max_stable_dt,
-    plan_steps,
-    resolution_problem,
-)
+from .sim_solver import SimParams, floor_problem, margin_problem, max_stable_dt, plan_steps
 
 TRAIT_MARGIN_SIGMAS = 8.0
 # 400 times the standard run; a trait grid far from the optimal trait makes
@@ -373,11 +366,18 @@ def parse_config(source) -> RunConfig:
         )
 
     dt = num.get("dt", "auto")
+    snapshot_dt = num.get("snapshot_dt", "auto")
     if dt == "auto":
         # Capped before the ceil and the divisor search, which a huge count overflows or stalls.
         n_steps = max(1, math.ceil(_capped_steps(t_end / (0.5 * dt_cap), 0.5 * dt_cap)))
         every, target = _auto_cadence(n_steps)
-        if num.get("snapshot_dt", "auto") == "auto" and every < target / 2:
+        if snapshot_dt != "auto":
+            # Each of the whole number of cadence intervals in t_end takes the fewest steps of
+            # at most half the bound; the ceil's ratio is at most the t_end one capped above.
+            snapshot_dt = _get_number(num, "snapshot_dt", "numerical", positive=True)
+            intervals, _ = _plan(t_end, snapshot_dt, snapshot_dt, "snapshot_dt must divide t_end")
+            n_steps = intervals * math.ceil(snapshot_dt / (0.5 * dt_cap))
+        elif every < target / 2:
             # E.g. a prime step count: round it up to a multiple of the "auto"
             # cadence.  The smaller dt stays under the stability bound.
             n_steps += -n_steps % target
@@ -404,7 +404,6 @@ def parse_config(source) -> RunConfig:
         )
 
     _capped_steps(n_steps, dt)
-    snapshot_dt = num.get("snapshot_dt", "auto")
     if snapshot_dt == "auto":
         every, target = _auto_cadence(n_steps)
         if every < target / 2:
@@ -418,21 +417,9 @@ def parse_config(source) -> RunConfig:
             )
         snapshot_dt = dt * every
     else:
-        snapshot_dt = _get_number(num, "snapshot_dt", "numerical", positive=True)
-        try:
+        if num.get("dt", "auto") != "auto":
+            snapshot_dt = _get_number(num, "snapshot_dt", "numerical", positive=True)
             _plan(snapshot_dt, dt, snapshot_dt, "snapshot_dt must be an integer multiple of dt")
-        except ConfigError:
-            if num.get("dt", "auto") != "auto":
-                raise
-            # Split each of the whole number of cadence intervals in t_end into the fewest
-            # steps of at most half the bound; the ceil's ratio is at most the capped
-            # t_end / (0.5 dt_cap) above.
-            intervals, _ = _plan(t_end, snapshot_dt, snapshot_dt, "snapshot_dt must divide t_end")
-            if not intervals:  # a cadence past t_end by more than roundoff allows
-                raise ConfigError("numerical.snapshot_dt must divide t_end") from None
-            n_steps = intervals * math.ceil(snapshot_dt / (0.5 * dt_cap))
-            dt = t_end / n_steps
-            _capped_steps(n_steps, dt)
         _, every = _plan(t_end, dt, snapshot_dt, "snapshot_dt must divide t_end")
     if n_steps // every + 1 > MAX_SNAPSHOTS:
         raise ConfigError(

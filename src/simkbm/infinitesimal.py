@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from .grids import TraitGrid
-from .measures import GridMeasure
+from .measures import PROBABILITY_TOL, GridMeasure
 
 W2_CONTRACTION = 2.0 ** (-0.5)
 W4_CONTRACTION = 2.0 ** (-0.25)
@@ -51,6 +51,22 @@ def defect_problem(A: float, grid: TraitGrid, defect: float) -> str | None:
             f"segregation kernel mass defect {defect:.3e} on this trait grid: the spacing "
             f"{grid.spacing:.4g} must be below about 0.9*sqrt(A/2) = {0.9 * np.sqrt(0.5 * A):.4g}"
             " and the grid at least about 7*sqrt(A/2) wide"
+        )
+
+
+def resolution_problem(V0: float, grid: TraitGrid) -> str | None:
+    """Why the spacing does not resolve the initial variance V0 (a NaN error does not
+    either), or None when it does: segregation_kernel's defect at 2 V0, the mass error
+    of a Gaussian of variance V0 sampled at the cell centers, away from the grid's ends,
+    must be at most PROBABILITY_TOL.  Near the ends, sim_solver.margin_problem governs."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        error = segregation_kernel(2.0 * V0, grid)[1]
+    if not error <= PROBABILITY_TOL:
+        return (
+            f"the trait spacing {grid.spacing:.4g} does not resolve the initial variance "
+            f"V0 = {V0:.6g}: a sampled Gaussian of that variance is off mass 1 by {error:.3e}, "
+            f"more than {PROBABILITY_TOL:g}; the spacing must be below about sqrt(V0) = "
+            f"{np.sqrt(V0):.4g}"
         )
 
 

@@ -23,8 +23,8 @@ import numpy as np
 from .diffusion import PeriodicHeatCN
 from .environment import Environment
 from .grids import TorusGrid, TraitGrid
-from .infinitesimal import ReproductionKernel, segregation_kernel
-from .measures import MARGIN_SIGMAS, PROBABILITY_TOL, gaussian_rows
+from .infinitesimal import ReproductionKernel, resolution_problem
+from .measures import MARGIN_SIGMAS, gaussian_rows
 
 N_FLOOR = 1e-12
 INIT_MARGIN_SIGMAS = 4.0
@@ -46,23 +46,6 @@ def margin_problem(z_lo: float, z_hi: float, V0: float, trait: TraitGrid) -> str
         return (
             f"the initial mean trait Z0 comes within {margin / sigma:.3f} standard deviations "
             f"(sqrt(V0)) of the trait boundary, where {INIT_MARGIN_SIGMAS:g} are needed"
-        )
-
-
-def resolution_problem(V0: float, trait: TraitGrid) -> str | None:
-    """Why the trait spacing does not resolve the initial variance V0 (a NaN error
-    does not either), or None when it does: a Gaussian of variance V0 sampled at the
-    cell centers must hold mass 1 within PROBABILITY_TOL wherever its mean lies.
-    segregation_kernel's defect at 2 V0 is that error at the two worst means, on a
-    cell center and halfway between two."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        error = segregation_kernel(2.0 * V0, trait)[1]
-    if not error <= PROBABILITY_TOL:
-        return (
-            f"the trait spacing {trait.spacing:.4g} does not resolve the initial variance "
-            f"V0 = {V0:.6g}: a sampled Gaussian of that variance is off mass 1 by {error:.3e}, "
-            f"more than {PROBABILITY_TOL:g}; the spacing must be below about sqrt(V0) = "
-            f"{math.sqrt(V0):.4g}"
         )
 
 
@@ -145,11 +128,9 @@ def gaussian_initial_state(
     Z0 = np.asarray(Z0, dtype=float)
     if not V0 > 0:
         raise ValueError(f"initial trait variance must be positive, got {V0}")
-    if problem := (
-        floor_problem(N0.min())
-        or margin_problem(Z0.min(), Z0.max(), V0, trait)
-        or resolution_problem(V0, trait)
-    ):
+    if problem := floor_problem(N0.min()) or margin_problem(Z0.min(), Z0.max(), V0, trait):
+        raise ValueError(problem)
+    if problem := resolution_problem(V0, trait):
         raise ValueError(problem)
     sigma = math.sqrt(V0)
     margin = min(Z0.min() - trait.y_min, trait.y_max - Z0.max())
@@ -315,6 +296,8 @@ def plan_steps(t0: float, t_end: float, dt: float, snapshot_dt: float) -> tuple:
     if t_end < t0 - 1e-12:
         raise ValueError("t_end lies before the initial time")
     n_steps = _whole_steps(t_end - t0, dt, "t_end - t0")
+    if not n_steps and t_end - t0 > 1e-9 * max(abs(t0), abs(t_end)):
+        raise ValueError("t_end - t0 is shorter than one step of dt")
     every = _whole_steps(snapshot_dt, dt, "snapshot_dt")
     if not every or n_steps % every:
         raise ValueError(f"the cadence ({every} steps) must be >= 1 and divide {n_steps} steps")

@@ -140,6 +140,9 @@ class TestParsing:
         # Where the auto step divides the cadence, it is kept.
         cfg = parse_config(doc(**timing, **{"numerical.snapshot_dt": 0.25}))
         assert cfg.dt == 1.0 / 348 and plan_steps(0.0, 1.0, cfg.dt, 0.25) == (348, 87)
+        # A cadence far below the auto step: 5000 intervals of one step each.
+        cfg = parse_config(doc(**{"numerical.t_end": 1e-6, "numerical.snapshot_dt": 2e-10}))
+        assert plan_steps(0.0, 1e-6, cfg.dt, 2e-10) == (5000, 1)
 
     def test_horizon_over_the_step_cap_by_roundoff_is_accepted(self):
         # t_end / dt is 1000000.0000001, which rounds to the cap of 10^6 steps.

@@ -263,10 +263,12 @@ class TestPlanSteps:
             (0.03, 0.002, 0.003, "snapshot_dt must be an integer multiple of dt"),
             (1.0, 0.001, 1e-12, "must be >= 1 and divide"),
             (0.02, 0.002, 0.03, "must be >= 1 and divide"),
+            (1.0, 1e12, 1e12, "shorter than one step"),
         ],
         ids=[
             "overflowing-horizon", "overflowing-horizon-tiny-dt", "overflowing-cadence",
             "fractional-cadence", "cadence-below-one-step", "cadence-beyond-horizon",
+            "horizon-below-one-step",
         ],
     )
     def test_rejects_with_value_error(self, t_end, dt, snapshot_dt, message):
