@@ -158,10 +158,11 @@ def _cmd_simulate_sim(config: RunConfig, args) -> int:
     ]
     fields, rows = [], []
     # Each snapshot is reduced on arrival; only the densities to write are kept.
-    for state, moms, dev, mark in reduced_snapshots(config, params, diag):
+    for state, moms, dev in reduced_snapshots(config, params, diag):
         fields.append(state.n)
         mass = state.n.sum() * trait.spacing * space.spacing
         N, Z = moms.N, moms.Z
+        mark = diag.max_boundary_leak_rate
         rows.append((state.t, mass, N.min(), N.max(), Z.min(), Z.max(), moms.V.max(), dev, mark))
     cols = np.array(rows).T
     meta = {

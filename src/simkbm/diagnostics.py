@@ -13,9 +13,7 @@ import numpy as np
 
 from .environment import Environment
 from .grids import TorusGrid
-from .measures import (
-    MARGIN_SIGMAS, batch_rows, gaussian_on_grid, gaussian_rows, unit_mass, wasserstein_rows
-)
+from .measures import batch_rows, gaussian_rows, unit_mass, warn_near_ends, wasserstein_rows
 from .sim_solver import KineticState, SimulationError, floor_problem
 
 
@@ -41,16 +39,15 @@ def gaussian_deviation(state: KineticState, A: float, N: np.ndarray, Z: np.ndarr
     The columns are taken measures.batch_rows(trait points) at a time, which
     bounds the profile and target arrays (a 64 x 512 snapshot peaks at
     0.69 MB, 1.67 MB in one piece); wasserstein_rows keeps its own batch
-    loop for its other callers.  Per batch, in column order, a reference
-    mean within MARGIN_SIGMAS sqrt(A) of a trait end warns through gaussian_on_grid and
-    the first reference whose mass misses 1 by more than PROBABILITY_TOL
-    raises SimulationError; wasserstein_rows then rejects the first profile
-    that is not a probability density, and a distance that is not finite
-    raises SimulationError.  Every command takes its first gauss_dev at
-    t = 0, before any step: that is where a run's references are checked.
+    loop for its other callers.  Per batch, a reference mean within
+    MARGIN_SIGMAS sqrt(A) of a trait end warns through measures.warn_near_ends,
+    and the first reference in column order whose mass misses 1 by more than
+    PROBABILITY_TOL raises SimulationError; wasserstein_rows then rejects the
+    first profile that is not a probability density, and a distance that is
+    not finite raises SimulationError.  Every command takes its first
+    gauss_dev at t = 0, before any step: that is where a run's references
+    are checked.
     """
-    if not A > 0:
-        raise ValueError(f"variance must be positive, got {A}")
     trait = state.trait
     rows = batch_rows(trait.points)
     worst = 0.0
@@ -58,18 +55,16 @@ def gaussian_deviation(state: KineticState, A: float, N: np.ndarray, Z: np.ndarr
         cols = slice(lo, lo + rows)
         means = Z[cols]
         target = gaussian_rows(means, A, trait)
+        warn_near_ends(means, A, trait)
         mass = target.sum(axis=1) * trait.spacing
-        short = ~unit_mass(mass)
-        near = np.minimum(means - trait.y_min, trait.y_max - means) < MARGIN_SIGMAS * np.sqrt(A)
-        for i in np.flatnonzero(short | near):
-            if near[i]:
-                gaussian_on_grid(means[i], A, trait)
-            if short[i]:
-                raise SimulationError(
-                    f"the reference Gaussian of variance A at Z = {means[i]:.6g} holds mass "
-                    f"{mass[i]:.12f} on the trait grid: widen numerical.trait_bounds",
-                    {"t": state.t, "mass": float(mass[i])},
-                )
+        short = np.flatnonzero(~unit_mass(mass))
+        if len(short):
+            i = short[0]
+            raise SimulationError(
+                f"the reference Gaussian of variance A at Z = {means[i]:.6g} holds mass "
+                f"{mass[i]:.12f} on the trait grid: widen numerical.trait_bounds",
+                {"t": state.t, "mass": float(mass[i])},
+            )
         dist = wasserstein_rows(trait, state.n[cols] / N[cols, None], target, (2,))[0]
         # max(worst, nan) keeps worst: a NaN column must not drop out silently.
         bad = np.flatnonzero(~np.isfinite(dist))

@@ -64,13 +64,13 @@ def _windowed_sup(times, series, t_start):
 
 
 def reduced_snapshots(config: RunConfig, params: SimParams, diag: RunDiagnostics):
-    """(state, kinetic_moments, gauss_dev, running leak mark) of each snapshot
-    of the SIM run of config, taken as sim_snapshots makes it and before the
-    next step: a failing snapshot, the first at t = 0 included, stops the run."""
+    """(state, kinetic_moments, gauss_dev) of each snapshot of the SIM run of
+    config, taken as sim_snapshots makes it and before the next step: a failing
+    snapshot, the first at t = 0 included, stops the run.  At each yield,
+    diag.max_boundary_leak_rate is the running leak mark."""
     for state in sim_snapshots(init_state(config), params, config.env, config.t_end, diag):
         moms = kinetic_moments(state)
-        dev = gaussian_deviation(state, config.A, moms.N, moms.Z)
-        yield state, moms, dev, diag.max_boundary_leak_rate
+        yield state, moms, gaussian_deviation(state, config.A, moms.N, moms.Z)
 
 
 def run_compare(config: RunConfig, gamma: float | None = None) -> CompareResult:
@@ -93,8 +93,8 @@ def run_compare(config: RunConfig, gamma: float | None = None) -> CompareResult:
     diag = RunDiagnostics()
     # Each snapshot is reduced on arrival and not kept.
     rows = []
-    for state, moms, dev, mark in reduced_snapshots(config, params, diag):
-        rows.append((state.t, moms.N, moms.Z, dev, moms.V.max(), mark))
+    for state, moms, dev in reduced_snapshots(config, params, diag):
+        rows.append((state.t, moms.N, moms.Z, dev, moms.V.max(), diag.max_boundary_leak_rate))
     times, N, Z, gauss, v_max, leak = map(np.array, zip(*rows))
     kbm = run_kbm(init_macro(config), env, config.A, config.dt, config.t_end, config.snapshot_dt)
 

@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from .grids import TraitGrid
-from .measures import PROBABILITY_TOL, GridMeasure
+from .measures import PROBABILITY_TOL, GridMeasure, normal_density
 
 W2_CONTRACTION = 2.0 ** (-0.5)
 W4_CONTRACTION = 2.0 ** (-0.25)
@@ -36,8 +36,7 @@ def segregation_kernel(A: float, grid: TraitGrid) -> tuple:
     """
     m = grid.points
     offsets = np.arange(-(2 * m - 2), 2 * m - 1) * (0.5 * grid.spacing)
-    var = 0.5 * A
-    table = np.exp(-(offsets**2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
+    table = normal_density(offsets, 0.5 * A)
     even = grid.spacing * table[::2].sum()
     odd = grid.spacing * table[1::2].sum()
     return table, float(max(abs(1.0 - even), abs(1.0 - odd)))

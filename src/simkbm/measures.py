@@ -90,29 +90,40 @@ def gaussian_on_grid(mean: float, variance: float, grid: TraitGrid) -> GridMeasu
     """Sample the normalized Gaussian of the given mean and variance at cell centers.
 
     The samples are NOT renormalized afterwards: the mass defect of the
-    sampled density is a truncation diagnostic in its own right.  A warning
-    is raised when the mean sits closer than MARGIN_SIGMAS standard
-    deviations to either grid end.
+    sampled density is a truncation diagnostic in its own right; see
+    warn_near_ends.
     """
+    means = np.array([mean])
+    density = gaussian_rows(means, variance, grid)[0]
+    warn_near_ends(means, variance, grid)
+    return GridMeasure(grid, density)
+
+
+def normal_density(offsets, variance: float):
+    """The centered normal density of the given variance at the offsets."""
     if not variance > 0:
         raise ValueError(f"variance must be positive, got {variance}")
-    sigma = np.sqrt(variance)
-    margin = min(mean - grid.y_min, grid.y_max - mean)
-    if margin < MARGIN_SIGMAS * sigma:
-        warnings.warn(
-            f"Gaussian mean {mean:g} is only {margin / sigma:.2f} standard deviations "
-            "from the trait boundary; sampled mass will be visibly short of 1",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return GridMeasure(grid, gaussian_rows(np.array([mean]), variance, grid)[0])
+    return np.exp(-(offsets**2) / (2.0 * variance)) / np.sqrt(2.0 * np.pi * variance)
 
 
 def gaussian_rows(means: np.ndarray, variance: float, grid: TraitGrid) -> np.ndarray:
-    """gaussian_on_grid's samples for every mean, one row each, without its checks."""
-    y = grid.centers
-    dens = np.exp(-((y - means[:, None]) ** 2) / (2.0 * variance))
-    return dens / np.sqrt(2.0 * np.pi * variance)
+    """gaussian_on_grid's samples for every mean, one row each, without its warning."""
+    return normal_density(grid.centers - means[:, None], variance)
+
+
+def warn_near_ends(means: np.ndarray, variance: float, grid: TraitGrid):
+    """Warn when a Gaussian of the variance centered at one of the means comes within
+    MARGIN_SIGMAS standard deviations of a grid end.  The text names no mean, and the
+    warning is raised here for every caller, so a warnings registry shows it once per
+    variance and grid."""
+    margin = np.minimum(means - grid.y_min, grid.y_max - means)
+    if np.any(margin < MARGIN_SIGMAS * np.sqrt(variance)):
+        warnings.warn(
+            f"a Gaussian of variance {variance:g} has its mean within {MARGIN_SIGMAS:g} standard "
+            f"deviations of the trait bounds [{grid.y_min:g}, {grid.y_max:g}]; its sampled mass "
+            "may be visibly short of 1",
+            RuntimeWarning,
+        )
 
 
 def moment_rows(grid: TraitGrid, density: np.ndarray) -> tuple:

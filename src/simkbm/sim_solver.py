@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .diffusion import PeriodicHeatCN
 from .environment import Environment
 from .grids import TorusGrid, TraitGrid
 from .infinitesimal import ReproductionKernel, resolution_problem
-from .measures import MARGIN_SIGMAS, gaussian_rows
+from .measures import gaussian_rows, warn_near_ends
 
 N_FLOOR = 1e-12
 INIT_MARGIN_SIGMAS = 4.0
@@ -104,13 +103,20 @@ class RunDiagnostics:
     positivity_clips: int = 0
 
 
+def _column_sizes(n: np.ndarray, h_y: float, t: float) -> np.ndarray:
+    """Column sizes N of a density at time t, for kinetic_moments and the R and B
+    substeps alike; a size below the floor raises SimulationError."""
+    N = n.sum(axis=1) * h_y
+    if problem := floor_problem(N.min()):
+        raise SimulationError(problem, {"t": t, "min_N": float(N.min()), "floor": N_FLOOR})
+    return N
+
+
 def kinetic_moments(state: KineticState) -> KineticMoments:
     """Population size, mean trait and raw fourth moment of the per-column profile."""
     h = state.trait.spacing
     y = state.trait.centers
-    N = state.n.sum(axis=1) * h
-    if problem := floor_problem(N.min()):
-        raise SimulationError(problem, {"t": state.t, "min_N": float(N.min())})
+    N = _column_sizes(state.n, h, state.t)
     Z = (state.n @ y) * h / N
     V = (state.n @ y**4) * h / N
     return KineticMoments(N=N, Z=Z, V=V)
@@ -132,15 +138,7 @@ def gaussian_initial_state(
         raise ValueError(problem)
     if problem := resolution_problem(V0, trait):
         raise ValueError(problem)
-    sigma = math.sqrt(V0)
-    margin = min(Z0.min() - trait.y_min, trait.y_max - Z0.max())
-    if margin < MARGIN_SIGMAS * sigma:
-        warnings.warn(
-            f"initial mean trait only {margin / sigma:.2f} standard deviations from "
-            "the trait boundary",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    warn_near_ends(Z0, V0, trait)
     return KineticState(0.0, N0[:, None] * gaussian_rows(Z0, V0, trait), space, trait)
 
 
@@ -206,13 +204,6 @@ def _guard_density(n: np.ndarray, stage: str, t: float, diag: RunDiagnostics):
         np.clip(n, 0.0, None, out=n)
         diag.positivity_clips += 1
     return n
-
-
-def _column_sizes(n: np.ndarray, h_y: float, t: float) -> np.ndarray:
-    N = n.sum(axis=1) * h_y
-    if problem := floor_problem(N.min()):
-        raise SimulationError(problem, {"t": t, "min_N": float(N.min()), "floor": N_FLOOR})
-    return N
 
 
 def _diffusion_substep(n, ops, t, diag):

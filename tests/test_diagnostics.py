@@ -124,7 +124,8 @@ class TestBatchedGaussianDeviation:
 
     def test_short_reference_reports_the_first_failing_column(self, space64):
         # Columns 40 and 50 sit 4.5 and 4 standard deviations from the top
-        # end: both warn, and the error names column 40.
+        # end: one warning names the variance and the bounds, and the error
+        # names column 40.
         trait = TraitGrid(-8.5, 8.5, 512)
         z0 = np.zeros(64)
         z0[40], z0[50] = 4.0, 4.5
@@ -132,8 +133,8 @@ class TestBatchedGaussianDeviation:
         with pytest.warns(RuntimeWarning, match="standard deviations") as record:
             with pytest.raises(SimulationError, match="at Z = 4 holds mass") as err:
                 gauss_dev(state, 1.0)
-        assert len(record) == 1 and "Gaussian mean 4 " in str(record[0].message)
-        assert err.value.report["t"] == 0.0
+        assert len(record) == 1 and "variance 1 " in str(record[0].message)
+        assert "[-8.5, 8.5]" in str(record[0].message) and err.value.report["t"] == 0.0
 
     def test_profile_that_is_not_a_probability_density_raises(self, space64):
         trait = TraitGrid(-8.5, 8.5, 512)

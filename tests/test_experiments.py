@@ -150,9 +150,10 @@ class TestStreamedCompare:
 
 class TestReducedSnapshots:
     def test_short_reference_raises_at_snapshot_0_before_any_step(self, near_end_doc, count_calls):
-        # The first gauss_dev, at t = 0, checks the references: the warnings
+        # The first gauss_dev, at t = 0, checks the references: the warning
         # and the error of gaussian_deviation on the initial state, with no
-        # step taken.
+        # step taken.  The warning names no mean, so the default warning
+        # display shows it once.
         config = parse_config(near_end_doc)
         state = init_state(config)
         moms = kinetic_moments(state)
@@ -166,12 +167,15 @@ class TestReducedSnapshots:
         raised = []
         for run in runs:
             with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
+                warnings.simplefilter("default")
                 with pytest.raises(SimulationError) as err:
                     run()
             raised.append((str(err.value), err.value.report, [str(w.message) for w in caught]))
         assert raised[0] == raised[1]
         message, report, shown = raised[0]
         assert "at Z = -0.166294 holds mass 0.99999998" in message and report["t"] == 0.0
-        assert len(shown) == 11 and "Gaussian mean -0.166294 " in shown[-1]
+        assert shown == [
+            "a Gaussian of variance 1 has its mean within 6 standard deviations of the trait "
+            "bounds [-5.75, 8]; its sampled mass may be visibly short of 1"
+        ]
         assert counts["sim_step"] == 0
