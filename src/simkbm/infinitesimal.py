@@ -24,6 +24,13 @@ KERNEL_MASS_DEFECT_TOL = 1e-10
 # preallocated work blocks hold about 0.75 MiB, inside a core's L2 cache, where
 # a whole 64-row batch at nfft 4096 would stream about 8 MiB through it.
 FFT_BLOCK_SAMPLES = 2**15
+# Rows per dense forward product.  Every product has this one shape, so a
+# row's bits depend neither on its batch nor on the BLAS thread count
+# (OpenBLAS takes gemv for one row and splits columns by thread).
+DENSE_BLOCK_ROWS = 16
+# Kernel spectrum modes below this fraction of its peak are dropped by the
+# dense forward transform.
+DENSE_SPECTRUM_CUTOFF = 1e-17
 
 
 def segregation_kernel(A: float, grid: TraitGrid) -> tuple:
@@ -96,15 +103,49 @@ class ReproductionKernel:
             n *= 2
         self._nfft = n
         self._half_table_hat = 0.5 * np.fft.rfft(self.table, n)
-        # One row block's zero-padded signal, spectrum, fold and even samples,
-        # reused by every call (the padding past column m is never written).
-        block = max(1, FFT_BLOCK_SAMPLES // n)
+        # Modes past kc carry less than DENSE_SPECTRUM_CUTOFF of the kernel
+        # spectrum's peak: K^(xi) = exp(-xi^2 A/4) on the half-spacing lattice.
+        xi_max = np.sqrt(2.0 * np.log(1.0 / DENSE_SPECTRUM_CUTOFF) / (0.5 * self.A))
+        kc = int(np.ceil(xi_max * n * 0.5 * grid.spacing / (2.0 * np.pi))) + 1
+        kc = -(-kc // 8) * 8
+        self._kc = kc
+        if kc <= n // 4 and m * kc <= 2 * n * np.log2(n):
+            # Dense forward: h-weighted modes 0..kc-1 of the zero-padded rfft,
+            # real and imaginary parts interleaved so a real product's row
+            # views as kc complex modes.  The phase index a*k is reduced mod
+            # nfft (a power of two) in integers and picks one of the nfft
+            # h-weighted roots of unity.
+            roots = grid.spacing * np.exp(-2j * np.pi / n * np.arange(n))
+            self._forward = roots[np.outer(np.arange(m), np.arange(kc)) & (n - 1)].view(float)
+            block = DENSE_BLOCK_ROWS
+            head = (np.zeros((block, m)), np.empty((block, 2 * kc)))
+        else:
+            # Too many live modes for a product to beat the FFT, or a table
+            # too large to hold: wide, coarse grids transform the zero-padded
+            # signal at length nfft (the padding past column m is never written).
+            self._forward = None
+            block = max(1, FFT_BLOCK_SAMPLES // n)
+            head = (np.zeros((block, n)), np.empty((block, n // 2 + 1), dtype=complex))
+        # One row block's forward buffers, fold and even samples, reused by
+        # every call; on the dense path fold modes [kc, nfft/4] stay zero.
         self._blocks = (
-            np.zeros((block, n)),
-            np.empty((block, n // 2 + 1), dtype=complex),
-            np.empty((block, n // 4 + 1), dtype=complex),
+            *head,
+            np.zeros((block, n // 4 + 1), dtype=complex),
             np.empty((block, n // 2)),
         )
+
+    def _dense_modes(self, rows: np.ndarray) -> np.ndarray:
+        """Modes 0..kc-1 of rfft(rows * spacing, nfft), for at most one block of rows.
+
+        The rows are copied into the zero-padded block, so the product always
+        has the one shape DENSE_BLOCK_ROWS x points; the result views the
+        kernel's modes buffer.
+        """
+        signal, modes = self._blocks[:2]
+        signal[: len(rows)] = rows
+        signal[len(rows) :] = 0.0
+        np.matmul(signal, self._forward, out=modes)
+        return modes.view(complex)[: len(rows)]
 
     def apply_to_profiles(self, profiles: np.ndarray) -> np.ndarray:
         """Apply T to a batch of normalized trait densities, one per row.
@@ -115,30 +156,44 @@ class ReproductionKernel:
         centers with no interpolation.  Tiny FFT-roundoff negatives are
         clipped to keep T order-preserving.
 
-        Rows are transformed FFT_BLOCK_SAMPLES // nfft at a time (at least
-        one) in preallocated blocks, forward at length nfft.  Only the even
-        product samples are read, so the spectrum Y is folded to
-        F[k] = Y[k] + conj(Y[nfft/2 - k]), k <= nfft/4 (the 1/2 rides in the
-        table spectrum) and inverted at length nfft/2, where T lies at
-        [m - 1, 2m - 1).  Rows are independent, so the result does not depend
-        on the block size.
+        The product spectrum is Y = X^2 K^ with X the rows' spectrum at
+        length nfft.  Only the even product samples are read, so Y is folded
+        to F[k] = Y[k] + conj(Y[nfft/2 - k]), k <= nfft/4 (the 1/2 rides in
+        the table spectrum) and inverted at length nfft/2, where T lies at
+        [m - 1, 2m - 1).  X comes one of two ways:
+
+        - dense: where K^ has at most nfft/4 live modes (kc) and m * kc is at
+          most 2 nfft log2 nfft, X[:kc] is one product of DENSE_BLOCK_ROWS
+          rows with the kernel's points x 2kc table, and F[k] = Y[k] for
+          k < kc, zero past it;
+        - FFT: otherwise, FFT_BLOCK_SAMPLES // nfft rows at a time (at least
+          one) are transformed at length nfft and folded in full.
+
+        Rows are independent and every dense product has one shape, so the
+        result does not depend on the batch.
         """
         profiles = np.atleast_2d(np.asarray(profiles, dtype=float))
         m = self.grid.points
         if profiles.shape[1] != m:
             raise ValueError("profile length does not match the kernel grid")
-        nfft = self._nfft
+        nfft, kc = self._nfft, self._kc
         block = len(self._blocks[0])
         res = np.empty(profiles.shape)
         for lo in range(0, len(profiles), block):
             rows = profiles[lo : lo + block]
-            signal, spec, fold, even = (b[: len(rows)] for b in self._blocks)
-            np.multiply(rows, self.grid.spacing, out=signal[:, :m])
-            np.fft.rfft(signal, axis=1, out=spec)
-            spec *= spec
-            spec *= self._half_table_hat
-            np.conjugate(spec[:, nfft // 2 : nfft // 4 - 1 : -1], out=fold)
-            fold += spec[:, : nfft // 4 + 1]
+            fold, even = (b[: len(rows)] for b in self._blocks[2:])
+            if self._forward is None:
+                signal, spec = (b[: len(rows)] for b in self._blocks[:2])
+                np.multiply(rows, self.grid.spacing, out=signal[:, :m])
+                np.fft.rfft(signal, axis=1, out=spec)
+                spec *= spec
+                spec *= self._half_table_hat
+                np.conjugate(spec[:, nfft // 2 : nfft // 4 - 1 : -1], out=fold)
+                fold += spec[:, : nfft // 4 + 1]
+            else:
+                modes = self._dense_modes(rows)
+                np.multiply(modes, modes, out=fold[:, :kc])
+                fold[:, :kc] *= self._half_table_hat[:kc]
             np.fft.irfft(fold, nfft // 2, axis=1, out=even)
             res[lo : lo + block] = even[:, m - 1 : 2 * m - 1]
         np.clip(res, 0.0, None, out=res)

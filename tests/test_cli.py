@@ -233,11 +233,15 @@ class TestCompareCommand:
         sb = pathlib.Path("outB/compare_summary.json").read_text()
         assert sa.replace('"outA"', '"X"') == sb.replace('"outB"', '"X"')
 
-    def test_byte_identical_across_blas_thread_counts(self, tmp_path):
-        # 64 x 64 x 128 multiply-adds per diffusion step: above the size at
-        # which OpenBLAS splits a product across threads.
+    # 64 x 64 x 128 multiply-adds per diffusion step: above the size at which
+    # OpenBLAS splits a product across threads.  At 512 trait points, the
+    # benchmark size, B also runs its dense forward product.
+    @pytest.mark.parametrize("trait_points", [128, 512])
+    def test_byte_identical_across_blas_thread_counts(self, tmp_path, trait_points):
         doc = json.loads(json.dumps(SMALL_COMPARE))
-        doc["numerical"].update(space_points=64, t_end=0.1, snapshot_dt=0.02)
+        doc["numerical"].update(
+            space_points=64, trait_points=trait_points, t_end=0.1, snapshot_dt=0.02
+        )
         cfg = write_config(tmp_path, doc)
         trees = []
         for threads in ("1", "2"):

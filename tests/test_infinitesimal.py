@@ -15,7 +15,6 @@ from simkbm import (
     wasserstein,
 )
 from simkbm.infinitesimal import (
-    FFT_BLOCK_SAMPLES,
     W2_CONTRACTION,
     W4_CONTRACTION,
     segregation_kernel,
@@ -138,8 +137,9 @@ class TestFastPath:
 class TestRowBlocks:
     @staticmethod
     def _kernel_and_block(m):
+        # 17 points take the FFT path, 512 the dense one.
         kernel = ReproductionKernel(1.0, TraitGrid(-4.0, 4.0, m))
-        return kernel, max(1, FFT_BLOCK_SAMPLES // kernel._nfft)
+        return kernel, len(kernel._blocks[0])
 
     @pytest.mark.parametrize("m", [17, 512])
     def test_rows_match_single_row_calls_bit_for_bit(self, m, rng):
@@ -179,14 +179,21 @@ class TestRowBlocks:
 class TestFold:
     @staticmethod
     def _strided_reference(kernel, profiles):
-        # The full-length product and its every-other-sample read.
+        # The full-length product and its every-other-sample read.  On the
+        # dense path the forward spectrum is the kernel's own kc modes, zero
+        # past them, so what is checked is the fold and the half-length inverse.
         m, nfft = kernel.grid.points, kernel._nfft
-        w_hat = np.fft.rfft(profiles * kernel.grid.spacing, nfft, axis=1)
+        if kernel._forward is None:
+            w_hat = np.fft.rfft(profiles * kernel.grid.spacing, nfft, axis=1)
+        else:
+            w_hat = np.zeros((len(profiles), nfft // 2 + 1), dtype=complex)
+            w_hat[:, : kernel._kc] = kernel._dense_modes(profiles)
         full = np.fft.irfft(w_hat**2 * np.fft.rfft(kernel.table, nfft), nfft, axis=1)
         return np.clip(full[:, 2 * m - 2 : 4 * m - 3 : 2], 0.0, None)
 
     # nfft 32 to 8192, with the lengths pocketfft factors into radix-4 passes
-    # only (256, 1024, 4096) and the others.
+    # only (256, 1024, 4096) and the others; 3 and 16 points take the FFT
+    # path, the others the dense one.
     @pytest.mark.filterwarnings("ignore:segregation kernel mass defect")
     @pytest.mark.parametrize("m", [3, 16, 40, 64, 100, 256, 512, 1000])
     def test_matches_full_length_strided_product(self, m, rng):
@@ -199,6 +206,18 @@ class TestFold:
         tol = 4 * np.finfo(float).eps * want.max(axis=1, keepdims=True)
         assert np.all(np.abs(got - want) <= tol)
 
+    @pytest.mark.parametrize("bounds, m", [(4.0, 40), (4.0, 256), (4.0, 1000), (8.5, 512)])
+    def test_dense_modes_match_the_zero_padded_rfft(self, bounds, m, rng):
+        # Measured worst over 20 seeds and these grids: 7.9 eps times the
+        # zeroth mode, which bounds every mode of a nonnegative row.
+        kernel = ReproductionKernel(1.0, TraitGrid(-bounds, bounds, m))
+        assert kernel._forward is not None
+        rows = rng.random((5, m))
+        got = kernel._dense_modes(rows)
+        want = np.fft.rfft(rows * kernel.grid.spacing, kernel._nfft, axis=1)[:, : kernel._kc]
+        tol = 16 * np.finfo(float).eps * want[:, :1].real
+        assert np.all(np.abs(got - want) <= tol)
+
     def test_result_owns_its_memory(self, kernel256, rng):
         profiles = rng.random((3, 256))
         first = kernel256.apply_to_profiles(profiles)
@@ -206,6 +225,28 @@ class TestFold:
         assert not any(np.shares_memory(first, b) for b in kernel256._blocks)
         kernel256.apply_to_profiles(rng.random((3, 256)))
         assert np.array_equal(first, kept)
+
+
+class TestPaths:
+    def test_benchmark_grid_takes_the_dense_path(self):
+        kernel = ReproductionKernel(1.0, TraitGrid(-8.5, 8.5, 512))
+        assert kernel._forward is not None and kernel._kc == 144
+
+    def test_wide_grid_keeps_the_fft_path_in_bounded_memory(self, rng):
+        # kc 3992 modes past nfft/4 = 2048: the dense table would hold 65 MB.
+        grid = TraitGrid(-250.0, 250.0, 1024)
+        tracemalloc.start()
+        try:
+            kernel = ReproductionKernel(1.0, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kernel._forward is None
+        assert peak < 2 * 2**20
+        mu = GridMeasure(grid, random_mixtures(rng, grid, 1)[0])
+        fast = apply_T_fast(mu, kernel)
+        slow = apply_T_oracle(mu, kernel)
+        assert grid.spacing * np.abs(fast.density - slow.density).sum() <= 1e-6
 
 
 class TestContraction:
